@@ -195,6 +195,9 @@ def validate_config(raw):
     for i, e in enumerate(options["covering_eps"]):
         _positive_number(e, "options.covering_eps[%d]" % i)
     _positive_int(options["kernel_rounds"], "options.kernel_rounds")
+    if spec.dimension > 1 and "convergence_probe" not in raw.get("options", {}):
+        ## the scalar default names the same coordinate on every axis
+        options["convergence_probe"] = [options["convergence_probe"]] * spec.dimension
     probe = options["convergence_probe"]
     probe_list = probe if isinstance(probe, list) else [probe]
     _require(len(probe_list) == spec.dimension, "options.convergence_probe",
@@ -269,13 +272,10 @@ def run_analyses(config):
         mu0[int(partition.cell_of_points(coords[None, :])[0])] = 1.0
         report = ergodic.convergence_diagnostic(tm, schedules, mu0, bank,
                                                 tol=tolerances["tol"])
-        outputs = ergodic.apply_schedules_batch(tm, schedules, mu0)
-        series = [[schedules[i + 1].max_power + 1,
-                   ergodic.weakstar_distance(outputs[i], outputs[i + 1], bank)]
-                  for i in range(len(outputs) - 1)]
         entry = report.as_jsonable()
         entry.pop("limit")  # vectors live in CSV side files, not the report
-        entry["defect_vs_n"] = [[int(n), float(d)] for n, d in series]
+        entry["defect_vs_n"] = [[int(sch.max_power + 1), float(d)] for sch, d
+                                in zip(schedules[1:], report.consecutive_defects)]
         entry["context"] = _context(m, max(horizons["schedule_lengths"]),
                                     tolerances["tol"])
         results["convergence"] = entry
@@ -375,16 +375,14 @@ def run_analyses(config):
     if "limit_measures" in wanted:
         minimal_report = topology.minimal_invariant_sets(graph)
         probes = _probe_grid(options["limit_probe_count"], spec.dimension)
-        rows = []
-        for pt in probes:
-            res = ergodic.limit_measure_per_point(tm, partition, spec, pt,
-                                                  horizons["orbit_n"],
-                                                  minimal_report=minimal_report)
-            rows.append({"probe": [float(c) for c in pt],
-                         "ergodic": res.ergodic,
-                         "dominant_class": res.dominant_class,
-                         "mass_in_class": res.mass_in_class,
-                         "route": res.route})
+        limits = ergodic.limit_measure_per_point(tm, partition, spec, probes,
+                                                 horizons["orbit_n"],
+                                                 minimal_report=minimal_report)
+        rows = [{"probe": [float(c) for c in pt],
+                 "ergodic": res.ergodic,
+                 "dominant_class": res.dominant_class,
+                 "mass_in_class": res.mass_in_class,
+                 "route": res.route} for pt, res in zip(probes, limits)]
         results["limit_measures"] = {
             "probes": rows,
             "context": _context(m, horizons["orbit_n"], None),

@@ -1,11 +1,17 @@
 """Ergodic averaging schedules and weak-star convergence diagnostics.
 
 A schedule is a finite convex combination of transfer-operator powers.
-Applying one to a cell measure never materializes matrix powers: a single
-prefix walk mu, mu V, mu V^2, ... feeds every requested power. Weak-star
-comparisons pair measures against a fixed finite bank of test functions
-sampled at cell centers, so "distance" always means: max absolute pairing
-difference over the bank.
+Every sum sum_p w_p mu V^p here is a reduction over one ulam.walk: a list
+of schedules becomes a weight table (row = schedule, column = power), and
+each power mu V^p, computed once, is added into every row with its column
+of weights. Nothing materializes a matrix power. The ergodicity defect
+T(I - V) mu needs no second walk: it regroups as sum_p (w_p - w_{p-1})
+mu V^p, the telescoped table over the same walk, and for Cesaro length n
+it is (mu - mu V^n)/n.
+
+Weak-star comparisons pair measures against a fixed finite bank of test
+functions sampled at cell centers, so "distance" always means: max
+absolute pairing difference over the bank.
 
 Two convergence routes exist on purpose. The matrix route diagnoses the
 sampled chain, whose averages always settle (finite stochastic matrices
@@ -18,7 +24,6 @@ expanding maps; see exact_orbit_diagnostic.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -107,11 +112,7 @@ def telescoping_bound(sch):
     the weight-by-power map; the pairing against any |x| <= 1 test function
     and a probability vector is at most sum |c_p|. Cesaro length n gives 2/n.
     """
-    w = dict(zip(sch.powers, sch.weights))
-    total = 0.0
-    for p in range(sch.powers[0], sch.powers[-1] + 2):
-        total += abs(w.get(p, 0.0) - w.get(p - 1, 0.0))
-    return total
+    return float(np.abs(_telescoped(_weight_table([sch]))).sum())
 
 
 def _check_measure(tm, mu):
@@ -121,27 +122,38 @@ def _check_measure(tm, mu):
     return mu
 
 
-def apply_schedule(tm, sch, mu):
-    """sum_k weights[k] * (mu V^powers[k]) via one prefix walk."""
-    return apply_schedules_batch(tm, [sch], mu)[0]
+def _weight_table(schedules):
+    """Row i, column p: the weight schedule i puts on the power p."""
+    table = np.zeros((len(schedules), max(sch.max_power for sch in schedules) + 1))
+    for i, sch in enumerate(schedules):
+        table[i, list(sch.powers)] = sch.weights
+    return table
+
+
+def _telescoped(table):
+    """Rows of T(I-V) = sum_p (w(p) - w(p-1)) V^p: one column longer than table."""
+    return np.diff(table, axis=1, prepend=0.0, append=0.0)
+
+
+def _walk_sums(tm, table, start):
+    """sum_p table[:, p] * start V^p for every row of table, over one walk.
+
+    start is a measure vector or an (n_cells, k) block of measures; the
+    result has shape (rows,) + start.shape.
+    """
+    out = np.zeros((table.shape[0],) + np.shape(start))
+    for p, cur in enumerate(ulam.walk(tm, start, table.shape[1] - 1)):
+        out += np.multiply.outer(table[:, p], cur)
+    return out
 
 
 def apply_schedules_batch(tm, schedules, mu):
-    """Apply several schedules to one start measure, sharing the power walk."""
-    mu = _check_measure(tm, mu)
-    by_power = {}
-    for i, sch in enumerate(schedules):
-        for p, w in zip(sch.powers, sch.weights):
-            by_power.setdefault(p, []).append((i, w))
-    max_p = max(sch.max_power for sch in schedules)
-    out = [np.zeros(tm.n_cells) for _ in schedules]
-    cur = mu
-    for p in range(max_p + 1):
-        for i, w in by_power.get(p, ()):
-            out[i] += w * cur
-        if p < max_p:
-            cur = ulam.apply_transfer(tm, cur)
-    return out
+    """Apply several schedules to one start, sharing one walk.
+
+    mu is a measure vector or an (n_cells, k) block of measures; row i of
+    the result is schedule i applied to it, shape (n_schedules,) + mu.shape.
+    """
+    return _walk_sums(tm, _weight_table(schedules), mu)
 
 
 def weakstar_distance(mu1, mu2, bank):
@@ -155,43 +167,31 @@ def weakstar_distance(mu1, mu2, bank):
 def ergodicity_defect(tm, sch, bank, probes):
     """max over bank x probes of |<x, T mu - T V mu>| for T = the schedule.
 
-    T is linear, so T mu - T V mu = T(mu - V mu): one prefix walk on the
-    signed difference per probe instead of two on measures.
+    T mu - T V mu = T(I-V) mu is the telescoped schedule applied to mu, so
+    all probes ride one block walk.
     """
     if not bank or not probes:
         raise InputError("bank and probes must be nonempty")
-    worst = 0.0
-    for mu in probes:
-        mu = _check_measure(tm, mu)
-        nu = mu - ulam.apply_transfer(tm, mu)
-        t_nu, = apply_schedules_batch(tm, [sch], nu)
-        worst = max(worst, weakstar_distance(t_nu, np.zeros_like(t_nu), bank))
-    return worst
+    block = np.column_stack([_check_measure(tm, mu) for mu in probes])
+    t_nu = _walk_sums(tm, _telescoped(_weight_table([sch])), block)[0]
+    return float(np.max(np.abs(np.asarray(bank, dtype=np.float64).dot(t_nu))))
 
 
 def cesaro_defect_curve(tm, mu, bank, n_max):
     """Ergodicity defect of every Cesaro schedule n = 1..n_max, one shared walk.
 
-    Runs the prefix walk once, accumulating both sum_{k<n} mu V^k and
-    sum_{k<n} (mu V) V^k, and pairs their difference against the bank at
-    every n. Returns an array of length n_max (index n-1 holds defect(n)).
+    The Cesaro mean T_n telescopes: T_n(I-V) mu = (mu - mu V^n)/n, so each
+    power of the walk gives one defect. Returns an array of length n_max
+    (index n-1 holds defect(n)).
     """
     mu = _check_measure(tm, mu)
     if n_max < 1:
         raise InputError("n_max must be >= 1")
     bank_mat = np.asarray(bank, dtype=np.float64)
-    acc_mu = np.zeros(tm.n_cells)
-    acc_vmu = np.zeros(tm.n_cells)
-    cur = mu
-    defects = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        nxt = ulam.apply_transfer(tm, cur)
-        acc_mu += cur
-        acc_vmu += nxt
-        diff = (acc_mu - acc_vmu) / n
-        defects[n - 1] = np.max(np.abs(bank_mat.dot(diff)))
-        cur = nxt
-    return defects
+    powers = ulam.walk(tm, mu, n_max)
+    next(powers)
+    return np.array([np.max(np.abs(bank_mat.dot(mu - cur))) / n
+                     for n, cur in enumerate(powers, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +206,9 @@ class ConvergenceReport:
     pair >= 10*tol), else inconclusive. The 10x gap is hysteresis: between
     tol and 10*tol the data neither certifies nor refutes at this
     resolution. Every report carries the tolerance it was computed under.
+    consecutive_defects[i] is the distance between the outputs of
+    schedules i and i+1, which convergence_diagnostic fills for the CLI's
+    defect series (empty otherwise); it is not part of as_jsonable.
     """
 
     verdict: str
@@ -216,6 +219,7 @@ class ConvergenceReport:
     limit: object  # measure vector when converged, else None
     cause: str
     max_tail_defect: float
+    consecutive_defects: tuple = ()
 
     def as_jsonable(self):
         return {
@@ -255,7 +259,8 @@ def convergence_diagnostic(tm, schedules, mu0, bank, tol=DEFAULT_TOL,
 
     Schedules whose measured ergodicity defect exceeds the gate make the
     whole diagnostic inconclusive (the Cauchy question is only meaningful
-    for near-ergodic schedules).
+    for near-ergodic schedules). One walk to max_power + 1 gives both the
+    outputs T mu0 and the gated defects T(I-V) mu0.
     """
     if not schedules:
         raise InputError("need at least one schedule")
@@ -263,21 +268,24 @@ def convergence_diagnostic(tm, schedules, mu0, bank, tol=DEFAULT_TOL,
         raise InputError("a Cauchy test needs at least two schedules")
     mu0 = _check_measure(tm, mu0)
     labels = tuple(sch.label() for sch in schedules)
-    nu = mu0 - ulam.apply_transfer(tm, mu0)
+    weights = _weight_table(schedules)
+    table = np.vstack([np.pad(weights, ((0, 0), (0, 1))), _telescoped(weights)])
+    outputs, gated = np.split(_walk_sums(tm, table, mu0), 2)
+    distance = lambda a, b: weakstar_distance(a, b, bank)
+    steps = tuple(distance(a, b) for a, b in zip(outputs, outputs[1:]))
     zero = np.zeros(tm.n_cells)
-    for t_nu, lab in zip(apply_schedules_batch(tm, schedules, nu), labels):
-        defect = weakstar_distance(t_nu, zero, bank)
+    for t_nu, lab in zip(gated, labels):
+        defect = distance(t_nu, zero)
         if defect > gate:
             return ConvergenceReport(
                 "inconclusive", float(tol), labels, (), np.zeros((0, 0)), None,
                 "schedule %s has ergodicity defect %.3g above the gate %.3g"
-                % (lab, defect, gate), float("nan"))
-    outputs = apply_schedules_batch(tm, schedules, mu0)
+                % (lab, defect, gate), float("nan"), steps)
     verdict, cause, tail, defects, worst = _tail_verdict(
-        outputs, schedules, tol, lambda a, b: weakstar_distance(a, b, bank))
+        outputs, schedules, tol, distance)
     limit = outputs[-1] if verdict == "converged" else None
     return ConvergenceReport(verdict, float(tol), labels, tail, defects,
-                             limit, cause, worst)
+                             limit, cause, worst, steps)
 
 
 def exact_orbit_schedule_averages(spec, point, schedules, functions):
@@ -290,22 +298,16 @@ def exact_orbit_schedule_averages(spec, point, schedules, functions):
     """
     if not schedules:
         raise InputError("need at least one schedule")
-    by_power = {}
-    for i, sch in enumerate(schedules):
-        for p, w in zip(sch.powers, sch.weights):
-            by_power.setdefault(p, []).append((i, w))
-    max_p = max(sch.max_power for sch in schedules)
+    table = _weight_table(schedules)
     out = np.zeros((len(schedules), len(functions)))
     cur = point
-    for p in range(max_p + 1):
-        consumers = by_power.get(p)
-        if consumers:
+    for p, column in enumerate(table.T):
+        if p:
+            cur = systems.exact_step(spec, cur)
+        if column.any():
             coords = np.asarray([float(c) for c in cur.coords])[None, :]
             vals = np.asarray([fn(coords)[0] for _, fn in functions])
-            for i, w in consumers:
-                out[i] += w * vals
-        if p < max_p:
-            cur = systems.exact_step(spec, cur)
+            out += np.multiply.outer(column, vals)
     return out
 
 
@@ -426,16 +428,19 @@ class LimitMeasureResult:
     support_cells: np.ndarray
 
 
-def limit_measure_per_point(tm, partition, spec, omega, n,
+def limit_measure_per_point(tm, partition, spec, omegas, n,
                             support_threshold=1e-12, class_mass_slack=1e-2,
                             minimal_report=None, exact_step_cap=100_000):
-    """Average the orbit of a point mass and test single-class concentration.
+    """Average the orbits of point masses and test single-class concentration.
 
-    Exact rational points ride the exact backend when the family supports
-    it: the orbit is followed until it cycles, and the returned measure is
-    the uniform distribution over the cycle's cells (the true limit, no
-    averaging error). Float points, or exact orbits that fail to cycle
-    within exact_step_cap, use an n-step Cesaro prefix walk of the matrix.
+    omegas is a sequence of points, each a RationalPoint or a float
+    coordinate array; the result is a tuple with one LimitMeasureResult per
+    point, in order. Exact rational points ride the exact backend when the
+    family supports it: the orbit is followed until it cycles, and the
+    measure is the uniform distribution over the cycle's cells (the true
+    limit, no averaging error). Float points, and exact orbits that fail to
+    cycle within exact_step_cap, take the n-step Cesaro mean of the matrix;
+    all of them share one block walk.
     """
     from . import topology  # local import: topology builds on ulam, not vice versa
 
@@ -445,37 +450,41 @@ def limit_measure_per_point(tm, partition, spec, omega, n,
         minimal_report = topology.minimal_invariant_sets(
             topology.graph_from_transfer(tm))
 
-    measure = None
-    route = "matrix_cesaro"
-    if isinstance(omega, systems.RationalPoint):
-        cycle = _exact_cycle(spec, omega, exact_step_cap)
-        if cycle is not None:
-            cells = [partition.cell_of_rational(rp) for rp in cycle]
-            measure = np.zeros(tm.n_cells)
-            for c in cells:
-                measure[c] += 1.0 / len(cells)
-            route = "exact_cycle"
-        else:
-            omega = np.asarray(omega.as_floats())
-    if measure is None:
-        start = np.zeros(tm.n_cells)
-        cells = partition.cell_of_points(np.atleast_2d(np.asarray(omega, dtype=np.float64)))
-        start[int(cells[0])] = 1.0
-        acc = np.zeros(tm.n_cells)
-        cur = start
-        for _ in range(n):
-            acc += cur
-            cur = ulam.apply_transfer(tm, cur)
-        measure = acc / n
+    found = []  # (measure or None, route) per point
+    walked = []  # (index into found, float coordinates) per matrix-route point
+    for omega in omegas:
+        if isinstance(omega, systems.RationalPoint):
+            cycle = _exact_cycle(spec, omega, exact_step_cap)
+            if cycle is not None:
+                measure = np.zeros(tm.n_cells)
+                for rp in cycle:
+                    measure[partition.cell_of_rational(rp)] += 1.0 / len(cycle)
+                found.append((measure, "exact_cycle"))
+                continue
+            omega = omega.as_floats()
+        walked.append((len(found), np.asarray(omega, dtype=np.float64).reshape(-1)))
+        found.append((None, "matrix_cesaro"))
+    if walked:
+        pts = np.array([pt for _, pt in walked])
+        if pts.shape[1] != partition.dimension:
+            raise InputError("points must have %d coordinates" % partition.dimension)
+        block = np.zeros((tm.n_cells, len(walked)))
+        block[partition.cell_of_points(pts), np.arange(len(walked))] = 1.0
+        means = _walk_sums(tm, np.ones((1, n)), block)[0] / n
+        for (i, _), column in zip(walked, means.T):
+            found[i] = (column.copy(), "matrix_cesaro")
 
-    class_mass = [(float(measure[cells].sum()), i)
-                  for i, cells in enumerate(minimal_report.terminal_cells)]
-    best_mass, best_idx = max(class_mass) if class_mass else (0.0, -1)
-    flag = best_mass >= 1.0 - class_mass_slack
-    dominant = minimal_report.terminal_scc_ids[best_idx] if best_idx >= 0 else -1
-    support_cells = np.flatnonzero(measure > support_threshold)
-    return LimitMeasureResult(measure, bool(flag), int(dominant),
-                              best_mass, route, support_cells)
+    results = []
+    for measure, route in found:
+        class_mass = [(float(measure[cells].sum()), i)
+                      for i, cells in enumerate(minimal_report.terminal_cells)]
+        best_mass, best_idx = max(class_mass) if class_mass else (0.0, -1)
+        flag = best_mass >= 1.0 - class_mass_slack
+        dominant = minimal_report.terminal_scc_ids[best_idx] if best_idx >= 0 else -1
+        support_cells = np.flatnonzero(measure > support_threshold)
+        results.append(LimitMeasureResult(measure, bool(flag), int(dominant),
+                                          best_mass, route, support_cells))
+    return tuple(results)
 
 
 def _exact_cycle(spec, point, cap):
@@ -495,13 +504,3 @@ def _exact_cycle(spec, point, cap):
     except CapabilityError:
         return None
     return None
-
-
-def defects_to_csv(report, path):
-    """Tail pairwise defect matrix with schedule labels as headers."""
-    tail_labels = [report.schedule_labels[i] for i in report.tail_indices]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([""] + tail_labels)
-        for lab, row in zip(tail_labels, report.pairwise_defects):
-            writer.writerow([lab] + ["%.17g" % v for v in row])

@@ -24,7 +24,6 @@ close pairs, the most direct rigid-vs-expanding separation.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -240,13 +239,16 @@ def covering_profile(spec, horizon, eps_list, bank_count=ENVELOPE_BANK,
             "budget of %d; lower the horizon" % (horizon, (horizon + 1) ** 2, budget))
     feats = _envelope_features(spec, horizon, bank_count, point_count)
     counts = []
+    centers = np.empty_like(feats)
     for eps in eps_list:
-        centers = feats[0][None, :]
+        centers[0] = feats[0]
+        n = 1
         for t in range(1, horizon + 1):
-            dists = np.abs(centers - feats[t][None, :]).sum(axis=1)
+            dists = np.abs(centers[:n] - feats[t][None, :]).sum(axis=1)
             if not np.any(dists <= eps):
-                centers = np.vstack([centers, feats[t]])
-        counts.append(centers.shape[0])
+                centers[n] = feats[t]
+                n += 1
+        counts.append(n)
     truncation = 2.0 * (0.5 ** bank_count + 0.5 ** point_count)
     return CoveringProfile(int(horizon), tuple(float(e) for e in eps_list),
                            tuple(counts), bank_count, point_count, truncation)
@@ -281,19 +283,3 @@ def equicontinuity_probe(spec, delta_list, horizon, base_points=None):
         np.minimum(diff, 1.0 - diff, out=diff)
         table[float(delta)] = float(diff.max(axis=2).max())
     return table
-
-
-def tameness_to_csv(report, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["K", "defect"])
-        for k in sorted(report.defect_per_k):
-            writer.writerow([k, "%.17g" % report.defect_per_k[k]])
-
-
-def covering_to_csv(profile, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["horizon", "epsilon", "count"])
-        for eps, count in zip(profile.eps_list, profile.counts):
-            writer.writerow([profile.horizon, "%.17g" % eps, count])

@@ -20,7 +20,6 @@ the first N steps. Verdicts always carry (N, eps).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -332,14 +331,3 @@ def transitivity_defect(pg, sample_cap=10):
         return TransitivityReport(0.0, 0, 0, True, method, ())
     return TransitivityReport(violations / total, total, violations, False,
                               method, tuple(sample))
-
-
-def graph_to_edge_csv(graph, path):
-    """Edge list (src, dst) in row-major order."""
-    coo = graph.adjacency.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src", "dst"])
-        for k in order:
-            writer.writerow([int(coo.row[k]), int(coo.col[k])])

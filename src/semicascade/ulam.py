@@ -11,15 +11,20 @@ fixed point. The price is that a boundary corner is shared with the next
 cell, so a map that permutes cells exactly acquires a 1/s echo entry for
 s > 1; the interval-exact oracle in the tests quantifies this.
 
-The transfer matrix is row-stochastic with entry (i, j) equal to the
-fraction of cell i's samples that the map sends into cell j; the Koopman
-action is its transpose. Measures on cells and cell functions are plain
-numpy vectors of length n_cells.
+The transfer matrix M is row-stochastic with entry (i, j) equal to the
+fraction of cell i's samples that the map sends into cell j. Measures on
+cells and cell functions are plain numpy vectors of length n_cells. A
+measure moves forward as mu -> mu M, a cell function is pulled back as
+x -> M x (the Koopman action). The forward operator M^T is built once per
+matrix, on first use. apply_transfer pushes a measure one step through it,
+and walk yields every power mu, mu M, mu M^2, ... in turn, for one measure
+or an (n_cells, k) block of measures at once; the averaging code goes
+through these two and never transposes M itself.
 """
 
 from __future__ import annotations
 
-import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,9 +92,6 @@ class Partition:
             return parts[0]
         return parts[0] * m + parts[1]
 
-    def cell_center(self, index):
-        return self.centers()[index]
-
 
 def _sample_offsets(dimension, s, width, seed):
     if dimension == 1:
@@ -147,6 +149,11 @@ class TransferMatrix:
     def n_cells(self):
         return self.partition.n_cells
 
+    @functools.cached_property
+    def forward(self):
+        """The forward operator M^T as CSR, so that forward @ mu = mu M."""
+        return self.matrix.T.tocsr()
+
 
 def build_transfer_matrix(partition, spec):
     """Row-stochastic sampled transfer matrix for (partition, spec).
@@ -174,7 +181,25 @@ def apply_transfer(tm, mu):
     mu = np.asarray(mu, dtype=np.float64)
     if mu.shape != (tm.n_cells,):
         raise InputError("measure vector must have length %d" % tm.n_cells)
-    return tm.matrix.T.dot(mu)
+    return tm.forward @ mu
+
+
+def walk(tm, start, n):
+    """Yield start M^p for p = 0..n, one operator step per power.
+
+    start is a measure vector of length n_cells or an (n_cells, k) block
+    whose columns are measures; a block moves all k columns in one sparse
+    product per step. The walk never writes into an array it has yielded.
+    """
+    cur = np.asarray(start, dtype=np.float64)
+    if cur.ndim not in (1, 2) or cur.shape[0] != tm.n_cells:
+        raise InputError("start must be a measure vector or an (n_cells, k) "
+                         "block with n_cells = %d" % tm.n_cells)
+    forward = tm.forward
+    yield cur
+    for _ in range(n):
+        cur = forward @ cur
+        yield cur
 
 
 def apply_koopman(tm, x):
@@ -248,35 +273,3 @@ def sample_test_bank(partition, count):
 
 def test_bank_names(count, dimension):
     return [nm for nm, _ in trig_bank(count, dimension)]
-
-
-# ---------------------------------------------------------------------------
-# exports
-
-
-def matrix_to_dense_csv(tm, path):
-    """Write the full matrix as a dense CSV (row per line); small m only."""
-    dense = tm.matrix.toarray()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in dense:
-            writer.writerow(["%.17g" % v for v in row])
-
-
-def matrix_to_coo_csv(tm, path):
-    """Write sparse coordinate triples (row, col, value), row-major order."""
-    coo = tm.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "value"])
-        for k in order:
-            writer.writerow([int(coo.row[k]), int(coo.col[k]), "%.17g" % coo.data[k]])
-
-
-def measure_to_csv(mu, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cell", "weight"])
-        for i, v in enumerate(np.asarray(mu)):
-            writer.writerow([i, "%.17g" % v])

@@ -1,11 +1,13 @@
 """CLI contract: configs, exit codes, artifacts, determinism, plot data."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import semicascade
 from semicascade import cli, systems
 
 
@@ -177,6 +179,19 @@ def test_rejects_probe_dimension_mismatch(tmp_path, capsys):
     _expect_config_error(tmp_path, capsys, cfg, "options.convergence_probe")
 
 
+def test_omitted_probe_defaults_per_dimension(tmp_path, capsys):
+    cfg = _base_config(tmp_path / "out")
+    cfg["system"] = {"family": "toral_automorphism",
+                     "params": {"m11": 2, "m12": 1, "m21": 1, "m22": 1}}
+    cfg["partition"] = {"cells_per_axis": 8, "samples_per_cell": 3}
+    cfg["analyses"] = ["convergence"]
+    del cfg["options"]["convergence_probe"]
+    code = cli.main(["run", _write_config(tmp_path, cfg)])
+    assert code == 0, capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["config"]["options"]["convergence_probe"] == [0.3, 0.3]
+
+
 def test_rejects_single_schedule(tmp_path, capsys):
     cfg = _base_config(tmp_path)
     cfg["horizons"]["schedule_lengths"] = [64]
@@ -212,8 +227,12 @@ def test_systems_subcommand(capsys):
 
 
 def test_module_entry_point():
+    ## the child imports the same package as this process, installed or not
+    package_root = os.path.dirname(os.path.dirname(semicascade.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "semicascade", "systems"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)
 

@@ -96,7 +96,7 @@ def test_apply_schedule_against_naive_powers():
         for p, w in zip(sch.powers, sch.weights):
             naive += w * (mu @ np.linalg.matrix_power(dense, p))
         assert np.allclose(got, naive, atol=1e-13)
-        single = ergodic.apply_schedule(tm, sch, mu)
+        single = ergodic.apply_schedules_batch(tm, [sch], mu)[0]
         assert np.array_equal(single, got)
         assert got.sum() == pytest.approx(1.0)
         assert got.min() >= -1e-15
@@ -298,8 +298,8 @@ def test_kernel_projection_guards():
 def test_limit_measure_exact_cycle_route():
     spec = systems.doubling_map()
     tm = _tm_of(spec, 64)
-    res = ergodic.limit_measure_per_point(tm, tm.partition, spec,
-                                          systems.RationalPoint((F(1, 3),)), 256)
+    res, = ergodic.limit_measure_per_point(tm, tm.partition, spec,
+                                           [systems.RationalPoint((F(1, 3),))], 256)
     assert res.route == "exact_cycle"
     ## 1/3 <-> 2/3 is a 2-cycle through cells 21 and 42
     expected = np.zeros(64)
@@ -314,9 +314,9 @@ def test_limit_measure_exact_cap_falls_back():
     tm = _tm_of(spec, 16)
     ## 1/10 needs 5 exact steps to close its cycle; cap 2 forces the
     ## matrix route
-    res = ergodic.limit_measure_per_point(tm, tm.partition, spec,
-                                          systems.RationalPoint((F(1, 10),)), 64,
-                                          exact_step_cap=2)
+    res, = ergodic.limit_measure_per_point(tm, tm.partition, spec,
+                                           [systems.RationalPoint((F(1, 10),))], 64,
+                                           exact_step_cap=2)
     assert res.route == "matrix_cesaro"
     assert res.measure.sum() == pytest.approx(1.0)
 
@@ -324,29 +324,15 @@ def test_limit_measure_exact_cap_falls_back():
 def test_limit_measure_float_route_north_south():
     spec = systems.north_south(0.5)
     tm = _tm_of(spec, 32)
-    res = ergodic.limit_measure_per_point(tm, tm.partition, spec,
-                                          np.array([0.25]), 4096)
+    res, = ergodic.limit_measure_per_point(tm, tm.partition, spec,
+                                           [np.array([0.25])], 4096)
     assert res.route == "matrix_cesaro"
     assert res.ergodic is True
     assert res.mass_in_class >= 0.99
     ## from the repelling fixed point the transient tail is much heavier;
     ## at this short horizon the single-class flag honestly refuses
-    res0 = ergodic.limit_measure_per_point(tm, tm.partition, spec,
-                                           np.array([0.0]), 512)
+    res0, = ergodic.limit_measure_per_point(tm, tm.partition, spec,
+                                            [np.array([0.0])], 512)
     assert res0.ergodic is False
     with pytest.raises(InputError):
-        ergodic.limit_measure_per_point(tm, tm.partition, spec, np.array([0.25]), 0)
-
-
-def test_defects_csv(tmp_path):
-    tm = _tm_of(systems.circle_rotation(systems.GOLDEN), 16)
-    bank = ulam.sample_test_bank(tm.partition, 4)
-    mu0 = np.zeros(16)
-    mu0[0] = 1.0
-    schedules = [ergodic.cesaro_schedule(n) for n in (32, 64, 128, 256)]
-    rep = ergodic.convergence_diagnostic(tm, schedules, mu0, bank)
-    path = tmp_path / "defects.csv"
-    ergodic.defects_to_csv(rep, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].split(",")[1:] == ["cesaro_128", "cesaro_256"]
-    assert len(lines) == 3
+        ergodic.limit_measure_per_point(tm, tm.partition, spec, [np.array([0.25])], 0)

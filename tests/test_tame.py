@@ -190,18 +190,3 @@ def test_equicontinuity_rigid_vs_expanding():
         tame.equicontinuity_probe(systems.doubling_map(), [0.6], 4)
     with pytest.raises(InputError):
         tame.equicontinuity_probe(systems.doubling_map(), [delta], -1)
-
-
-def test_csv_exports(tmp_path):
-    rep = tame.tameness_profile(systems.circle_rotation(F(1, 8)), COS1, 3, GRID)
-    tpath = tmp_path / "tameness.csv"
-    tame.tameness_to_csv(rep, str(tpath))
-    lines = tpath.read_text().strip().splitlines()
-    assert lines[0] == "K,defect"
-    assert [ln.split(",")[0] for ln in lines[1:]] == ["2", "3"]
-    prof = tame.covering_profile(systems.circle_rotation(F(1, 8)), 16, [0.5, 0.1])
-    cpath = tmp_path / "covering.csv"
-    tame.covering_to_csv(prof, str(cpath))
-    lines = cpath.read_text().strip().splitlines()
-    assert lines[0] == "horizon,epsilon,count"
-    assert len(lines) == 3 and lines[1].startswith("16,")

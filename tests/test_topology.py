@@ -203,15 +203,3 @@ def test_proximality_2d_route():
     assert pg.edges.shape == (16, 16)
     assert np.array_equal(pg.edges, pg.edges.T)
     assert np.all(np.diag(pg.edges))
-
-
-def test_graph_edge_csv(tmp_path):
-    spec = systems.circle_rotation(F(1, 8))
-    part = ulam.build_partition(spec, 8, 1)
-    graph = topology.build_transition_graph(part, spec)
-    path = tmp_path / "edges.csv"
-    topology.graph_to_edge_csv(graph, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "src,dst"
-    got = [tuple(map(int, ln.split(","))) for ln in lines[1:]]
-    assert got == [(i, (i + 1) % 8) for i in range(8)]

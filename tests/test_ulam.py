@@ -166,30 +166,3 @@ def test_validation_and_budget():
         ulam.apply_koopman(tm, np.ones(9))
     with pytest.raises(InputError):
         ulam.trig_bank(0, 1)
-
-
-def test_csv_exports_round_trip(tmp_path):
-    tm = _matrix(systems.circle_rotation(F(1, 8)), 8, 3)
-    coo_path = tmp_path / "coo.csv"
-    ulam.matrix_to_coo_csv(tm, str(coo_path))
-    lines = coo_path.read_text().strip().splitlines()
-    assert lines[0] == "row,col,value"
-    rebuilt = np.zeros((8, 8))
-    for line in lines[1:]:
-        r, c, v = line.split(",")
-        rebuilt[int(r), int(c)] = float(v)
-    assert np.array_equal(rebuilt, tm.matrix.toarray())
-
-    dense_path = tmp_path / "dense.csv"
-    ulam.matrix_to_dense_csv(tm, str(dense_path))
-    parsed = np.array([[float(v) for v in ln.split(",")]
-                       for ln in dense_path.read_text().strip().splitlines()])
-    assert np.array_equal(parsed, tm.matrix.toarray())
-
-    mu = np.arange(8) / 28.0
-    mu_path = tmp_path / "mu.csv"
-    ulam.measure_to_csv(mu, str(mu_path))
-    rows = mu_path.read_text().strip().splitlines()
-    assert rows[0] == "cell,weight"
-    got = np.array([float(ln.split(",")[1]) for ln in rows[1:]])
-    assert np.array_equal(got, mu)

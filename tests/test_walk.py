@@ -1,0 +1,113 @@
+"""Property tests of the one transfer-operator walk and the sums built on it.
+
+Chains are random sparse row-stochastic matrices whose first cells form
+pure cycle blocks (a random permutation) and whose other rows spread over
+one to three random cells. Every schedule sum is checked against dense
+matrix powers, every ergodicity defect against an explicit T(mu - mu V),
+and batched limit measures against one-point calls.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+
+from semicascade import ergodic, systems, ulam
+
+F = Fraction
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def chains(draw):
+    n = draw(st.integers(2, 10))
+    cyclic = draw(st.integers(0, n))  # cells 0..cyclic-1 are permuted exactly
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = np.zeros((n, n))
+    dense[np.arange(cyclic), rng.permutation(cyclic)] = 1.0
+    for i in range(cyclic, n):
+        cols = rng.choice(n, size=rng.integers(1, min(3, n) + 1), replace=False)
+        dense[i, cols] = rng.random(cols.size) + 0.05
+        dense[i] /= dense[i].sum()
+    spec = systems.doubling_map()
+    part = ulam.build_partition(spec, n, 1)
+    return ulam.TransferMatrix(sp.csr_matrix(dense), part, spec), dense
+
+
+_basic = st.one_of(st.integers(1, 24).map(ergodic.cesaro_schedule),
+                   st.builds(ergodic.window_schedule, st.integers(0, 16),
+                             st.integers(1, 12)))
+schedules = st.one_of(_basic, st.builds(ergodic.mix_schedule,
+                                        st.floats(0.0, 1.0), _basic, _basic))
+
+
+def _measures(data, n, k):
+    """k random probability vectors of length n, as an (n, k) block."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    block = rng.random((n, k)) * (rng.random((n, k)) < 0.6) + 1e-3
+    return block / block.sum(axis=0)
+
+
+def _dense_apply(dense, sch, start):
+    return sum(w * np.linalg.matrix_power(dense.T, p) @ start
+               for p, w in zip(sch.powers, sch.weights))
+
+
+@PROPERTY_SETTINGS
+@given(chains(), st.lists(schedules, min_size=1, max_size=4), st.integers(0, 3),
+       st.data())
+def test_schedule_sums_match_dense_powers(chain, schs, k, data):
+    ## k == 0 walks a single measure vector, k >= 1 an (n, k) block
+    tm, dense = chain
+    block = _measures(data, tm.n_cells, max(k, 1))
+    start = block[:, 0] if k == 0 else block
+    got = ergodic.apply_schedules_batch(tm, schs, start)
+    assert got.shape == (len(schs),) + start.shape
+    for sch, out in zip(schs, got):
+        assert np.max(np.abs(out - _dense_apply(dense, sch, start))) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(chains(), schedules, st.integers(1, 3), st.data())
+def test_gate_defects_match_explicit_telescoping(chain, sch, k, data):
+    tm, dense = chain
+    probes = list(_measures(data, tm.n_cells, k).T)
+    bank = np.asarray(ulam.sample_test_bank(tm.partition, 4))
+    explicit = [np.max(np.abs(bank @ _dense_apply(dense, sch, mu - mu @ dense)))
+                for mu in probes]
+    defect = ergodic.ergodicity_defect(tm, sch, list(bank), probes)
+    assert abs(defect - max(explicit)) <= 1e-12
+    ## the gate inside convergence_diagnostic sees the same defect: it lets
+    ## the schedule through just above it and stops it just below
+    mu, d = probes[0], explicit[0]
+    passed = ergodic.convergence_diagnostic(tm, [sch, sch], mu, list(bank),
+                                            gate=d + 1e-12)
+    assert "gate" not in passed.cause
+    if d > 1e-12:
+        gated = ergodic.convergence_diagnostic(tm, [sch, sch], mu, list(bank),
+                                               gate=d - 1e-12)
+        assert "gate" in gated.cause
+
+
+@PROPERTY_SETTINGS
+@given(chains(), st.lists(st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True).map(lambda x: np.array([x])),
+    st.integers(1, 40).flatmap(lambda q: st.integers(0, q - 1).map(
+        lambda a: systems.RationalPoint((F(a, q),))))), min_size=1, max_size=6),
+    st.integers(1, 48), st.integers(1, 8))
+def test_batched_limit_measures_equal_single_calls(chain, points, n, cap):
+    ## a small exact_step_cap sends some rational points to the matrix route,
+    ## so the block mixes fallbacks with float points
+    tm, _ = chain
+    batch = ergodic.limit_measure_per_point(tm, tm.partition, tm.spec, points, n,
+                                            exact_step_cap=cap)
+    assert len(batch) == len(points)
+    for pt, res in zip(points, batch):
+        single, = ergodic.limit_measure_per_point(tm, tm.partition, tm.spec, [pt], n,
+                                                  exact_step_cap=cap)
+        assert res.route == single.route
+        assert np.array_equal(res.measure, single.measure)
+        assert res.ergodic == single.ergodic
+        assert res.mass_in_class == single.mass_in_class
