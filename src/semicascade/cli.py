@@ -81,8 +81,10 @@ def _positive_number(obj, field):
 
 
 def _merged_section(config, name):
+    section = config.get(name, {})
+    _check_keys(section, name, set(DEFAULTS[name]))
     merged = dict(DEFAULTS[name])
-    merged.update(config.get(name, {}))
+    merged.update(section)
     return merged
 
 
@@ -159,7 +161,6 @@ def validate_config(raw):
                  "contains unknown analysis %r (allowed: %s)" % (a, ", ".join(ANALYSES)))
 
     horizons = _merged_section(raw, "horizons")
-    _check_keys(horizons, "horizons", set(DEFAULTS["horizons"]))
     _positive_int(horizons["orbit_n"], "horizons.orbit_n")
     _require(isinstance(horizons["schedule_lengths"], list) and
              len(horizons["schedule_lengths"]) >= 2,
@@ -170,7 +171,6 @@ def validate_config(raw):
     _positive_int(horizons["covering_horizon"], "horizons.covering_horizon")
 
     tolerances = _merged_section(raw, "tolerances")
-    _check_keys(tolerances, "tolerances", set(DEFAULTS["tolerances"]))
     for key in ("tol", "eps"):
         _positive_number(tolerances[key], "tolerances.%s" % key)
     _require(isinstance(tolerances["support_threshold"], (int, float))
@@ -178,12 +178,10 @@ def validate_config(raw):
              "tolerances.support_threshold", "must be a nonnegative number")
 
     banks = _merged_section(raw, "banks")
-    _check_keys(banks, "banks", set(DEFAULTS["banks"]))
     _positive_int(banks["test_functions"], "banks.test_functions")
     _positive_int(banks["grid_size"], "banks.grid_size")
 
     options = _merged_section(raw, "options")
-    _check_keys(options, "options", set(DEFAULTS["options"]))
     _positive_int(options["max_period"], "options.max_period")
     _positive_int(options["proximality_points"], "options.proximality_points")
     _require(options["tameness_k_max"] >= 2 and isinstance(options["tameness_k_max"], int),
@@ -360,17 +358,15 @@ def run_analyses(config):
              for e, c in zip(profile.eps_list, profile.counts)]
 
     if "kernel_projection" in wanted:
-        est = ergodic.kernel_projection_estimate(tm, options["kernel_rounds"])
+        est = ergodic.kernel_projection_estimate(tm, graph)
         results["kernel_projection"] = {
             "residual_vq": est.residual_vq,
             "residual_idem": est.residual_idem,
-            "rounds": est.rounds,
-            "represented_length": str(est.represented_length),
             "stop_reason": est.stop_reason,
-            "context": _context(m, options["kernel_rounds"], None),
+            "context": _context(m, None, None),
         }
-        verdicts.append("projection residuals: vq=%.3g idem=%.3g after %d rounds"
-                        % (est.residual_vq, est.residual_idem, est.rounds))
+        verdicts.append("projection residuals: vq=%.3g idem=%.3g (%s)"
+                        % (est.residual_vq, est.residual_idem, est.stop_reason))
 
     if "limit_measures" in wanted:
         minimal_report = topology.minimal_invariant_sets(graph)
@@ -476,8 +472,8 @@ def cmd_plotdata(args):
         rows = [["verdict", "graph_verdict", "backend"],
                 [entry["verdict"], entry["graph_verdict"], entry["backend_used"]]]
     else:  # kernel_projection
-        rows = [["residual_vq", "residual_idem", "rounds"],
-                [entry["residual_vq"], entry["residual_idem"], entry["rounds"]]]
+        rows = [["residual_vq", "residual_idem"],
+                [entry["residual_vq"], entry["residual_idem"]]]
     _write_csv_rows(path, rows)
     print("plot data written to %s" % path)
     return 0

@@ -28,9 +28,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import linalg as splinalg
 
-from . import systems, ulam
-from .errors import InputError, ResourceBudgetError
+from . import measures, systems, topology, ulam
+from .errors import InputError
 
 TWO_PI = 2.0 * math.pi
 
@@ -38,10 +40,6 @@ DEFAULT_TOL = 1e-2
 ## schedules whose telescoping bound exceeds this are too far from ergodic
 ## for a Cauchy test to mean anything (a single power has bound 2)
 ERGODICITY_GATE = 0.25
-
-DENSE_KERNEL_CELL_CAP = 1 << 10
-KERNEL_STOP_RESIDUAL = 1e-13
-KERNEL_PLATEAU_GRACE = 8
 
 
 @dataclass(frozen=True)
@@ -346,65 +344,60 @@ def exact_orbit_diagnostic(spec, point, schedules, functions, tol=DEFAULT_TOL,
 
 @dataclass(frozen=True)
 class KernelEstimate:
-    """Dense estimate of the projection commuting with the transfer matrix.
+    """The Cesaro-limit projection Q = A Pi of the sampled chain, kept factored.
 
-    Built by repeated pair-averaging: Q <- (Q + B Q)/2 with B squared each
-    round, which represents the full Cesaro mean of length 2^rounds while
-    paying only `rounds` dense multiplies. residual_vq = ||V Q - Q||_inf,
-    residual_idem = ||Q Q - Q||_inf (max absolute row sums).
+    Kemeny & Snell (Finite Markov Chains, 1960): stationary (Pi, k x n)
+    stacks one stationary measure per terminal class; absorption (A, n x k)
+    holds the probability that a chain started in each cell ends in each
+    class, an indicator on terminal cells. q materializes A Pi as a dense
+    n x n array. residual_vq = ||V Q - Q||_inf and residual_idem =
+    ||Q Q - Q||_inf (max absolute row sums) come from the factors: the rows
+    of Pi are probability vectors with disjoint supports, so ||M Pi||_inf =
+    ||M||_inf for every n x k M, with V Q - Q = (V A - A) Pi and
+    Q Q - Q = (A (Pi A) - A) Pi.
     """
 
-    q: np.ndarray
+    absorption: np.ndarray
+    stationary: np.ndarray
     residual_vq: float
     residual_idem: float
-    rounds: int
-    represented_length: int
     stop_reason: str
+
+    @property
+    def q(self):
+        return self.absorption @ self.stationary
 
 
 def _inf_norm(mat):
     return float(np.max(np.abs(mat).sum(axis=1)))
 
 
-def kernel_projection_estimate(tm, n):
-    """Refine the averaging projection for at most n doubling rounds.
+def kernel_projection_estimate(tm, graph):
+    """Exact Cesaro-limit projection Q = A Pi of the chain, factored.
 
-    n caps the number of rounds, not the represented averaging length
-    (which is 2^rounds); refinement stops early once the residual bottoms
-    out at float resolution. Never raises on non-stabilization: the best
-    iterate seen is returned with its residuals.
+    graph is the transition graph of tm, as for measures.stationary_measures,
+    which supplies Pi. An integer in its place, the round budget of the
+    former iterated-squaring estimate, is still accepted and ignored; the
+    graph is then built from tm. The transient rows of A solve
+    (I - P_TT) A_T = P_TR E, E the class indicators of the terminal cells,
+    with one sparse LU of I - P_TT.
     """
-    if n < 1:
-        raise InputError("need at least one refinement round")
-    n_cells = tm.n_cells
-    if n_cells > DENSE_KERNEL_CELL_CAP:
-        raise ResourceBudgetError(
-            "dense projection on %d cells exceeds the %d-cell cap; coarsen "
-            "the partition" % (n_cells, DENSE_KERNEL_CELL_CAP))
-    v = tm.matrix.toarray()
-    q = np.eye(n_cells)
-    b = v.copy()
-    best_q, best_res, best_round = q, _inf_norm(v.dot(q) - q), 0
-    prev_res = best_res
-    rounds = 0
-    stop = "round budget exhausted"
-    while rounds < n:
-        q = 0.5 * (q + b.dot(q))
-        b = b.dot(b)
-        rounds += 1
-        res = _inf_norm(v.dot(q) - q)
-        if res < best_res:
-            best_q, best_res, best_round = q, res, rounds
-        if res <= KERNEL_STOP_RESIDUAL:
-            stop = "residual below stop threshold"
-            break
-        if rounds >= KERNEL_PLATEAU_GRACE and res >= prev_res:
-            stop = "residual plateaued at float resolution"
-            break
-        prev_res = res
-    idem = _inf_norm(best_q.dot(best_q) - best_q)
-    return KernelEstimate(best_q, best_res, idem, best_round,
-                          1 << best_round, stop)
+    if isinstance(graph, int):
+        graph = topology.graph_from_transfer(tm)
+    mset = measures.stationary_measures(tm, graph)
+    pi = np.array(mset.measures)
+    a = np.zeros((tm.n_cells, pi.shape[0]))
+    for j, cells in enumerate(mset.minimal_report.terminal_cells):
+        a[cells, j] = 1.0
+    transient = np.flatnonzero(a.sum(axis=1) == 0.0)
+    if transient.size:
+        p_t = tm.matrix[transient]
+        lhs = sp.identity(transient.size, format="csc") - p_t[:, transient].tocsc()
+        ## rows of A outside T are the class indicators, so P_T. A = P_TR E
+        a[transient] = splinalg.splu(lhs).solve(p_t @ a)
+    residual_vq = _inf_norm(tm.matrix @ a - a)
+    residual_idem = _inf_norm(a @ (pi @ a) - a)
+    return KernelEstimate(a, pi, residual_vq, residual_idem, "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +435,6 @@ def limit_measure_per_point(tm, partition, spec, omegas, n,
     cycle within exact_step_cap, take the n-step Cesaro mean of the matrix;
     all of them share one block walk.
     """
-    from . import topology  # local import: topology builds on ulam, not vice versa
-
     if n < 1:
         raise InputError("need n >= 1")
     if minimal_report is None:

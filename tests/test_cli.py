@@ -192,6 +192,15 @@ def test_omitted_probe_defaults_per_dimension(tmp_path, capsys):
     assert report["config"]["options"]["convergence_probe"] == [0.3, 0.3]
 
 
+@pytest.mark.parametrize("section", ["horizons", "tolerances", "banks", "options"])
+@pytest.mark.parametrize("value", [5, [["max_period", 2]]], ids=["number", "pairs"])
+def test_rejects_section_not_an_object(tmp_path, capsys, section, value):
+    cfg = _base_config(tmp_path)
+    cfg[section] = value
+    _expect_config_error(tmp_path, capsys, cfg,
+                         "config field %s must be an object" % section)
+
+
 def test_rejects_single_schedule(tmp_path, capsys):
     cfg = _base_config(tmp_path)
     cfg["horizons"]["schedule_lengths"] = [64]
@@ -249,7 +258,7 @@ def test_module_entry_point():
     ("limit_measures", "probe,ergodic,mass_in_class"),
     ("proximality", "defect,n_two_step_triples,n_violations"),
     ("unique_minimal_set", "verdict,graph_verdict,backend"),
-    ("kernel_projection", "residual_vq,residual_idem,rounds"),
+    ("kernel_projection", "residual_vq,residual_idem"),
 ])
 def test_plotdata_per_analysis(finished_run, tmp_path, analysis, header):
     _, out_dir, _, _ = finished_run

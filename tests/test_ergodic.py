@@ -7,7 +7,8 @@ import pytest
 import scipy.sparse as sp
 
 from semicascade import ergodic, systems, topology, ulam
-from semicascade.errors import InputError, ResourceBudgetError
+from semicascade.errors import InputError
+from test_acceptance import BUNDLE
 
 F = Fraction
 
@@ -255,27 +256,28 @@ def test_exact_orbit_diagnostic_gate():
 def test_kernel_projection_swap_oracle():
     ## the 2-cycle chain averages to the rank-one projection onto uniform
     tm = _tm_swap()
-    est = ergodic.kernel_projection_estimate(tm, 60)
-    assert np.allclose(est.q, np.full((2, 2), 0.5), atol=1e-10)
+    est = ergodic.kernel_projection_estimate(tm, topology.graph_from_transfer(tm))
+    assert np.allclose(est.q, np.full((2, 2), 0.5), atol=1e-15)
     assert est.residual_vq <= 1e-13
-    assert est.residual_idem <= 1e-10
-    assert est.stop_reason == "residual below stop threshold"
-    assert est.represented_length == 1 << est.rounds
+    assert est.residual_idem <= 1e-13
+    assert est.stop_reason == "exact"
 
 
 def test_kernel_projection_identity_chain():
     part = ulam.build_partition(systems.doubling_map(), 3, 1)
     tm = ulam.TransferMatrix(sp.csr_matrix(np.eye(3)), part, systems.doubling_map())
-    est = ergodic.kernel_projection_estimate(tm, 10)
+    est = ergodic.kernel_projection_estimate(tm, topology.graph_from_transfer(tm))
     assert np.array_equal(est.q, np.eye(3))
     assert est.residual_vq == 0.0 and est.residual_idem == 0.0
-    assert est.rounds == 0 and est.represented_length == 1
+    ## every cell is its own terminal class: both factors are the identity
+    assert np.array_equal(est.absorption, np.eye(3))
+    assert np.array_equal(est.stationary, np.eye(3))
 
 
 def test_kernel_projection_north_south_rows():
     ## every row of the projection is the point mass at the attractor cell
     tm = _tm_of(systems.north_south(0.5), 64)
-    est = ergodic.kernel_projection_estimate(tm, 64)
+    est = ergodic.kernel_projection_estimate(tm, topology.graph_from_transfer(tm))
     assert est.residual_vq <= 1e-8
     one_hot = np.zeros(64)
     one_hot[32] = 1.0
@@ -283,12 +285,32 @@ def test_kernel_projection_north_south_rows():
 
 
 def test_kernel_projection_guards():
+    ## the graph must come from the same partition; there is no cell cap
     tm = _tm_of(systems.north_south(0.5), 16)
+    other = topology.graph_from_transfer(_tm_of(systems.north_south(0.5), 32))
     with pytest.raises(InputError):
-        ergodic.kernel_projection_estimate(tm, 0)
+        ergodic.kernel_projection_estimate(tm, other)
     big = _tm_of(systems.circle_rotation(systems.GOLDEN), 2048, 1)
-    with pytest.raises(ResourceBudgetError):
-        ergodic.kernel_projection_estimate(big, 4)
+    est = ergodic.kernel_projection_estimate(big, topology.graph_from_transfer(big))
+    assert est.residual_vq <= 1e-12 and est.residual_idem <= 1e-12
+
+
+@pytest.mark.parametrize("m", [16, 64, 256])
+@pytest.mark.parametrize("name,make", BUNDLE, ids=[name for name, _ in BUNDLE])
+def test_kernel_projection_bundle_certificates(name, make, m):
+    spec = make()
+    tm = _tm_of(spec, m, 3 if spec.dimension == 1 else 5)
+    est = ergodic.kernel_projection_estimate(tm, topology.graph_from_transfer(tm))
+    assert est.residual_idem <= 1e-12
+    assert est.residual_vq <= 1e-12
+
+
+def test_kernel_projection_cat_map_16k_cells():
+    tm = _tm_of(systems.cat_map(), 128)
+    assert tm.n_cells == 16384
+    est = ergodic.kernel_projection_estimate(tm, topology.graph_from_transfer(tm))
+    assert est.residual_idem <= 1e-12
+    assert est.residual_vq <= 1e-12
 
 
 # ---------------------------------------------------------------------------

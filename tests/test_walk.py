@@ -4,7 +4,8 @@ Chains are random sparse row-stochastic matrices whose first cells form
 pure cycle blocks (a random permutation) and whose other rows spread over
 one to three random cells. Every schedule sum is checked against dense
 matrix powers, every ergodicity defect against an explicit T(mu - mu V),
-and batched limit measures against one-point calls.
+batched limit measures against one-point calls, and the kernel
+projection against a dense Kemeny-Snell projection.
 """
 
 from fractions import Fraction
@@ -13,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from semicascade import ergodic, systems, ulam
+from semicascade import ergodic, systems, topology, ulam
 
 F = Fraction
 
@@ -111,3 +112,36 @@ def test_batched_limit_measures_equal_single_calls(chain, points, n, cap):
         assert np.array_equal(res.measure, single.measure)
         assert res.ergodic == single.ergodic
         assert res.mass_in_class == single.mass_in_class
+
+
+def _kemeny_snell(dense):
+    """Cesaro limit Q = A Pi of a dense row-stochastic matrix, by numpy.linalg."""
+    n = len(dense)
+    reach = np.linalg.matrix_power((np.eye(n) + dense > 0).astype(float), n) > 0
+    closed = np.all(reach.T | ~reach, axis=1)  # every cell it reaches reaches back
+    classes = np.unique(reach[closed], axis=0)  # a closed cell reaches its class
+    pi = np.zeros((len(classes), n))
+    for c, cells in enumerate(classes):
+        block = dense[np.ix_(cells, cells)]
+        lhs = np.vstack([block.T - np.eye(len(block)), np.ones(len(block))])
+        rhs = np.append(np.zeros(len(block)), 1.0)
+        pi[c, cells] = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+    a = classes.T.astype(float)
+    a[~closed] = np.linalg.solve(np.eye(n - closed.sum()) - dense[np.ix_(~closed, ~closed)],
+                                 dense[np.ix_(~closed, closed)] @ a[closed])
+    return a @ pi
+
+
+@PROPERTY_SETTINGS
+@given(chains())
+def test_kernel_projection_matches_kemeny_snell(chain):
+    tm, dense = chain
+    est = ergodic.kernel_projection_estimate(tm, topology.graph_from_transfer(tm))
+    q = est.q
+    assert np.max(np.abs(q - _kemeny_snell(dense))) <= 1e-9
+    assert np.max(np.abs(q.sum(axis=1) - 1.0)) <= 1e-12
+    assert est.residual_idem <= 1e-12
+    assert est.residual_vq <= 1e-12
+    ## the certificates from the factors are the norms of the dense products
+    assert abs(est.residual_vq - np.abs(dense @ q - q).sum(axis=1).max()) <= 1e-12
+    assert abs(est.residual_idem - np.abs(q @ q - q).sum(axis=1).max()) <= 1e-12
