@@ -9,151 +9,4 @@ classes, and how much linear cancellation the iterates of a test function
 admit (none for rigid rotations, lots for expanding maps).
 """
 
-from .errors import CapabilityError, InputError, ResourceBudgetError
-from .systems import (
-    RationalPoint,
-    SystemSpec,
-    circle_rotation,
-    doubling_map,
-    equispaced_points,
-    kronecker_points,
-    north_south,
-    periodic_orbits,
-    point_from_bits,
-    systems_catalog,
-    tent_map,
-    toral_automorphism,
-)
-from .ulam import (
-    Partition,
-    TransferMatrix,
-    apply_koopman,
-    apply_transfer,
-    build_partition,
-    build_transfer_matrix,
-    sample_test_bank,
-    trig_bank,
-)
-from .topology import (
-    MinimalSetReport,
-    ProximalityGraph,
-    TransitionGraph,
-    TransitivityReport,
-    UniqueMinimalSetReport,
-    build_transition_graph,
-    graph_from_transfer,
-    minimal_invariant_sets,
-    proximality_graph,
-    transitivity_defect,
-    unique_minimal_set_check,
-)
-from .ergodic import (
-    ConvergenceReport,
-    ErgodicSchedule,
-    KernelEstimate,
-    LimitMeasureResult,
-    apply_schedules_batch,
-    cesaro_defect_curve,
-    cesaro_schedule,
-    convergence_diagnostic,
-    ergodicity_defect,
-    exact_orbit_diagnostic,
-    kernel_projection_estimate,
-    limit_measure_per_point,
-    mix_schedule,
-    telescoping_bound,
-    weakstar_distance,
-    window_schedule,
-)
-from .measures import (
-    AttractionCenterReport,
-    ErgodicMeasureSet,
-    attraction_center_vs_minimal_union,
-    birkhoff_measure,
-    stationary_measures,
-    support,
-    support_minimality_check,
-)
-from .simplex import SimplexResult, solve_minimax_on_simplex
-from .tame import (
-    CoveringProfile,
-    TamenessReport,
-    cancellation_defect,
-    covering_profile,
-    envelope_metric,
-    equicontinuity_probe,
-    koopman_value_matrix,
-    tameness_profile,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AttractionCenterReport",
-    "CapabilityError",
-    "ConvergenceReport",
-    "CoveringProfile",
-    "ErgodicMeasureSet",
-    "ErgodicSchedule",
-    "InputError",
-    "KernelEstimate",
-    "LimitMeasureResult",
-    "MinimalSetReport",
-    "Partition",
-    "ProximalityGraph",
-    "RationalPoint",
-    "ResourceBudgetError",
-    "SimplexResult",
-    "SystemSpec",
-    "TamenessReport",
-    "TransferMatrix",
-    "TransitionGraph",
-    "TransitivityReport",
-    "UniqueMinimalSetReport",
-    "apply_koopman",
-    "apply_schedules_batch",
-    "apply_transfer",
-    "attraction_center_vs_minimal_union",
-    "birkhoff_measure",
-    "build_partition",
-    "build_transfer_matrix",
-    "build_transition_graph",
-    "cancellation_defect",
-    "cesaro_defect_curve",
-    "cesaro_schedule",
-    "circle_rotation",
-    "convergence_diagnostic",
-    "covering_profile",
-    "doubling_map",
-    "envelope_metric",
-    "equicontinuity_probe",
-    "equispaced_points",
-    "ergodicity_defect",
-    "exact_orbit_diagnostic",
-    "graph_from_transfer",
-    "kernel_projection_estimate",
-    "koopman_value_matrix",
-    "kronecker_points",
-    "limit_measure_per_point",
-    "minimal_invariant_sets",
-    "mix_schedule",
-    "north_south",
-    "periodic_orbits",
-    "point_from_bits",
-    "proximality_graph",
-    "sample_test_bank",
-    "solve_minimax_on_simplex",
-    "stationary_measures",
-    "support",
-    "support_minimality_check",
-    "systems_catalog",
-    "tameness_profile",
-    "telescoping_bound",
-    "tent_map",
-    "toral_automorphism",
-    "transitivity_defect",
-    "trig_bank",
-    "unique_minimal_set_check",
-    "weakstar_distance",
-    "window_schedule",
-]

@@ -1,39 +1,15 @@
-"""Hot numeric kernels: map iteration and pairwise orbit scans.
+"""One numpy map step per family; every float orbit is built from these.
 
-Every kernel exists twice, as a numba @njit build and as a pure-numpy
-reference. The active path is chosen at import time: numba when it is
-importable, unless the environment variable SEMICASCADE_NO_NUMBA is set
-to 1/true/yes. Both paths implement identical arithmetic; they may differ
-in the last float bit because libm reductions differ, so cross-path tests
-compare with tolerances. benchmarks/bench_kernels.py times the two paths
-against each other.
+`systems.orbit_batch`, `systems.evaluate_map_batch` and
+`topology.proximality_graph` all advance points through `step_1d` or
+`step_2d`, so every float route shares the same arithmetic bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # fallback decorator, keeps module importable
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-_FLAG = os.environ.get("SEMICASCADE_NO_NUMBA", "").strip().lower()
-USE_NUMBA = HAVE_NUMBA and _FLAG not in ("1", "true", "yes")
 
 # family codes shared with systems.py
 ROTATION = 0
@@ -44,21 +20,15 @@ TENT = 3
 TWO_PI = 2.0 * math.pi
 
 
-# ---------------------------------------------------------------------------
-# pure numpy path
-
-
 def _wrap01(x):
     ## float mod can round up to exactly 1.0; the circle identifies 1 with 0
     r = np.mod(x, 1.0)
-    if np.isscalar(r):
-        return 0.0 if r >= 1.0 else r
     r[r >= 1.0] = 0.0
     return r
 
 
-def step_1d_numpy(family, par, x):
-    """One map step for a batch of circle points, x shape (P,)."""
+def step_1d(family, par, x):
+    """One map step for an array of circle points (any shape, elementwise)."""
     if family == ROTATION:
         y = x + par
     elif family == DOUBLING:
@@ -72,138 +42,9 @@ def step_1d_numpy(family, par, x):
     return _wrap01(y)
 
 
-def orbit_batch_1d_numpy(family, par, x0, n):
-    x0 = np.asarray(x0, dtype=np.float64)
-    out = np.empty((n + 1, x0.shape[0]))
-    out[0] = x0
-    cur = x0.copy()
-    for k in range(n):
-        cur = step_1d_numpy(family, par, cur)
-        out[k + 1] = cur
-    return out
-
-
-def step_2d_numpy(m11, m12, m21, m22, pts):
+def step_2d(m11, m12, m21, m22, pts):
     """One toral-automorphism step, pts shape (P, 2)."""
     y = np.empty_like(pts)
     y[:, 0] = m11 * pts[:, 0] + m12 * pts[:, 1]
     y[:, 1] = m21 * pts[:, 0] + m22 * pts[:, 1]
     return _wrap01(y)
-
-
-def orbit_batch_2d_numpy(m11, m12, m21, m22, pts, n):
-    pts = np.asarray(pts, dtype=np.float64)
-    out = np.empty((n + 1, pts.shape[0], 2))
-    out[0] = pts
-    cur = pts.copy()
-    for k in range(n):
-        cur = step_2d_numpy(m11, m12, m21, m22, cur)
-        out[k + 1] = cur
-    return out
-
-
-def pairwise_min_circle_numpy(family, par, x0, n):
-    """Minimum over steps 0..n of the wraparound distance for every point pair.
-
-    Returns a symmetric (P, P) matrix; diagonal is 0.
-    """
-    cur = np.asarray(x0, dtype=np.float64).copy()
-    p = cur.shape[0]
-    dmin = np.full((p, p), np.inf)
-    for _ in range(n + 1):
-        d = np.abs(cur[:, None] - cur[None, :])
-        np.minimum(d, 1.0 - d, out=d)
-        np.minimum(dmin, d, out=dmin)
-        cur = step_1d_numpy(family, par, cur)
-    return dmin
-
-
-# ---------------------------------------------------------------------------
-# numba path (scalar loops, same arithmetic)
-
-
-@njit(cache=True)
-def _step_scalar(family, par, x):
-    if family == ROTATION:
-        y = x + par
-    elif family == DOUBLING:
-        y = 2.0 * x
-    elif family == NORTH_SOUTH:
-        y = x + par * math.sin(TWO_PI * x) / TWO_PI
-    else:
-        y = par * min(x, 1.0 - x)
-    y = y % 1.0
-    if y >= 1.0:
-        y = 0.0
-    return y
-
-
-@njit(cache=True)
-def orbit_batch_1d_numba(family, par, x0, n):
-    p = x0.shape[0]
-    out = np.empty((n + 1, p))
-    for j in range(p):
-        out[0, j] = x0[j]
-    for k in range(n):
-        for j in range(p):
-            out[k + 1, j] = _step_scalar(family, par, out[k, j])
-    return out
-
-
-@njit(cache=True)
-def orbit_batch_2d_numba(m11, m12, m21, m22, pts, n):
-    p = pts.shape[0]
-    out = np.empty((n + 1, p, 2))
-    for j in range(p):
-        out[0, j, 0] = pts[j, 0]
-        out[0, j, 1] = pts[j, 1]
-    for k in range(n):
-        for j in range(p):
-            a = m11 * out[k, j, 0] + m12 * out[k, j, 1]
-            b = m21 * out[k, j, 0] + m22 * out[k, j, 1]
-            a = a % 1.0
-            if a >= 1.0:
-                a = 0.0
-            b = b % 1.0
-            if b >= 1.0:
-                b = 0.0
-            out[k + 1, j, 0] = a
-            out[k + 1, j, 1] = b
-    return out
-
-
-@njit(cache=True)
-def pairwise_min_circle_numba(family, par, x0, n):
-    p = x0.shape[0]
-    cur = x0.copy()
-    nxt = np.empty(p)
-    dmin = np.full((p, p), np.inf)
-    for step in range(n + 1):
-        for i in range(p):
-            for j in range(i + 1, p):
-                d = abs(cur[i] - cur[j])
-                if 1.0 - d < d:
-                    d = 1.0 - d
-                if d < dmin[i, j]:
-                    dmin[i, j] = d
-                    dmin[j, i] = d
-        if step < n:
-            for i in range(p):
-                nxt[i] = _step_scalar(family, par, cur[i])
-            cur, nxt = nxt, cur
-    for i in range(p):
-        dmin[i, i] = 0.0
-    return dmin
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-if USE_NUMBA:
-    orbit_batch_1d = orbit_batch_1d_numba
-    orbit_batch_2d = orbit_batch_2d_numba
-    pairwise_min_circle = pairwise_min_circle_numba
-else:
-    orbit_batch_1d = orbit_batch_1d_numpy
-    orbit_batch_2d = orbit_batch_2d_numpy
-    pairwise_min_circle = pairwise_min_circle_numpy

@@ -279,7 +279,7 @@ def run_analyses(config):
         results["convergence"] = entry
         verdicts.append("schedule convergence: %s (tol=%g)"
                         % (report.verdict, tolerances["tol"]))
-        side_tables["convergence_defects.csv"] = [["n", "defect"]] + entry["defect_vs_n"]
+        side_tables["convergence_defects.csv"] = table_rows("convergence", entry)
 
     if "unique_minimal_set" in wanted:
         check = topology.unique_minimal_set_check(spec, partition,
@@ -342,8 +342,7 @@ def run_analyses(config):
         last_k = max(trep.defect_per_k)
         verdicts.append("cancellation defect at K=%d: %.3g (%s strategy)"
                         % (last_k, trep.defect_per_k[last_k], trep.strategy))
-        side_tables["tameness.csv"] = [["K", "defect"]] + \
-            [[k, "%.17g" % trep.defect_per_k[k]] for k in sorted(trep.defect_per_k)]
+        side_tables["tameness.csv"] = table_rows("tameness", entry)
 
     if "covering" in wanted:
         profile = tame.covering_profile(spec, horizons["covering_horizon"],
@@ -353,9 +352,7 @@ def run_analyses(config):
         results["covering"] = entry
         verdicts.append("covering counts at horizon %d: %s"
                         % (profile.horizon, list(profile.counts)))
-        side_tables["covering.csv"] = [["horizon", "epsilon", "count"]] + \
-            [[profile.horizon, "%.17g" % e, c]
-             for e, c in zip(profile.eps_list, profile.counts)]
+        side_tables["covering.csv"] = table_rows("covering", entry)
 
     if "kernel_projection" in wanted:
         est = ergodic.kernel_projection_estimate(tm, graph)
@@ -399,6 +396,40 @@ def run_analyses(config):
         "verdict_lines": verdicts,
     }
     return report, side_tables
+
+
+def table_rows(analysis, entry):
+    """CSV rows, header first, for one analysis entry of a report.
+
+    `run` writes its convergence, tameness and covering side tables from
+    the entry it puts in the report, and `plotdata` from the entry it reads
+    back, so both emit the same bytes.
+    """
+    if analysis == "convergence":
+        return [["n", "defect"]] + entry["defect_vs_n"]
+    if analysis == "tameness":
+        return [["K", "defect"]] + [[int(k), "%.17g" % v]
+                                    for k, v in sorted(entry["defect_per_k"].items(),
+                                                       key=lambda kv: int(kv[0]))]
+    if analysis == "covering":
+        return [["horizon", "epsilon", "count"]] + \
+            [[entry["horizon"], "%.17g" % e, c]
+             for e, c in zip(entry["eps_list"], entry["counts"])]
+    if analysis == "measures":
+        return [["measure", "class_id", "index"]] + \
+            [[i, cid, i] for i, cid in enumerate(entry["class_ids"])]
+    if analysis == "limit_measures":
+        return [["probe", "ergodic", "mass_in_class"]] + \
+            [["%r" % r["probe"], int(r["ergodic"]), "%.17g" % r["mass_in_class"]]
+             for r in entry["probes"]]
+    if analysis == "proximality":
+        return [["defect", "n_two_step_triples", "n_violations"],
+                [entry["defect"], entry["n_two_step_triples"], entry["n_violations"]]]
+    if analysis == "unique_minimal_set":
+        return [["verdict", "graph_verdict", "backend"],
+                [entry["verdict"], entry["graph_verdict"], entry["backend_used"]]]
+    return [["residual_vq", "residual_idem"],  # kernel_projection
+            [entry["residual_vq"], entry["residual_idem"]]]
 
 
 def _resolve_output_dir(config):
@@ -448,33 +479,7 @@ def cmd_plotdata(args):
     out_dir = os.environ.get(OUTPUT_DIR_ENV) or args.output_dir
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "plot_%s.csv" % args.analysis)
-    if args.analysis == "convergence":
-        rows = [["n", "defect"]] + entry["defect_vs_n"]
-    elif args.analysis == "tameness":
-        rows = [["K", "defect"]] + [[int(k), "%.17g" % v]
-                                    for k, v in sorted(entry["defect_per_k"].items(),
-                                                       key=lambda kv: int(kv[0]))]
-    elif args.analysis == "covering":
-        rows = [["horizon", "epsilon", "count"]] + \
-            [[entry["horizon"], "%.17g" % e, c]
-             for e, c in zip(entry["eps_list"], entry["counts"])]
-    elif args.analysis == "measures":
-        rows = [["measure", "class_id", "index"]] + \
-            [[i, cid, i] for i, cid in enumerate(entry["class_ids"])]
-    elif args.analysis == "limit_measures":
-        rows = [["probe", "ergodic", "mass_in_class"]] + \
-            [["%r" % r["probe"], int(r["ergodic"]), "%.17g" % r["mass_in_class"]]
-             for r in entry["probes"]]
-    elif args.analysis == "proximality":
-        rows = [["defect", "n_two_step_triples", "n_violations"],
-                [entry["defect"], entry["n_two_step_triples"], entry["n_violations"]]]
-    elif args.analysis == "unique_minimal_set":
-        rows = [["verdict", "graph_verdict", "backend"],
-                [entry["verdict"], entry["graph_verdict"], entry["backend_used"]]]
-    else:  # kernel_projection
-        rows = [["residual_vq", "residual_idem"],
-                [entry["residual_vq"], entry["residual_idem"]]]
-    _write_csv_rows(path, rows)
+    _write_csv_rows(path, table_rows(args.analysis, entry))
     print("plot data written to %s" % path)
     return 0
 

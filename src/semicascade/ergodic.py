@@ -376,14 +376,10 @@ def kernel_projection_estimate(tm, graph):
     """Exact Cesaro-limit projection Q = A Pi of the chain, factored.
 
     graph is the transition graph of tm, as for measures.stationary_measures,
-    which supplies Pi. An integer in its place, the round budget of the
-    former iterated-squaring estimate, is still accepted and ignored; the
-    graph is then built from tm. The transient rows of A solve
+    which supplies Pi. The transient rows of A solve
     (I - P_TT) A_T = P_TR E, E the class indicators of the terminal cells,
     with one sparse LU of I - P_TT.
     """
-    if isinstance(graph, int):
-        graph = topology.graph_from_transfer(tm)
     mset = measures.stationary_measures(tm, graph)
     pi = np.array(mset.measures)
     a = np.zeros((tm.n_cells, pi.shape[0]))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import systems, topology, ulam
+from . import systems, topology
 from .errors import InputError
 
 DEFAULT_SUPPORT_THRESHOLD = 1e-12

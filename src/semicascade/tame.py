@@ -24,7 +24,6 @@ close pairs, the most direct rigid-vs-expanding separation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

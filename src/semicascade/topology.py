@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from . import _kernels, systems, ulam
+from . import systems, ulam
 from .errors import InputError, ResourceBudgetError
 
 PAIR_OP_BUDGET = 1 << 31
@@ -256,16 +256,11 @@ def proximality_graph(spec, points, horizon, eps, budget=PAIR_OP_BUDGET):
             "budget of %d; subsample the probes or shorten the horizon"
             % (n_pts * n_pts * (horizon + 1), budget)
         )
-    if spec.dimension == 1:
-        code = systems._FAMILY_CODE[spec.family]
-        dmin = _kernels.pairwise_min_circle(code, systems._family_par(spec),
-                                            pts[:, 0].copy(), horizon)
-    else:
-        cur = pts.copy()
-        dmin = systems.metric_pairwise(cur, cur)
-        for _ in range(horizon):
-            cur = systems.evaluate_map_batch(spec, cur)
-            np.minimum(dmin, systems.metric_pairwise(cur, cur), out=dmin)
+    cur = pts
+    dmin = systems.metric_pairwise(cur, cur)
+    for _ in range(horizon):
+        cur = systems._step(spec, cur)
+        np.minimum(dmin, systems.metric_pairwise(cur, cur), out=dmin)
     edges = dmin < eps
     np.fill_diagonal(edges, True)
     edges = np.logical_or(edges, edges.T)

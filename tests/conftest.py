@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from semicascade import _kernels, systems
+from semicascade import systems
 
 ## one verdict line per acceptance criterion, printed in the terminal
 ## summary so the pass/fail ledger is visible even when tests pass
@@ -19,20 +18,6 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
-
-
-@pytest.fixture(scope="session")
-def warm_kernels():
-    """Trigger jit compilation before any timed assertion runs."""
-    pts1 = np.array([0.1, 0.4])
-    for fam in ("circle_rotation", "doubling", "north_south", "tent"):
-        code = _kernels.__dict__[
-            {"circle_rotation": "ROTATION", "doubling": "DOUBLING",
-             "north_south": "NORTH_SOUTH", "tent": "TENT"}[fam]]
-        _kernels.orbit_batch_1d(code, 0.4, pts1.copy(), 3)
-        _kernels.pairwise_min_circle(code, 0.4, pts1.copy(), 3)
-    _kernels.orbit_batch_2d(2.0, 1.0, 1.0, 1.0, np.array([[0.1, 0.2]]), 3)
-    return True
 
 
 @pytest.fixture(scope="session")

@@ -47,7 +47,7 @@ def north_south_64():
     return spec, part, tm, graph, bank
 
 
-def test_ac1_rotation_unique_ergodicity(warm_kernels):
+def test_ac1_rotation_unique_ergodicity():
     ## golden rotation, m=10: the n=1e5 Birkhoff average of omega=0 matches
     ## uniform to 5e-3 per cell and the schedule ladder certifies
     ## convergence at tol=1e-2, inside 2 seconds
@@ -72,7 +72,7 @@ def test_ac1_rotation_unique_ergodicity(warm_kernels):
     assert runtime < 2.0
 
 
-def test_ac2_north_south_positive_direction(north_south_64, warm_kernels):
+def test_ac2_north_south_positive_direction(north_south_64):
     ## single minimal set, every cell probe's Cesaro ladder converges, and
     ## the averaged projection sends every non-repeller probe to the
     ## attractor's point mass
@@ -89,7 +89,7 @@ def test_ac2_north_south_positive_direction(north_south_64, warm_kernels):
         rep = ergodic.convergence_diagnostic(tm, schedules, mu0, bank, tol=1e-2)
         verdicts.add(rep.verdict)
         worst_tail = max(worst_tail, rep.max_tail_defect)
-    est = ergodic.kernel_projection_estimate(tm, 64)
+    est = ergodic.kernel_projection_estimate(tm, graph)
     one_hot = np.zeros(64)
     one_hot[32] = 1.0
     ## cell 0 holds the repelling fixed point and is exempt by the claim
@@ -233,7 +233,7 @@ def test_ac5b_pattern_block_magnitude_claim(block_point_averages):
     assert magnitude <= 0.1
 
 
-def test_ac6_rotation_proximality_transitive(warm_kernels):
+def test_ac6_rotation_proximality_transitive():
     ## isometry: orbits keep their initial spacing, so proximality is the
     ## diagonal and transitivity holds vacuously, consistent with AC-1
     points = systems.equispaced_points(100, 1)

@@ -270,6 +270,21 @@ def test_plotdata_per_analysis(finished_run, tmp_path, analysis, header):
     assert len(lines) >= 2
 
 
+@pytest.mark.parametrize("side_table,analysis", [
+    ("convergence_defects.csv", "convergence"),
+    ("tameness.csv", "tameness"),
+    ("covering.csv", "covering"),
+])
+def test_plotdata_matches_run_side_table(finished_run, tmp_path, side_table, analysis):
+    ## run writes these tables from the entry it reports, plotdata from the
+    ## entry it reads back: one builder, the same bytes
+    _, out_dir, _, _ = finished_run
+    cli.main(["plotdata", str(out_dir / "report.json"), analysis,
+              "--output-dir", str(tmp_path)])
+    plotted = (tmp_path / ("plot_%s.csv" % analysis)).read_bytes()
+    assert plotted == (out_dir / side_table).read_bytes()
+
+
 def test_plotdata_tameness_sorted_numerically(finished_run, tmp_path):
     _, out_dir, _, report = finished_run
     cli.main(["plotdata", str(out_dir / "report.json"), "tameness",

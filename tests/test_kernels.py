@@ -1,72 +1,16 @@
-"""Numba and numpy kernel paths compute the same arithmetic."""
-
-import os
+"""The numpy map steps behind every float orbit."""
 
 import numpy as np
-import pytest
 
 from semicascade import _kernels
 
-FAMILIES_1D = [
-    (_kernels.ROTATION, 0.6180339887498949, 100, 1e-13),
-    (_kernels.DOUBLING, 0.0, 30, 1e-9),
-    (_kernels.NORTH_SOUTH, 0.5, 30, 1e-9),
-    (_kernels.TENT, 1.7, 30, 1e-9),
-]
-
-
-def test_flag_honored():
-    flag = os.environ.get("SEMICASCADE_NO_NUMBA", "").strip().lower()
-    expected = _kernels.HAVE_NUMBA and flag not in ("1", "true", "yes")
-    assert _kernels.USE_NUMBA == expected
-
-
-@pytest.mark.parametrize("code,par,n,atol", FAMILIES_1D)
-def test_orbit_paths_agree_1d(code, par, n, atol):
-    ## expanding families amplify any 1-ulp libm difference, so horizons
-    ## are short and tolerances per family
-    x0 = np.linspace(0.05, 0.95, 17)
-    a = _kernels.orbit_batch_1d_numpy(code, par, x0.copy(), n)
-    b = _kernels.orbit_batch_1d_numba(code, par, x0.copy(), n)
-    assert a.shape == b.shape == (n + 1, 17)
-    assert np.max(np.abs(a - b)) <= atol
-    assert np.all(a >= 0.0) and np.all(a < 1.0)
-    assert np.all(b >= 0.0) and np.all(b < 1.0)
-
-
-def test_orbit_paths_agree_2d():
-    pts = np.column_stack([np.linspace(0.1, 0.9, 9), np.linspace(0.2, 0.8, 9)])
-    a = _kernels.orbit_batch_2d_numpy(2.0, 1.0, 1.0, 1.0, pts.copy(), 12)
-    b = _kernels.orbit_batch_2d_numba(2.0, 1.0, 1.0, 1.0, pts.copy(), 12)
-    assert np.max(np.abs(a - b)) <= 1e-9
-    assert np.all(a >= 0.0) and np.all(a < 1.0)
-
-
-@pytest.mark.parametrize("code,par,n,atol", [
-    (_kernels.ROTATION, 0.6180339887498949, 50, 1e-12),
-    (_kernels.NORTH_SOUTH, 0.5, 20, 1e-9),
-])
-def test_pairwise_paths_agree(code, par, n, atol):
-    x0 = np.linspace(0.0, 0.9, 10)
-    a = _kernels.pairwise_min_circle_numpy(code, par, x0.copy(), n)
-    b = _kernels.pairwise_min_circle_numba(code, par, x0.copy(), n)
-    assert np.max(np.abs(a - b)) <= atol
-    assert np.allclose(np.diag(a), 0.0)
-    assert np.allclose(a, a.T)
-
 
 def test_wrap_hits_zero_not_one():
-    ## x + par landing exactly on 1.0 must wrap to 0.0 on both paths
-    out_np = _kernels.step_1d_numpy(_kernels.ROTATION, 0.25, np.array([0.75]))
-    assert out_np[0] == 0.0
-    orb = _kernels.orbit_batch_1d_numba(_kernels.ROTATION, 0.25, np.array([0.75]), 1)
-    assert orb[1, 0] == 0.0
-    out_tent = _kernels.step_1d_numpy(_kernels.TENT, 2.0, np.array([0.5]))
+    ## x + par landing exactly on 1.0 must wrap to 0.0
+    out_rot = _kernels.step_1d(_kernels.ROTATION, 0.25, np.array([0.75]))
+    assert out_rot[0] == 0.0
+    out_tent = _kernels.step_1d(_kernels.TENT, 2.0, np.array([0.5]))
     assert out_tent[0] == 0.0
-
-
-def test_dispatch_binds_one_path():
-    if _kernels.USE_NUMBA:
-        assert _kernels.orbit_batch_1d is _kernels.orbit_batch_1d_numba
-    else:
-        assert _kernels.orbit_batch_1d is _kernels.orbit_batch_1d_numpy
+    ## a tiny negative image makes np.mod round up to exactly 1.0
+    out_2d = _kernels.step_2d(0, 1, -1, 0, np.array([[1e-17, 0.5]]))
+    assert out_2d[0, 0] == 0.5 and out_2d[0, 1] == 0.0

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semicascade import systems
 from semicascade.errors import CapabilityError, InputError
@@ -65,6 +66,32 @@ def test_orbit_shapes():
     assert np.all(batch[0, 0] == [0.3])
     cat = systems.cat_map()
     assert systems.orbit_batch(cat, np.array([[0.1, 0.2]]), 3).shape == (4, 1, 2)
+
+
+## every bundled family, plus the slope-2 tent whose images land on 1.0 and
+## a toral matrix with negative entries, whose tiny negative images np.mod
+## rounds up to 1.0
+BUNDLE = [systems.circle_rotation(systems.GOLDEN), systems.doubling_map(),
+          systems.north_south(0.5), systems.tent_map(1.7), systems.tent_map(2),
+          systems.cat_map(), systems.toral_automorphism(0, 1, -1, 0)]
+
+
+@pytest.mark.parametrize("spec", BUNDLE, ids=lambda s: s.describe())
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_orbit_rows_are_map_steps(spec, data):
+    n_pts = data.draw(st.integers(1, 8))
+    coords = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                min_size=n_pts * spec.dimension,
+                                max_size=n_pts * spec.dimension))
+    pts = np.array(coords).reshape(n_pts, spec.dimension)
+    n = data.draw(st.integers(0, 80))
+    orb = systems.orbit_batch(spec, pts, n)
+    assert orb.shape == (n + 1, n_pts, spec.dimension)
+    assert orb[0].tobytes() == pts.tobytes()
+    for k in range(n):
+        assert orb[k + 1].tobytes() == systems.evaluate_map_batch(spec, orb[k]).tobytes()
+    assert np.all(orb >= 0.0) and np.all(orb < 1.0)
 
 
 @pytest.mark.parametrize("spec,point,steps,atol", [

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from semicascade import systems, topology, ulam
 from semicascade.errors import InputError, ResourceBudgetError
@@ -98,7 +99,7 @@ def test_rotation_single_class():
     assert len(rep.terminal_cells) == 1 and len(rep.terminal_cells[0]) == 64
 
 
-def test_proximality_rotation_is_diagonal(warm_kernels):
+def test_proximality_rotation_is_diagonal():
     ## an isometry preserves every pairwise distance, so points 0.01 apart
     ## never come within 1e-3 of each other
     spec = systems.circle_rotation(systems.GOLDEN)
@@ -109,7 +110,7 @@ def test_proximality_rotation_is_diagonal(warm_kernels):
     assert rep.defect == 0.0 and rep.vacuous and rep.n_two_step_triples == 0
 
 
-def test_proximality_north_south_complete_except_repeller(warm_kernels):
+def test_proximality_north_south_complete_except_repeller():
     spec = systems.north_south(0.5)
     pts = systems.equispaced_points(40, 1)
     pg = topology.proximality_graph(spec, pts, 1000, 1e-3)
@@ -122,13 +123,40 @@ def test_proximality_north_south_complete_except_repeller(warm_kernels):
     assert rep.method == "exact"
 
 
-def test_proximal_pair_doubling(warm_kernels):
+def test_proximal_pair_doubling():
     ## dyadic points both collapse onto 0 in finitely many doublings
     spec = systems.doubling_map()
     pts = np.array([[1.0 / 8.0], [1.0 / 8.0 + 1.0 / 64.0], [1.0 / 3.0]])
     pg = topology.proximality_graph(spec, pts, 10, 1e-6)
     assert pg.edges[0, 1]
     assert not pg.edges[0, 2]
+
+
+@pytest.mark.parametrize("spec", [
+    systems.circle_rotation(systems.GOLDEN), systems.doubling_map(),
+    systems.north_south(0.5), systems.tent_map(1.7), systems.tent_map(2),
+    systems.cat_map()], ids=lambda s: s.describe())
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_proximality_matches_bruteforce(spec, data):
+    ## edge iff the pairwise minimum of systems.metric over the orbit rows
+    ## falls below eps; short horizons and large eps make the last step
+    ## decide often, long ones reach the float collapse of doubling and tent
+    n_pts = data.draw(st.integers(1, 6))
+    coords = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                min_size=n_pts * spec.dimension,
+                                max_size=n_pts * spec.dimension))
+    pts = np.array(coords).reshape(n_pts, spec.dimension)
+    horizon = data.draw(st.one_of(st.integers(0, 4), st.integers(0, 80)))
+    eps = data.draw(st.sampled_from([1e-6, 1e-3, 0.05, 0.3]))
+    pg = topology.proximality_graph(spec, pts, horizon, eps)
+    orb = systems.orbit_batch(spec, pts, horizon)
+    expected = np.eye(n_pts, dtype=bool)
+    for a in range(n_pts):
+        for b in range(a + 1, n_pts):
+            dmin = min(systems.metric(spec, row[a], row[b]) for row in orb)
+            expected[a, b] = expected[b, a] = dmin < eps
+    assert np.array_equal(pg.edges, expected)
 
 
 def test_transitivity_exact_against_bruteforce():
