@@ -366,7 +366,7 @@ def run_analyses(config):
                         % (est.residual_vq, est.residual_idem, est.stop_reason))
 
     if "limit_measures" in wanted:
-        minimal_report = topology.minimal_invariant_sets(graph)
+        minimal_report = graph.minimal_sets
         probes = _probe_grid(options["limit_probe_count"], spec.dimension)
         limits = ergodic.limit_measure_per_point(tm, partition, spec, probes,
                                                  horizons["orbit_n"],

@@ -434,8 +434,7 @@ def limit_measure_per_point(tm, partition, spec, omegas, n,
     if n < 1:
         raise InputError("need n >= 1")
     if minimal_report is None:
-        minimal_report = topology.minimal_invariant_sets(
-            topology.graph_from_transfer(tm))
+        minimal_report = topology.graph_from_transfer(tm).minimal_sets
 
     found = []  # (measure or None, route) per point
     walked = []  # (index into found, float coordinates) per matrix-route point

@@ -9,14 +9,16 @@ float noise; expanding maps produce near-orthogonal iterates that refuse
 to cancel. The absolute-value objective is handled exactly by sign-orthant
 decomposition: for each sign pattern of the coefficients the inner
 problem is a minimax LP over the probability simplex (see simplex module)
-and the defect is the best orthant's value.
+and the defect is the best orthant's value. The patterns are solved as
+lock-step simplex stacks of SIGN_PATTERN_CHUNK.
 
 envelope_metric equips the iterates {phi^n} with the weighted double-sum
 pseudometric d(n1, n2) = sum 2^-(i+j) |x_i(phi^{n1} w_j) - x_i(phi^{n2} w_j)|
 over a truncated function bank and a deterministic dense point sequence;
 covering_profile then counts greedy eps-net sizes of {phi^0..phi^N} under
-d. Near-periodic families stay coverable by a bounded net; hyperbolic
-ones keep opening centers as N grows.
+d, one pass over the iterates for all eps at once. Near-periodic families
+stay coverable by a bounded net; hyperbolic ones keep opening centers as N
+grows.
 
 equicontinuity_probe measures worst-case forward expansion of initially
 close pairs, the most direct rigid-vs-expanding separation.
@@ -30,9 +32,10 @@ import numpy as np
 
 from . import systems, ulam
 from .errors import InputError, ResourceBudgetError
-from .simplex import solve_minimax_on_simplex
+from .simplex import solve_minimax_batch
 
 MAX_CANCELLATION_TERMS = 14
+SIGN_PATTERN_CHUNK = 12  # patterns per lock-step simplex stack; sized for peak memory
 COVERING_PAIR_BUDGET = 1 << 22
 ENVELOPE_BANK = 16
 ENVELOPE_POINTS = 16
@@ -71,22 +74,24 @@ def cancellation_defect(values, pivot_budget=None):
             "%d terms would take %d sign-pattern solves; cap is %d terms"
             % (n_terms, 1 << (n_terms - 1), MAX_CANCELLATION_TERMS))
     kwargs = {} if pivot_budget is None else {"pivot_budget": pivot_budget}
+    n_patterns = 1 << (n_terms - 1)
+    flips = (np.arange(n_patterns)[:, None] >> np.arange(n_terms - 1)) & 1
+    signs = np.ones((n_patterns, n_terms))
+    signs[:, 1:] -= 2.0 * flips
     best = None
     best_coeffs = None
     any_suboptimal = False
     iterations = 0
-    for pattern in range(1 << (n_terms - 1)):
-        signs = np.ones(n_terms)
-        for k in range(1, n_terms):
-            if (pattern >> (k - 1)) & 1:
-                signs[k] = -1.0
-        res = solve_minimax_on_simplex(signs[:, None] * values, **kwargs)
-        iterations += res.iterations
-        any_suboptimal = any_suboptimal or res.suboptimal
-        if best is None or res.value < best:
-            best = res.value
-            best_coeffs = signs * res.weights
-    report = {"sign_patterns": 1 << (n_terms - 1),
+    for lo in range(0, n_patterns, SIGN_PATTERN_CHUNK):
+        chunk = signs[lo:lo + SIGN_PATTERN_CHUNK]
+        for pattern, res in zip(chunk, solve_minimax_batch(
+                chunk[:, :, None] * values, **kwargs)):
+            iterations += res.iterations
+            any_suboptimal = any_suboptimal or res.suboptimal
+            if best is None or res.value < best:
+                best = res.value
+                best_coeffs = pattern * res.weights
+    report = {"sign_patterns": n_patterns,
               "total_pivots": iterations,
               "suboptimal": any_suboptimal}
     return float(best), best_coeffs, report
@@ -178,13 +183,13 @@ def _envelope_features(spec, horizon, bank_count, point_count):
     bank = ulam.trig_bank(bank_count, spec.dimension)
     pts = systems.kronecker_points(point_count, spec.dimension)
     orbit = systems.orbit_batch(spec, pts, horizon)  # (horizon+1, M, d)
-    feats = np.empty((horizon + 1, bank_count * point_count))
     i_w = 0.5 ** np.arange(1, bank_count + 1)
     j_w = 0.5 ** np.arange(1, point_count + 1)
     weights = np.outer(i_w, j_w).ravel()
-    for t in range(horizon + 1):
-        vals = np.stack([fn(orbit[t]) for _, fn in bank])  # (B, M)
-        feats[t] = vals.ravel()
+    vals = np.empty((horizon + 1, bank_count, point_count))
+    for i, (_, fn) in enumerate(bank):
+        vals[:, i] = fn(orbit)
+    feats = vals.reshape(horizon + 1, bank_count * point_count)
     feats *= weights[None, :]
     return feats
 
@@ -226,7 +231,10 @@ def covering_profile(spec, horizon, eps_list, bank_count=ENVELOPE_BANK,
 
     Scans iterates in order, opening a new center whenever no existing
     center lies within eps; deterministic, and monotone in both arguments
-    (more iterates never shrink the net, larger eps never grows it).
+    (more iterates never shrink the net, larger eps never grows it). One
+    pass serves every eps: iterate t is measured once against all earlier
+    iterates, exactly horizon(horizon+1)/2 distances, and each eps keeps
+    its own center mask over them. The budget still caps (horizon+1)^2.
     """
     if horizon < 1:
         raise InputError("horizon must be >= 1")
@@ -237,20 +245,25 @@ def covering_profile(spec, horizon, eps_list, bank_count=ENVELOPE_BANK,
             "covering at horizon %d may need %d pairwise distances, over the "
             "budget of %d; lower the horizon" % (horizon, (horizon + 1) ** 2, budget))
     feats = _envelope_features(spec, horizon, bank_count, point_count)
-    counts = []
-    centers = np.empty_like(feats)
-    for eps in eps_list:
-        centers[0] = feats[0]
-        n = 1
-        for t in range(1, horizon + 1):
-            dists = np.abs(centers[:n] - feats[t][None, :]).sum(axis=1)
-            if not np.any(dists <= eps):
-                centers[n] = feats[t]
-                n += 1
-        counts.append(n)
+    counts = _greedy_net_sizes(feats, eps_list)
     truncation = 2.0 * (0.5 ** bank_count + 0.5 ** point_count)
     return CoveringProfile(int(horizon), tuple(float(e) for e in eps_list),
-                           tuple(counts), bank_count, point_count, truncation)
+                           counts, bank_count, point_count, truncation)
+
+
+def _greedy_net_sizes(feats, eps_list):
+    """First-fit net size of the feature rows under l1, one per eps."""
+    eps = np.asarray(eps_list, dtype=np.float64)[:, None]
+    is_center = np.zeros((eps.shape[0], feats.shape[0]), dtype=bool)
+    is_center[:, 0] = True
+    diff = np.empty_like(feats)
+    dists = np.empty(feats.shape[0])
+    for t in range(1, feats.shape[0]):
+        np.subtract(feats[:t], feats[t], out=diff[:t])
+        np.abs(diff[:t], out=diff[:t])
+        np.sum(diff[:t], axis=1, out=dists[:t])
+        is_center[:, t] = ~np.any((dists[:t] <= eps) & is_center[:, :t], axis=1)
+    return tuple(int(c) for c in is_center.sum(axis=1))
 
 
 def equicontinuity_probe(spec, delta_list, horizon, base_points=None):
@@ -272,11 +285,11 @@ def equicontinuity_probe(spec, delta_list, horizon, base_points=None):
     base = np.asarray(base_points, dtype=np.float64)
     if base.ndim == 1:
         base = base[:, None]
+    orb_a = systems.orbit_batch(spec, base, horizon)
     table = {}
     for delta in delta_list:
         partner = base.copy()
         partner[:, 0] = np.mod(partner[:, 0] + delta * (1.0 - 1e-12), 1.0)
-        orb_a = systems.orbit_batch(spec, base, horizon)
         orb_b = systems.orbit_batch(spec, partner, horizon)
         diff = np.abs(orb_a - orb_b)
         np.minimum(diff, 1.0 - diff, out=diff)

@@ -20,6 +20,7 @@ the first N steps. Verdicts always carry (N, eps).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,11 @@ class TransitionGraph:
     @property
     def n_cells(self):
         return self.partition.n_cells
+
+    @functools.cached_property
+    def minimal_sets(self):
+        """The terminal-SCC decomposition, computed once per graph."""
+        return minimal_invariant_sets(self)
 
 
 def graph_from_transfer(tm):
@@ -204,7 +210,7 @@ def unique_minimal_set_check(spec, partition, max_period=2, graph=None):
         raise InputError("max_period must be >= 1")
     if graph is None:
         graph = build_transition_graph(partition, spec)
-    report = minimal_invariant_sets(graph)
+    report = graph.minimal_sets
     graph_verdict = all(len(t) == 1 for t in report.terminals_reachable)
 
     exact_verdict = None

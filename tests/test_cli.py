@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import semicascade
-from semicascade import cli, systems
+from semicascade import cli, systems, topology
 
 
 def _base_config(out_dir):
@@ -91,6 +91,25 @@ def test_run_deterministic_except_timestamp(finished_run, tmp_path):
     del first["timestamp"], second["timestamp"]
     first["config"]["output_dir"] = second["config"]["output_dir"] = ""
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+
+def test_one_scc_decomposition_per_run(tmp_path, monkeypatch):
+    ## every analysis that needs the terminal classes shares one decomposition
+    calls = []
+    decompose = topology.minimal_invariant_sets
+
+    def spy(graph):
+        calls.append(graph)
+        return decompose(graph)
+
+    monkeypatch.setattr(topology, "minimal_invariant_sets", spy)
+    cfg = _base_config(tmp_path / "out")
+    cfg["system"] = {"family": "north_south", "params": {"kappa": 0.5}}
+    cfg["analyses"] = ["unique_minimal_set", "measures", "kernel_projection",
+                       "limit_measures"]
+    report, _ = cli.run_analyses(cli.validate_config(cfg))
+    assert set(report["results"]) == set(cfg["analyses"])
+    assert len(calls) == 1
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):

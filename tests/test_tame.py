@@ -3,9 +3,11 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semicascade import systems, tame, ulam
 from semicascade.errors import InputError, ResourceBudgetError
@@ -92,6 +94,46 @@ def test_doubling_defect_against_signed_lattice():
     assert float(np.max(np.abs(coeffs.dot(vals)))) == pytest.approx(defect, abs=1e-9)
 
 
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 6), st.integers(1, 20), st.integers(1, 9),
+       st.integers(0, 2**32 - 1))
+def test_sign_pattern_chunks_do_not_change_defect(n_terms, n_grid, chunk, seed):
+    ## chunk sizes that do and do not divide 2^(K-1) give the bits of
+    ## one-pattern stacks
+    values = np.random.default_rng(seed).normal(size=(n_terms, n_grid))
+    with mock.patch.object(tame, "SIGN_PATTERN_CHUNK", 1):
+        defect, coeffs, report = tame.cancellation_defect(values)
+    with mock.patch.object(tame, "SIGN_PATTERN_CHUNK", chunk):
+        got = tame.cancellation_defect(values)
+    assert np.float64(got[0]).tobytes() == np.float64(defect).tobytes()
+    assert got[1].tobytes() == coeffs.tobytes()
+    assert got[2] == report
+
+
+## per K: defect and total pivots over all sign patterns, as the serial
+## one-pattern-at-a-time solver produced them
+TORUS_K10 = {2: (1.0, 5), 3: (1.0, 15), 4: (0.7940821500191232, 62),
+             5: (0.7453187918974948, 199), 6: (0.6438063236874718, 506),
+             7: (0.5978001025328958, 1261), 8: (0.541196100146198, 2873),
+             9: (0.4968402262963978, 6614), 10: (0.45420055362272976, 14551)}
+
+
+def test_torus_k10_defects_and_pivots_pinned():
+    spec = systems.cat_map()
+    grid = systems.equispaced_points(16, 2)
+    fn = ulam.trig_bank(2, 2)[1][1]
+    values = tame.koopman_value_matrix(spec, fn, list(range(1, 11)), grid)
+    for k, (defect, pivots) in TORUS_K10.items():
+        got, coeffs, report = tame.cancellation_defect(values[:k])
+        assert got == pytest.approx(defect, rel=1e-12, abs=1e-15)
+        assert report == {"sign_patterns": 1 << (k - 1), "total_pivots": pivots,
+                          "suboptimal": False}
+        assert np.abs(coeffs).sum() == pytest.approx(1.0)
+
+
 def test_fixed_profile_nonincreasing():
     rep = tame.tameness_profile(systems.doubling_map(), COS1, 5, GRID)
     ks = sorted(rep.defect_per_k)
@@ -156,6 +198,53 @@ def test_covering_rotation_saturates_at_period():
     assert prof.truncation_bound == pytest.approx(2.0 * 2.0 ** -15, rel=1e-12)
     js = prof.as_jsonable()
     assert js["counts"] == [3, 8, 8] and js["horizon"] == 64
+
+
+def _naive_net_sizes(feats, eps_list):
+    ## one greedy first-fit scan per eps, centers kept as a list
+    counts = []
+    for eps in eps_list:
+        centers = [feats[0]]
+        for row in feats[1:]:
+            if not np.any(np.abs(np.array(centers) - row).sum(axis=1) <= eps):
+                centers.append(row)
+        counts.append(len(centers))
+    return tuple(counts)
+
+
+@st.composite
+def eps_lists(draw, feats):
+    ## unsorted, with duplicates, and with eps equal to a realized distance
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    i, j = rng.choice(len(feats), size=2, replace=False)
+    hit = float(np.abs(feats[i] - feats[j]).sum())
+    scale = float(np.abs(feats - feats[0]).sum(axis=1).max()) or 1.0
+    eps = [hit] + list(rng.random(draw(st.integers(0, 5))) * scale + 1e-9)
+    eps += draw(st.lists(st.sampled_from(eps), max_size=3))
+    return draw(st.permutations(eps))
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), st.integers(2, 60), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_net_sizes_match_naive_on_random_rows(data, n_rows, n_feats, seed):
+    rng = np.random.default_rng(seed)
+    feats = rng.random((n_rows, n_feats)) * rng.choice([0.01, 1.0])
+    feats[rng.random(n_rows) < 0.2] = feats[0]  # repeated iterates
+    eps = data.draw(eps_lists(feats))
+    assert tame._greedy_net_sizes(feats, eps) == _naive_net_sizes(feats, eps)
+
+
+@pytest.mark.parametrize("spec", [systems.circle_rotation(systems.GOLDEN),
+                                  systems.circle_rotation(F(1, 8)),
+                                  systems.doubling_map(), systems.north_south(0.5),
+                                  systems.tent_map(2.0), systems.cat_map()],
+                         ids=lambda spec: spec.family)
+def test_covering_matches_naive_on_families(spec):
+    eps = [0.1, 0.5, 0.02, 0.1, 0.05, 0.2]
+    prof = tame.covering_profile(spec, 128, eps)
+    feats = tame._envelope_features(spec, 128, tame.ENVELOPE_BANK, tame.ENVELOPE_POINTS)
+    assert prof.counts == _naive_net_sizes(feats, eps)
+    assert prof.eps_list == tuple(eps)
 
 
 def test_covering_monotone_in_horizon():
