@@ -68,6 +68,10 @@ def _check_keys(obj, field, allowed):
                               % (field, key, ", ".join(sorted(allowed))))
 
 
+def _is_number(obj):
+    return isinstance(obj, (int, float)) and not isinstance(obj, bool)
+
+
 def _positive_int(obj, field):
     _require(isinstance(obj, int) and not isinstance(obj, bool) and obj > 0,
              field, "must be a positive integer")
@@ -75,8 +79,8 @@ def _positive_int(obj, field):
 
 
 def _positive_number(obj, field):
-    _require(isinstance(obj, (int, float)) and not isinstance(obj, bool)
-             and math.isfinite(obj) and obj > 0, field, "must be a positive number")
+    _require(_is_number(obj) and math.isfinite(obj) and obj > 0,
+             field, "must be a positive number")
     return float(obj)
 
 
@@ -88,6 +92,19 @@ def _merged_section(config, name):
     return merged
 
 
+def _param(params, key, fraction_ok):
+    """A required numeric system parameter; some may be "p/q" strings."""
+    field = "system.params.%s" % key
+    _require(key in params, field, "is required")
+    value = params[key]
+    if fraction_ok:
+        _require(_is_number(value) or isinstance(value, str), field,
+                 'must be a number or a "p/q" string')
+    else:
+        _require(_is_number(value), field, "must be a number")
+    return value
+
+
 def _build_system(section):
     _check_keys(section, "system", {"family", "params"})
     family = section.get("family")
@@ -97,19 +114,16 @@ def _build_system(section):
     try:
         if family == "circle_rotation":
             _check_keys(params, "system.params", {"alpha"})
-            _require("alpha" in params, "system.params.alpha", "is required")
-            return systems.circle_rotation(params["alpha"])
+            return systems.circle_rotation(_param(params, "alpha", fraction_ok=True))
         if family == "doubling":
             _check_keys(params, "system.params", set())
             return systems.doubling_map()
         if family == "north_south":
             _check_keys(params, "system.params", {"kappa"})
-            _require("kappa" in params, "system.params.kappa", "is required")
-            return systems.north_south(params["kappa"])
+            return systems.north_south(_param(params, "kappa", fraction_ok=False))
         if family == "tent":
             _check_keys(params, "system.params", {"slope"})
-            _require("slope" in params, "system.params.slope", "is required")
-            return systems.tent_map(params["slope"])
+            return systems.tent_map(_param(params, "slope", fraction_ok=True))
         if family == "toral_automorphism":
             _check_keys(params, "system.params", {"m11", "m12", "m21", "m22"})
             for key in ("m11", "m12", "m21", "m22"):
@@ -173,7 +187,7 @@ def validate_config(raw):
     tolerances = _merged_section(raw, "tolerances")
     for key in ("tol", "eps"):
         _positive_number(tolerances[key], "tolerances.%s" % key)
-    _require(isinstance(tolerances["support_threshold"], (int, float))
+    _require(_is_number(tolerances["support_threshold"])
              and tolerances["support_threshold"] >= 0,
              "tolerances.support_threshold", "must be a nonnegative number")
 
@@ -184,7 +198,8 @@ def validate_config(raw):
     options = _merged_section(raw, "options")
     _positive_int(options["max_period"], "options.max_period")
     _positive_int(options["proximality_points"], "options.proximality_points")
-    _require(options["tameness_k_max"] >= 2 and isinstance(options["tameness_k_max"], int),
+    k_max = options["tameness_k_max"]
+    _require(isinstance(k_max, int) and not isinstance(k_max, bool) and k_max >= 2,
              "options.tameness_k_max", "must be an integer >= 2")
     _require(options["tameness_strategy"] in ("fixed", "adversarial"),
              "options.tameness_strategy", "must be fixed or adversarial")
@@ -201,7 +216,7 @@ def validate_config(raw):
     _require(len(probe_list) == spec.dimension, "options.convergence_probe",
              "must have one coordinate per dimension (%d)" % spec.dimension)
     for c in probe_list:
-        _require(isinstance(c, (int, float)) and 0.0 <= c < 1.0,
+        _require(_is_number(c) and 0.0 <= c < 1.0,
                  "options.convergence_probe", "coordinates must lie in [0,1)")
     _positive_int(options["limit_probe_count"], "options.limit_probe_count")
 
@@ -257,6 +272,10 @@ def run_analyses(config):
     tm = ulam.build_transfer_matrix(partition, spec)
     graph = topology.graph_from_transfer(tm)
     bank = ulam.sample_test_bank(partition, banks["test_functions"])
+    ## one stationary solve serves both analyses that need it
+    mset = None
+    if "measures" in wanted or "kernel_projection" in wanted:
+        mset = measures.stationary_measures(tm, graph)
 
     results = {}
     verdicts = []
@@ -313,7 +332,6 @@ def run_analyses(config):
                         % (trep.defect, " (vacuous)" if trep.vacuous else ""))
 
     if "measures" in wanted:
-        mset = measures.stationary_measures(tm, graph)
         minimality = measures.support_minimality_check(
             mset, threshold=tolerances["support_threshold"])
         center = measures.attraction_center_vs_minimal_union(
@@ -355,7 +373,7 @@ def run_analyses(config):
         side_tables["covering.csv"] = table_rows("covering", entry)
 
     if "kernel_projection" in wanted:
-        est = ergodic.kernel_projection_estimate(tm, graph)
+        est = ergodic.kernel_projection_estimate(tm, graph, mset)
         results["kernel_projection"] = {
             "residual_vq": est.residual_vq,
             "residual_idem": est.residual_idem,

@@ -372,15 +372,19 @@ def _inf_norm(mat):
     return float(np.max(np.abs(mat).sum(axis=1)))
 
 
-def kernel_projection_estimate(tm, graph):
+def kernel_projection_estimate(tm, graph, mset=None):
     """Exact Cesaro-limit projection Q = A Pi of the chain, factored.
 
     graph is the transition graph of tm, as for measures.stationary_measures,
-    which supplies Pi. The transient rows of A solve
-    (I - P_TT) A_T = P_TR E, E the class indicators of the terminal cells,
-    with one sparse LU of I - P_TT.
+    which supplies Pi; a caller that already holds its result for this tm
+    and graph passes it as mset, and it is computed here otherwise. The
+    transient rows of A solve (I - P_TT) A_T = P_TR E, E the class
+    indicators of the terminal cells, with one sparse LU of I - P_TT.
     """
-    mset = measures.stationary_measures(tm, graph)
+    if mset is None:
+        mset = measures.stationary_measures(tm, graph)
+    elif mset.minimal_report is not graph.minimal_sets:
+        raise InputError("mset must be the stationary measures of this graph")
     pi = np.array(mset.measures)
     a = np.zeros((tm.n_cells, pi.shape[0]))
     for j, cells in enumerate(mset.minimal_report.terminal_cells):

@@ -64,7 +64,10 @@ def _as_fraction(value):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise InputError("%r is not a fraction" % (value,))
     return None
 
 

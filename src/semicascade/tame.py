@@ -16,9 +16,11 @@ envelope_metric equips the iterates {phi^n} with the weighted double-sum
 pseudometric d(n1, n2) = sum 2^-(i+j) |x_i(phi^{n1} w_j) - x_i(phi^{n2} w_j)|
 over a truncated function bank and a deterministic dense point sequence;
 covering_profile then counts greedy eps-net sizes of {phi^0..phi^N} under
-d, one pass over the iterates for all eps at once. Near-periodic families
-stay coverable by a bounded net; hyperbolic ones keep opening centers as N
-grows.
+d, one pass over the iterates for all eps at once. The pass prunes exactly:
+the distance over the 16 widest feature columns is a lower bound on d, so
+only the centers that bound leaves within eps are measured in full.
+Near-periodic families stay coverable by a bounded net; hyperbolic ones
+keep opening centers as N grows.
 
 equicontinuity_probe measures worst-case forward expansion of initially
 close pairs, the most direct rigid-vs-expanding separation.
@@ -39,6 +41,8 @@ SIGN_PATTERN_CHUNK = 12  # patterns per lock-step simplex stack; sized for peak 
 COVERING_PAIR_BUDGET = 1 << 22
 ENVELOPE_BANK = 16
 ENVELOPE_POINTS = 16
+NET_HEAD_COLUMNS = 16  # columns in the covering scan's partial-distance bound
+NET_HEAD_SLACK = 1e-12  # relative; far above the ~256 ulps two l1 sums can differ by
 
 
 def koopman_value_matrix(spec, fn, powers, grid):
@@ -232,9 +236,11 @@ def covering_profile(spec, horizon, eps_list, bank_count=ENVELOPE_BANK,
     Scans iterates in order, opening a new center whenever no existing
     center lies within eps; deterministic, and monotone in both arguments
     (more iterates never shrink the net, larger eps never grows it). One
-    pass serves every eps: iterate t is measured once against all earlier
-    iterates, exactly horizon(horizon+1)/2 distances, and each eps keeps
-    its own center mask over them. The budget still caps (horizon+1)^2.
+    pass serves every eps, and each eps keeps its own center mask: iterate
+    t is compared with all earlier iterates on NET_HEAD_COLUMNS head
+    columns, a lower bound on the distance, and measured in full only
+    against the centers that bound leaves within eps (see
+    _greedy_net_sizes). The budget still caps (horizon+1)^2.
     """
     if horizon < 1:
         raise InputError("horizon must be >= 1")
@@ -251,18 +257,41 @@ def covering_profile(spec, horizon, eps_list, bank_count=ENVELOPE_BANK,
                            counts, bank_count, point_count, truncation)
 
 
+def _head_columns(feats):
+    """The NET_HEAD_COLUMNS feature columns of largest spread over the rows."""
+    spread = feats.max(axis=0) - feats.min(axis=0)
+    return np.argsort(-spread, kind="stable")[:NET_HEAD_COLUMNS]
+
+
 def _greedy_net_sizes(feats, eps_list):
-    """First-fit net size of the feature rows under l1, one per eps."""
+    """First-fit net size of the feature rows under l1, one per eps.
+
+    Partial-distance search (Bei & Gray, IEEE Trans. Commun. 33(10), 1985):
+    the l1 distance over the head columns is a lower bound on the full
+    distance, so iterate t is measured in full only against the earlier
+    centers whose head distance is within the largest eps they are a
+    center for. The factor 1 + NET_HEAD_SLACK covers the different
+    summation order of the two sums, so no pair within eps is skipped, and
+    the full distance and its <= eps test are those of a full scan: the
+    counts are the same bit for bit.
+    """
     eps = np.asarray(eps_list, dtype=np.float64)[:, None]
-    is_center = np.zeros((eps.shape[0], feats.shape[0]), dtype=bool)
+    reach_eps = eps[:, 0] * (1.0 + NET_HEAD_SLACK)
+    n_rows = feats.shape[0]
+    is_center = np.zeros((eps.shape[0], n_rows), dtype=bool)
     is_center[:, 0] = True
-    diff = np.empty_like(feats)
-    dists = np.empty(feats.shape[0])
-    for t in range(1, feats.shape[0]):
-        np.subtract(feats[:t], feats[t], out=diff[:t])
-        np.abs(diff[:t], out=diff[:t])
-        np.sum(diff[:t], axis=1, out=dists[:t])
-        is_center[:, t] = ~np.any((dists[:t] <= eps) & is_center[:, :t], axis=1)
+    ## reach[s]: the largest slackened eps that row s is a center for, -inf
+    ## if none; fmax skips a NaN eps, which never admits a pair
+    reach = np.full(n_rows, -np.inf)
+    reach[0] = np.fmax.reduce(reach_eps, initial=-np.inf)
+    head = np.ascontiguousarray(feats[:, _head_columns(feats)].T)
+    for t in range(1, n_rows):
+        head_dists = np.abs(head[:, :t] - head[:, t:t + 1]).sum(axis=0)
+        near = np.flatnonzero(head_dists <= reach[:t])
+        dists = np.abs(feats[near] - feats[t]).sum(axis=1)
+        opened = ~np.any((dists <= eps) & is_center[:, near], axis=1)
+        is_center[:, t] = opened
+        reach[t] = np.fmax.reduce(reach_eps[opened], initial=-np.inf)
     return tuple(int(c) for c in is_center.sum(axis=1))
 
 

@@ -1,14 +1,18 @@
 """CLI contract: configs, exit codes, artifacts, determinism, plot data."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semicascade
-from semicascade import cli, systems, topology
+from semicascade import cli, measures, systems, topology
 
 
 def _base_config(out_dir):
@@ -107,6 +111,24 @@ def test_one_scc_decomposition_per_run(tmp_path, monkeypatch):
     cfg["system"] = {"family": "north_south", "params": {"kappa": 0.5}}
     cfg["analyses"] = ["unique_minimal_set", "measures", "kernel_projection",
                        "limit_measures"]
+    report, _ = cli.run_analyses(cli.validate_config(cfg))
+    assert set(report["results"]) == set(cfg["analyses"])
+    assert len(calls) == 1
+
+
+def test_one_stationary_solve_per_run(tmp_path, monkeypatch):
+    ## measures and kernel_projection share one set of stationary measures
+    calls = []
+    solve = measures.stationary_measures
+
+    def spy(tm, graph):
+        calls.append(graph)
+        return solve(tm, graph)
+
+    monkeypatch.setattr(measures, "stationary_measures", spy)
+    cfg = _base_config(tmp_path / "out")
+    cfg["system"] = {"family": "north_south", "params": {"kappa": 0.5}}
+    cfg["analyses"] = ["measures", "kernel_projection"]
     report, _ = cli.run_analyses(cli.validate_config(cfg))
     assert set(report["results"]) == set(cfg["analyses"])
     assert len(calls) == 1
@@ -220,10 +242,157 @@ def test_rejects_section_not_an_object(tmp_path, capsys, section, value):
                          "config field %s must be an object" % section)
 
 
+@pytest.mark.parametrize("value", ["6", None, True, 1, 2.5])
+def test_rejects_bad_tameness_k_max(tmp_path, capsys, value):
+    ## the type is checked before the value is compared
+    cfg = _base_config(tmp_path)
+    cfg["options"]["tameness_k_max"] = value
+    _expect_config_error(tmp_path, capsys, cfg, "config field options.tameness_k_max")
+
+
 def test_rejects_single_schedule(tmp_path, capsys):
     cfg = _base_config(tmp_path)
     cfg["horizons"]["schedule_lengths"] = [64]
     _expect_config_error(tmp_path, capsys, cfg, "horizons.schedule_lengths")
+
+
+# ---------------------------------------------------------------------------
+# config properties: valid configs round-trip, single-field corruptions exit 2
+
+CONFIG_SETTINGS = settings(max_examples=150, deadline=None)
+POSITIVE_INT = st.integers(1, 1 << 20)
+POSITIVE_NUMBER = st.one_of(st.integers(1, 1000), st.floats(1e-9, 1e3))
+COORDINATE = st.floats(0.0, 1.0, exclude_max=True)
+FAMILY_PARAMS = {
+    "circle_rotation": st.fixed_dictionaries(
+        {"alpha": st.one_of(st.floats(0.01, 0.99), st.sampled_from(["1/3", "2/7", "0.25"]))}),
+    "doubling": st.just({}),
+    "north_south": st.fixed_dictionaries({"kappa": st.floats(0.01, 0.99)}),
+    "tent": st.fixed_dictionaries(
+        {"slope": st.one_of(st.floats(1.01, 2.0), st.sampled_from(["3/2", "2"]))}),
+    "toral_automorphism": st.sampled_from([{"m11": 2, "m12": 1, "m21": 1, "m22": 1},
+                                           {"m11": 1, "m12": 1, "m21": 0, "m22": 1}]),
+}
+WRONG_TYPES = [None, True, False, "x"]
+
+
+def _section_fields(dimension):
+    probe = (st.lists(COORDINATE, min_size=2, max_size=2) if dimension == 2
+             else st.one_of(COORDINATE, st.lists(COORDINATE, min_size=1, max_size=1)))
+    return {
+        "partition": {"samples_per_cell": st.integers(1, 5)},
+        "horizons": {"orbit_n": POSITIVE_INT,
+                     "schedule_lengths": st.lists(POSITIVE_INT, min_size=2, max_size=6),
+                     "proximality_horizon": POSITIVE_INT, "covering_horizon": POSITIVE_INT},
+        "tolerances": {"tol": POSITIVE_NUMBER, "eps": POSITIVE_NUMBER,
+                       "support_threshold": st.one_of(st.just(0), st.floats(0.0, 1.0))},
+        "banks": {"test_functions": POSITIVE_INT, "grid_size": POSITIVE_INT},
+        "options": {"max_period": POSITIVE_INT, "proximality_points": POSITIVE_INT,
+                    "tameness_k_max": st.integers(2, 14),
+                    "tameness_strategy": st.sampled_from(["fixed", "adversarial"]),
+                    "covering_eps": st.lists(POSITIVE_NUMBER, min_size=1, max_size=5),
+                    "kernel_rounds": POSITIVE_INT, "convergence_probe": probe,
+                    "limit_probe_count": POSITIVE_INT},
+    }
+
+
+@st.composite
+def valid_configs(draw):
+    ## every optional section and field may be left to its default
+    family = draw(st.sampled_from(sorted(FAMILY_PARAMS)))
+    dimension = 2 if family == "toral_automorphism" else 1
+    cfg = {"schema": cli.CONFIG_SCHEMA,
+           "system": {"family": family, "params": draw(FAMILY_PARAMS[family])},
+           "partition": {"cells_per_axis": draw(st.integers(1, 64))},
+           "analyses": draw(st.lists(st.sampled_from(cli.ANALYSES), min_size=1, max_size=8))}
+    for section, fields in _section_fields(dimension).items():
+        chosen = draw(st.lists(st.sampled_from(sorted(fields)), unique=True))
+        if chosen or draw(st.booleans()):
+            cfg.setdefault(section, {}).update({k: draw(fields[k]) for k in chosen})
+    if draw(st.booleans()):
+        cfg["seed"] = draw(st.integers(0, 2**31))
+    if draw(st.booleans()):
+        cfg["output_dir"] = draw(st.sampled_from(["out", "runs/a"]))
+    return cfg
+
+
+def _corruptions(family, dimension):
+    ## (path, bad value) pairs: wrong types, then values out of range
+    positive = WRONG_TYPES + [0, -3]
+    bad_probe = [[0.3, 1.0], [0.3]] if dimension == 2 else [1.0, -0.1, [0.3, 0.4]]
+    fields = {
+        ("schema",): [None, True, "semicascade-config-v0"],
+        ("system", "family"): [None, True, "horseshoe"],
+        ("partition", "cells_per_axis"): positive + [2.5],
+        ("partition", "samples_per_cell"): positive,
+        ("analyses",): WRONG_TYPES + [[], ["mystery"], "measures"],
+        ("horizons", "orbit_n"): positive,
+        ("horizons", "schedule_lengths"): WRONG_TYPES + [[], [64], [64, 0], [64, "x"]],
+        ("horizons", "proximality_horizon"): positive,
+        ("horizons", "covering_horizon"): positive,
+        ("tolerances", "tol"): WRONG_TYPES + [0, -1.0, float("inf"), float("nan")],
+        ("tolerances", "eps"): WRONG_TYPES + [0, -1.0],
+        ("tolerances", "support_threshold"): WRONG_TYPES + [-1e-3, float("nan")],
+        ("banks", "test_functions"): positive,
+        ("banks", "grid_size"): positive,
+        ("options", "max_period"): positive,
+        ("options", "proximality_points"): positive,
+        ("options", "tameness_k_max"): WRONG_TYPES + ["6", 1, 0, 2.5],
+        ("options", "tameness_strategy"): WRONG_TYPES + ["random"],
+        ("options", "covering_eps"): WRONG_TYPES + [[], [0.1, -0.1], [0.1, True]],
+        ("options", "kernel_rounds"): positive,
+        ("options", "convergence_probe"): WRONG_TYPES + bad_probe,
+        ("options", "limit_probe_count"): positive,
+        ("seed",): WRONG_TYPES + [-1, 1.5],
+        ("output_dir",): [None, True, 5, ""],
+    }
+    params = {"circle_rotation": {"alpha": WRONG_TYPES + [0, 1.5, "1/0", [0.5]]},
+              "north_south": {"kappa": WRONG_TYPES + ["0.5", 0, 1.0]},
+              "tent": {"slope": WRONG_TYPES + [1.0, 2.5, "5/2"]},
+              "toral_automorphism": {"m11": WRONG_TYPES + ["2", 2.5, 5]},
+              "doubling": {}}[family]
+    for key, values in params.items():
+        fields[("system", "params", key)] = values
+    return [(path, value) for path, values in fields.items() for value in values]
+
+
+def _normal_form(config):
+    return {k: v for k, v in config.items() if k != "spec"}
+
+
+@CONFIG_SETTINGS
+@given(valid_configs())
+def test_valid_config_normal_form_validates_to_itself(raw):
+    config = cli.validate_config(raw)
+    normal = _normal_form(config)
+    ## the normal form is what a report records; read it back as JSON
+    again = cli.validate_config(json.loads(json.dumps(normal)))
+    assert _normal_form(again) == normal
+    assert again["spec"] == config["spec"]
+
+
+@CONFIG_SETTINGS
+@given(st.data())
+def test_single_field_corruption_exits_2_naming_the_field(data):
+    cfg = data.draw(valid_configs())
+    family = cfg["system"]["family"]
+    dimension = 2 if family == "toral_automorphism" else 1
+    path, value = data.draw(st.sampled_from(_corruptions(family, dimension)))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg["output_dir"] = os.path.join(tmp, "out")
+        node = cfg
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+        config_path = os.path.join(tmp, "config.json")
+        with open(config_path, "w") as fh:
+            json.dump(cfg, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["run", config_path])
+    field = "system.params" if path[:2] == ("system", "params") else ".".join(path)
+    assert code == 2, (path, value)
+    assert "config field %s" % field in err.getvalue(), (path, value, err.getvalue())
 
 
 def test_budget_exhaustion_exits_3(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from semicascade import ergodic, systems, topology, ulam
+from semicascade import ergodic, measures, systems, topology, ulam
 from semicascade.errors import InputError
 from test_acceptance import BUNDLE
 
@@ -277,11 +277,17 @@ def test_kernel_projection_identity_chain():
 def test_kernel_projection_north_south_rows():
     ## every row of the projection is the point mass at the attractor cell
     tm = _tm_of(systems.north_south(0.5), 64)
-    est = ergodic.kernel_projection_estimate(tm, topology.graph_from_transfer(tm))
+    graph = topology.graph_from_transfer(tm)
+    est = ergodic.kernel_projection_estimate(tm, graph)
     assert est.residual_vq <= 1e-8
     one_hot = np.zeros(64)
     one_hot[32] = 1.0
     assert np.max(np.abs(est.q - one_hot[None, :])) <= 1e-6
+    ## stationary measures handed in give the same factors
+    given = ergodic.kernel_projection_estimate(
+        tm, graph, measures.stationary_measures(tm, graph))
+    assert np.array_equal(given.absorption, est.absorption)
+    assert np.array_equal(given.stationary, est.stationary)
 
 
 def test_kernel_projection_guards():
@@ -290,6 +296,10 @@ def test_kernel_projection_guards():
     other = topology.graph_from_transfer(_tm_of(systems.north_south(0.5), 32))
     with pytest.raises(InputError):
         ergodic.kernel_projection_estimate(tm, other)
+    ## handed-in stationary measures must belong to the same graph
+    stale = measures.stationary_measures(tm, topology.graph_from_transfer(tm))
+    with pytest.raises(InputError):
+        ergodic.kernel_projection_estimate(tm, topology.graph_from_transfer(tm), stale)
     big = _tm_of(systems.circle_rotation(systems.GOLDEN), 2048, 1)
     est = ergodic.kernel_projection_estimate(big, topology.graph_from_transfer(big))
     assert est.residual_vq <= 1e-12 and est.residual_idem <= 1e-12

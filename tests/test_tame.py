@@ -225,13 +225,50 @@ def eps_lists(draw, feats):
 
 
 @PROPERTY_SETTINGS
-@given(st.data(), st.integers(2, 60), st.integers(1, 12), st.integers(0, 2**32 - 1))
+@given(st.data(), st.integers(2, 60), st.integers(1, 300), st.integers(0, 2**32 - 1))
 def test_net_sizes_match_naive_on_random_rows(data, n_rows, n_feats, seed):
+    ## widths on both sides of the head; column scales fall with the index,
+    ## like the envelope's 2^-(i+j) weights, so the head is mostly the
+    ## leading columns
     rng = np.random.default_rng(seed)
-    feats = rng.random((n_rows, n_feats)) * rng.choice([0.01, 1.0])
+    scale = rng.choice([0.01, 1.0]) * 0.5 ** (np.arange(n_feats) / 16.0)
+    feats = rng.random((n_rows, n_feats)) * scale
+    if n_feats >= 32 and rng.random() < 0.5:
+        feats[:, 16:32] = feats[:, :16]  # columns whose spreads tie
+    head = min(n_feats, tame.NET_HEAD_COLUMNS)
+    source = rng.integers(0, n_rows, n_rows)
+    tied = rng.random(n_rows) < 0.3
+    feats[tied, :head] = feats[source[tied], :head]  # rows that tie on the head
     feats[rng.random(n_rows) < 0.2] = feats[0]  # repeated iterates
     eps = data.draw(eps_lists(feats))
     assert tame._greedy_net_sizes(feats, eps) == _naive_net_sizes(feats, eps)
+
+
+def test_head_slack_keeps_pairs_at_exactly_eps(monkeypatch):
+    ## two rows that differ in 16 of 20 columns: the head holds every nonzero
+    ## term, so only the summation order separates the head bound from the
+    ## full distance, and eps is that full distance
+    rng = np.random.default_rng(0)
+    cases = []
+    for _ in range(200):
+        feats = np.zeros((2, 20))
+        feats[1, rng.permutation(20)[:16]] = rng.random(16) * 2.0 ** rng.integers(-40, 1, 16)
+        cases.append((feats, [float(np.abs(feats[1] - feats[0]).sum())]))
+    assert all(tame._greedy_net_sizes(feats, eps) == (1,) for feats, eps in cases)
+    monkeypatch.setattr(tame, "NET_HEAD_SLACK", 0.0)
+    ## without the slack the head sum rounds above eps on some of them
+    assert any(tame._greedy_net_sizes(feats, eps) == (2,) for feats, eps in cases)
+
+
+def test_head_is_the_widest_envelope_columns():
+    feats = tame._envelope_features(systems.cat_map(), 64, tame.ENVELOPE_BANK,
+                                    tame.ENVELOPE_POINTS)
+    head = tame._head_columns(feats)
+    spread = feats.max(axis=0) - feats.min(axis=0)
+    assert len(set(head)) == tame.NET_HEAD_COLUMNS
+    assert spread[head].min() >= np.delete(spread, head).max() > 0
+    ## the constant bank function `one` fills columns 0..15 and has no spread
+    assert not set(head) & set(range(tame.ENVELOPE_POINTS))
 
 
 @pytest.mark.parametrize("spec", [systems.circle_rotation(systems.GOLDEN),
@@ -245,6 +282,12 @@ def test_covering_matches_naive_on_families(spec):
     feats = tame._envelope_features(spec, 128, tame.ENVELOPE_BANK, tame.ENVELOPE_POINTS)
     assert prof.counts == _naive_net_sizes(feats, eps)
     assert prof.eps_list == tuple(eps)
+
+
+def test_covering_torus_wildness_counts_pinned():
+    ## the cat map at the torus-wildness horizon and eps list
+    prof = tame.covering_profile(systems.cat_map(), 1024, [0.5, 0.2, 0.1, 0.05, 0.02])
+    assert prof.counts == (3, 138, 976, 1025, 1025)
 
 
 def test_covering_monotone_in_horizon():
