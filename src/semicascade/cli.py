@@ -199,8 +199,10 @@ def validate_config(raw):
     _positive_int(options["max_period"], "options.max_period")
     _positive_int(options["proximality_points"], "options.proximality_points")
     k_max = options["tameness_k_max"]
-    _require(isinstance(k_max, int) and not isinstance(k_max, bool) and k_max >= 2,
-             "options.tameness_k_max", "must be an integer >= 2")
+    _require(isinstance(k_max, int) and not isinstance(k_max, bool)
+             and 2 <= k_max <= tame.MAX_CANCELLATION_TERMS,
+             "options.tameness_k_max",
+             "must be an integer from 2 to %d" % tame.MAX_CANCELLATION_TERMS)
     _require(options["tameness_strategy"] in ("fixed", "adversarial"),
              "options.tameness_strategy", "must be fixed or adversarial")
     _require(isinstance(options["covering_eps"], list) and options["covering_eps"],

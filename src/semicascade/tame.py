@@ -9,8 +9,10 @@ float noise; expanding maps produce near-orthogonal iterates that refuse
 to cancel. The absolute-value objective is handled exactly by sign-orthant
 decomposition: for each sign pattern of the coefficients the inner
 problem is a minimax LP over the probability simplex (see simplex module)
-and the defect is the best orthant's value. The patterns are solved as
-lock-step simplex stacks of SIGN_PATTERN_CHUNK.
+and the defect is the best orthant's value. The patterns share one value
+matrix and are solved as lock-step revised-simplex stacks of
+SIGN_PATTERN_CHUNK sign rows; tameness_profile reports the sign patterns
+and pivots each K cost.
 
 envelope_metric equips the iterates {phi^n} with the weighted double-sum
 pseudometric d(n1, n2) = sum 2^-(i+j) |x_i(phi^{n1} w_j) - x_i(phi^{n2} w_j)|
@@ -34,10 +36,10 @@ import numpy as np
 
 from . import systems, ulam
 from .errors import InputError, ResourceBudgetError
-from .simplex import solve_minimax_batch
+from .simplex import solve_minimax_signed
 
 MAX_CANCELLATION_TERMS = 14
-SIGN_PATTERN_CHUNK = 12  # patterns per lock-step simplex stack; sized for peak memory
+SIGN_PATTERN_CHUNK = 256  # patterns per lock-step simplex stack; sized for peak memory
 COVERING_PAIR_BUDGET = 1 << 22
 ENVELOPE_BANK = 16
 ENVELOPE_POINTS = 16
@@ -61,6 +63,17 @@ def koopman_value_matrix(spec, fn, powers, grid):
     return np.stack([fn(orbit[p]) for p in powers])
 
 
+def sign_patterns(n_terms):
+    """The (2^(n_terms-1), n_terms) +-1 row signs with a plus first sign.
+
+    Row p flips sign k+1 where bit k of p is set.
+    """
+    flips = (np.arange(1 << (n_terms - 1))[:, None] >> np.arange(n_terms - 1)) & 1
+    signs = np.ones((flips.shape[0], n_terms))
+    signs[:, 1:] -= 2.0 * flips
+    return signs
+
+
 def cancellation_defect(values, pivot_budget=None):
     """Smallest grid sup-norm of sum a_k * row_k over sum |a_k| = 1.
 
@@ -70,26 +83,23 @@ def cancellation_defect(values, pivot_budget=None):
     (defect, coefficients, report) with sum |coefficients| = 1.
     """
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2:
-        raise InputError("values must be a (K, S) matrix")
+    if values.ndim != 2 or min(values.shape) < 1:
+        raise InputError("values must be a (K, S) matrix with K, S >= 1")
     n_terms = values.shape[0]
     if n_terms > MAX_CANCELLATION_TERMS:
         raise ResourceBudgetError(
             "%d terms would take %d sign-pattern solves; cap is %d terms"
             % (n_terms, 1 << (n_terms - 1), MAX_CANCELLATION_TERMS))
     kwargs = {} if pivot_budget is None else {"pivot_budget": pivot_budget}
-    n_patterns = 1 << (n_terms - 1)
-    flips = (np.arange(n_patterns)[:, None] >> np.arange(n_terms - 1)) & 1
-    signs = np.ones((n_patterns, n_terms))
-    signs[:, 1:] -= 2.0 * flips
+    signs = sign_patterns(n_terms)
+    n_patterns = signs.shape[0]
     best = None
     best_coeffs = None
     any_suboptimal = False
     iterations = 0
     for lo in range(0, n_patterns, SIGN_PATTERN_CHUNK):
         chunk = signs[lo:lo + SIGN_PATTERN_CHUNK]
-        for pattern, res in zip(chunk, solve_minimax_batch(
-                chunk[:, :, None] * values, **kwargs)):
+        for pattern, res in zip(chunk, solve_minimax_signed(values, chunk, **kwargs)):
             iterations += res.iterations
             any_suboptimal = any_suboptimal or res.suboptimal
             if best is None or res.value < best:
@@ -110,6 +120,7 @@ class TamenessReport:
     defect_per_k: dict  # K -> defect
     coefficients: np.ndarray  # optimal coefficients at the largest K
     suboptimal: bool
+    work: dict  # K -> {"sign_patterns": ..., "pivots": ...} over every solve at K
 
     def as_jsonable(self):
         return {
@@ -119,6 +130,7 @@ class TamenessReport:
             "subsequence": [int(p) for p in self.subsequence],
             "defect_per_k": {str(k): float(v) for k, v in self.defect_per_k.items()},
             "suboptimal": self.suboptimal,
+            "work": {str(k): dict(v) for k, v in self.work.items()},
         }
 
 
@@ -131,6 +143,9 @@ def tameness_profile(spec, fn_entry, k_max, grid, strategy="fixed",
     nonincreasing in K, which is enforced); the adversarial strategy grows
     the subsequence greedily, picking the next power from a short span to
     maximize the defect, giving upper-bound evidence against cancellation.
+    The work entry of each K sums the sign patterns and pivots of every
+    cancellation_defect call made at that K, and suboptimal flags a pivot
+    budget hit at any K.
     """
     name, fn = fn_entry
     if k_max < 2:
@@ -141,37 +156,44 @@ def tameness_profile(spec, fn_entry, k_max, grid, strategy="fixed",
     if grid.ndim == 1:
         grid = grid[:, None]
     defects = {}
+    work = {}
+    suboptimal = False
+
+    def solve(k, values):
+        """cancellation_defect, with its cost added to the work at K = k."""
+        nonlocal suboptimal
+        defect, coeffs, rep = cancellation_defect(values)
+        done = work.setdefault(k, {"sign_patterns": 0, "pivots": 0})
+        done["sign_patterns"] += rep["sign_patterns"]
+        done["pivots"] += rep["total_pivots"]
+        suboptimal = suboptimal or rep["suboptimal"]
+        return defect, coeffs
+
     if strategy == "fixed":
         powers = list(range(1, k_max + 1))
         values = koopman_value_matrix(spec, fn, powers, grid)
-        coeffs = None
         for k in range(2, k_max + 1):
-            defect, coeffs, rep = cancellation_defect(values[:k])
-            defects[k] = defect
-            if k > 2 and defect > defects[k - 1] + 1e-10:
+            defects[k], coeffs = solve(k, values[:k])
+            if k > 2 and defects[k] > defects[k - 1] + 1e-10:
                 raise RuntimeError(
                     "defect rose from %.3g to %.3g between K=%d and K=%d on a "
                     "nested subsequence; solver tolerance exceeded"
-                    % (defects[k - 1], defect, k - 1, k))
+                    % (defects[k - 1], defects[k], k - 1, k))
         return TamenessReport(name, strategy, grid.shape[0], tuple(powers),
-                              defects, coeffs, rep["suboptimal"])
+                              defects, coeffs, suboptimal, work)
     powers = [1, 2]
-    values = koopman_value_matrix(spec, fn, powers, grid)
-    defect, coeffs, rep = cancellation_defect(values)
-    defects[2] = defect
-    suboptimal = rep["suboptimal"]
+    defects[2], best_coeffs = solve(2, koopman_value_matrix(spec, fn, powers, grid))
     for k in range(3, k_max + 1):
         best_defect, best_power, best_coeffs = -1.0, None, None
         for cand in range(powers[-1] + 1, powers[-1] + 1 + candidate_span):
             cand_values = koopman_value_matrix(spec, fn, powers + [cand], grid)
-            defect, coeffs, rep = cancellation_defect(cand_values)
-            suboptimal = suboptimal or rep["suboptimal"]
+            defect, coeffs = solve(k, cand_values)
             if defect > best_defect:
                 best_defect, best_power, best_coeffs = defect, cand, coeffs
         powers.append(best_power)
         defects[k] = best_defect
     return TamenessReport(name, "adversarial", grid.shape[0], tuple(powers),
-                          defects, best_coeffs, suboptimal)
+                          defects, best_coeffs, suboptimal, work)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import semicascade
-from semicascade import cli, measures, systems, topology
+from semicascade import cli, measures, systems, tame, topology
 
 
 def _base_config(out_dir):
@@ -69,6 +69,11 @@ def test_run_writes_report_and_side_tables(finished_run, capsys):
     ## every analysis result carries its context triple
     for entry in report["results"].values():
         assert set(entry["context"]) == {"resolution", "horizon", "tolerance"}
+    ## the tameness work block counts the sign patterns and pivots of each K
+    work = report["results"]["tameness"]["work"]
+    assert list(work) == ["2", "3", "4"]
+    assert [w["sign_patterns"] for w in work.values()] == [2, 4, 8]
+    assert all(w["pivots"] > 0 for w in work.values())
 
 
 def test_run_prints_verdict_lines(tmp_path, capsys):
@@ -250,6 +255,20 @@ def test_rejects_bad_tameness_k_max(tmp_path, capsys, value):
     _expect_config_error(tmp_path, capsys, cfg, "config field options.tameness_k_max")
 
 
+def test_rejects_tameness_k_max_above_cap(tmp_path, capsys, monkeypatch):
+    ## a K past the sign-pattern cap is a config error, found before any
+    ## analysis runs
+    def never(*args, **kwargs):
+        raise AssertionError("an analysis ran")
+
+    monkeypatch.setattr(cli, "run_analyses", never)
+    cfg = _base_config(tmp_path / "out")
+    cfg["options"]["tameness_k_max"] = tame.MAX_CANCELLATION_TERMS + 1
+    _expect_config_error(tmp_path, capsys, cfg, "config field options.tameness_k_max")
+    cfg["options"]["tameness_k_max"] = tame.MAX_CANCELLATION_TERMS
+    assert cli.validate_config(cfg)["options"]["tameness_k_max"] == 14
+
+
 def test_rejects_single_schedule(tmp_path, capsys):
     cfg = _base_config(tmp_path)
     cfg["horizons"]["schedule_lengths"] = [64]
@@ -337,7 +356,7 @@ def _corruptions(family, dimension):
         ("banks", "grid_size"): positive,
         ("options", "max_period"): positive,
         ("options", "proximality_points"): positive,
-        ("options", "tameness_k_max"): WRONG_TYPES + ["6", 1, 0, 2.5],
+        ("options", "tameness_k_max"): WRONG_TYPES + ["6", 1, 0, 2.5, 15],
         ("options", "tameness_strategy"): WRONG_TYPES + ["random"],
         ("options", "covering_eps"): WRONG_TYPES + [[], [0.1, -0.1], [0.1, True]],
         ("options", "kernel_rounds"): positive,

@@ -1,4 +1,4 @@
-"""Minimax-on-simplex solver against hand oracles, scipy's LP and a serial reference."""
+"""Minimax-on-simplex solver against hand oracles and scipy's LP."""
 
 from unittest import mock
 
@@ -9,9 +9,8 @@ from scipy.optimize import linprog
 
 from semicascade import simplex
 from semicascade.errors import InputError
-from semicascade.simplex import (BLAND_AFTER_DEGENERATE, PIVOT_BUDGET, RATIO_TOL,
-                                 REDCOST_TOL, SimplexResult, solve_minimax_batch,
-                                 solve_minimax_on_simplex)
+from semicascade.simplex import (PIVOT_BUDGET, solve_minimax_on_simplex,
+                                 solve_minimax_signed)
 
 
 def _scipy_minimax(w):
@@ -115,89 +114,29 @@ def test_input_validation():
 
 
 # ---------------------------------------------------------------------------
-# lock-step batches
+# lock-step sign-pattern stacks
 
 
 @st.composite
 def stacks(draw):
-    """(P, K, S) stacks mixing generic, rank-deficient, tied and zero problems."""
+    """(values, signs): one shared (K, S) matrix and P rows of +-1 signs.
+
+    The matrix is generic, rank deficient, full of exact ties or zero.
+    """
     n_probs = draw(st.integers(1, 12))
     n_rows = draw(st.integers(1, 6))
     n_grid = draw(st.integers(1, 24))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    ws = rng.normal(scale=rng.choice([0.1, 1.0, 10.0]), size=(n_probs, n_rows, n_grid))
-    for w, kind in zip(ws, rng.integers(0, 4, n_probs)):
-        if kind == 1:
-            w[-1] = -0.5 * w[0]  # rank deficient
-        elif kind == 2:
-            w[:] = rng.integers(-2, 3, w.shape)  # many exact ties
-        elif kind == 3:
-            w[:] = 0.0
-    return ws
-
-
-def _serial_reference(w, pivot_budget=PIVOT_BUDGET, bland_after=BLAND_AFTER_DEGENERATE):
-    """One problem pivoted alone, a tableau copy at a time (the pre-batch solver)."""
-    n_rows, n_grid = w.shape
-    tol = REDCOST_TOL * max(1.0, float(np.max(np.abs(w))))
-    z_col = 2 * n_grid
-    h_cols = z_col + 1
-    g_col = h_cols + n_rows
-    n_cols = g_col + 1
-    tab = np.zeros((n_rows + 1, n_cols + 1))
-    tab[:n_rows, :n_grid] = -w
-    tab[:n_rows, n_grid:z_col] = w
-    tab[:n_rows, z_col] = 1.0
-    tab[:n_rows, h_cols:g_col] = np.eye(n_rows)
-    tab[n_rows, :z_col] = 1.0
-    tab[n_rows, g_col] = 1.0
-    tab[n_rows, -1] = 1.0
-    red = np.zeros(n_cols)
-    red[z_col] = -1.0
-    obj_value = 0.0
-    basis = list(range(h_cols, g_col)) + [g_col]
-    iters, degenerate_run, use_bland, status = 0, 0, False, "optimal"
-    while True:
-        negatives = np.flatnonzero(red < -tol)
-        if negatives.size == 0:
-            break
-        if iters >= pivot_budget:
-            status = "pivot_budget_exhausted"
-            break
-        if use_bland:
-            enter = int(negatives[0])
-        else:
-            enter = int(negatives[np.argmin(red[negatives])])
-        col = tab[:, enter]
-        pos = np.flatnonzero(col > RATIO_TOL)
-        if pos.size == 0:
-            status = "unbounded"
-            break
-        ratios = tab[pos, -1] / col[pos]
-        best = np.min(ratios)
-        tied = pos[ratios <= best + RATIO_TOL]
-        leave = int(tied[np.argmin([basis[i] for i in tied])])
-        if best <= RATIO_TOL:
-            degenerate_run += 1
-            if degenerate_run >= bland_after:
-                use_bland = True
-        else:
-            degenerate_run = 0
-        tab[leave] /= tab[leave, enter]
-        factors = tab[:, enter].copy()
-        factors[leave] = 0.0
-        tab -= np.outer(factors, tab[leave])
-        obj_value += red[enter] * tab[leave, -1]
-        red = red - red[enter] * tab[leave, :-1]
-        red[enter] = 0.0
-        basis[leave] = enter
-        iters += 1
-    weights = np.maximum(red[h_cols:g_col], 0.0)
-    total = weights.sum()
-    weights = np.full(n_rows, 1.0 / n_rows) if total <= 0.0 else weights / total
-    value = float(np.max(np.abs(w.T.dot(weights))))
-    return SimplexResult(value, weights, float(-obj_value), iters, status,
-                         status != "optimal")
+    values = rng.normal(scale=rng.choice([0.1, 1.0, 10.0]), size=(n_rows, n_grid))
+    kind = draw(st.sampled_from(["generic", "rank_deficient", "tied", "zero"]))
+    if kind == "rank_deficient":
+        values[-1] = -0.5 * values[0]
+    elif kind == "tied":
+        values[:] = rng.integers(-2, 3, values.shape)
+    elif kind == "zero":
+        values[:] = 0.0
+    signs = rng.choice([-1.0, 1.0], size=(n_probs, n_rows))
+    return values, signs
 
 
 def _bits(res):
@@ -205,20 +144,37 @@ def _bits(res):
             res.iterations, res.status, res.suboptimal)
 
 
+def _check_stack(values, signs, results, budget=PIVOT_BUDGET):
+    """Each result against HiGHS, its own weights and the same pattern alone."""
+    assert len(results) == len(signs)
+    for sign, res in zip(signs, results):
+        w = sign[:, None] * values
+        oracle = _scipy_minimax(w)
+        scale = max(1.0, float(np.max(np.abs(w))))
+        ## the value is certified by the weights, so it never beats the optimum
+        assert res.value >= oracle - 1e-12 * scale
+        if res.status == "optimal":
+            assert res.value <= oracle + 1e-9 * scale
+        assert res.value == np.max(np.abs(w.T.dot(res.weights)))
+        assert res.weights.min() >= 0.0
+        assert res.weights.sum() == pytest.approx(1.0)
+        assert res.iterations <= budget
+        alone = solve_minimax_signed(values, sign[None], pivot_budget=budget)[0]
+        assert _bits(res) == _bits(alone)
+
+
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
 
 @PROPERTY_SETTINGS
 @given(stacks(), st.integers(0, 40))
-def test_batch_equals_batch_of_one(ws, budget):
-    ## bit for bit, under the default budget and under one that stops some
-    ## problems early and lets others finish
-    for kwargs in ({}, {"pivot_budget": budget}):
-        batch = solve_minimax_batch(ws, **kwargs)
-        assert len(batch) == len(ws)
-        for w, res in zip(ws, batch):
-            assert _bits(res) == _bits(solve_minimax_on_simplex(w, **kwargs))
-            assert _bits(res) == _bits(_serial_reference(w, **kwargs))
+def test_batch_equals_batch_of_one(stack, budget):
+    ## under the default budget and under one that stops some problems early
+    ## and lets others finish: HiGHS's value, and the bits of a stack of one
+    values, signs = stack
+    for pivot_budget in (PIVOT_BUDGET, budget):
+        results = solve_minimax_signed(values, signs, pivot_budget=pivot_budget)
+        _check_stack(values, signs, results, pivot_budget)
 
 
 @PROPERTY_SETTINGS
@@ -226,32 +182,60 @@ def test_batch_equals_batch_of_one(ws, budget):
 def test_batch_switches_to_bland_per_problem(bland_after, seed):
     ## an early switch makes Bland's rule run on these degenerate stacks,
     ## at a different pivot in each problem
-    ws = np.random.default_rng(seed).integers(-1, 2, (8, 6, 24)).astype(float)
+    rng = np.random.default_rng(seed)
+    values = rng.integers(-1, 2, (6, 24)).astype(float)
+    signs = rng.choice([-1.0, 1.0], size=(8, 6))
     with mock.patch.object(simplex, "BLAND_AFTER_DEGENERATE", bland_after):
-        batch = solve_minimax_batch(ws)
-    for w, res in zip(ws, batch):
-        assert _bits(res) == _bits(_serial_reference(w, bland_after=bland_after))
+        results = solve_minimax_signed(values, signs)
+        _check_stack(values, signs, results)
+
+
+def test_bland_rule_pivot_counts_pinned():
+    ## Bland's first improving column from the second pivot on takes its own
+    ## path to the optimum, longer than Dantzig's on these degenerate problems
+    rng = np.random.default_rng(0)
+    values = rng.integers(-1, 2, (6, 24)).astype(float)
+    signs = rng.choice([-1.0, 1.0], size=(8, 6))
+    with mock.patch.object(simplex, "BLAND_AFTER_DEGENERATE", 1):
+        bland = solve_minimax_signed(values, signs)
+    assert [res.iterations for res in bland] == [16, 17, 26, 22, 24, 19, 21, 25]
+    dantzig = solve_minimax_signed(values, signs)
+    assert sum(res.iterations for res in dantzig) < sum(res.iterations for res in bland)
 
 
 def test_batch_mixes_optimal_and_exhausted():
     rng = np.random.default_rng(11)
-    ws = rng.normal(size=(9, 5, 30))
-    pivots = sorted(solve_minimax_on_simplex(w).iterations for w in ws)
+    values = rng.normal(size=(5, 30))
+    signs = rng.choice([-1.0, 1.0], size=(9, 5))
+    pivots = sorted(res.iterations for res in solve_minimax_signed(values, signs))
     budget = pivots[len(pivots) // 2]
-    batch = solve_minimax_batch(ws, pivot_budget=budget)
-    assert {res.status for res in batch} == {"optimal", "pivot_budget_exhausted"}
-    for w, res in zip(ws, batch):
-        assert _bits(res) == _bits(solve_minimax_on_simplex(w, pivot_budget=budget))
-        assert res.iterations <= budget
+    results = solve_minimax_signed(values, signs, pivot_budget=budget)
+    assert {res.status for res in results} == {"optimal", "pivot_budget_exhausted"}
+    _check_stack(values, signs, results, budget)
+
+
+def test_all_plus_pattern_is_the_plain_solve():
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(4, 20))
+    signs = rng.choice([-1.0, 1.0], size=(6, 4))
+    signs[3] = 1.0
+    assert _bits(solve_minimax_signed(values, signs)[3]) == \
+        _bits(solve_minimax_on_simplex(values))
 
 
 def test_batch_validation():
-    assert solve_minimax_batch(np.zeros((0, 2, 3))) == []
+    assert solve_minimax_signed(np.ones((2, 3)), np.zeros((0, 2))) == []
     with pytest.raises(InputError):
-        solve_minimax_batch(np.ones((2, 3)))
+        solve_minimax_signed(np.ones(3), np.ones((1, 3)))
     with pytest.raises(InputError):
-        solve_minimax_batch(np.ones((2, 0, 3)))
-    bad = np.ones((3, 2, 2))
-    bad[2, 0, 1] = np.inf
+        solve_minimax_signed(np.ones((0, 3)), np.ones((1, 0)))
     with pytest.raises(InputError):
-        solve_minimax_batch(bad)
+        solve_minimax_signed(np.ones((2, 3)), np.ones((1, 3)))  # one sign per row
+    with pytest.raises(InputError):
+        solve_minimax_signed(np.ones((2, 3)), np.ones(2))
+    with pytest.raises(InputError):
+        solve_minimax_signed(np.ones((2, 3)), np.array([[1.0, 0.0]]))
+    bad = np.ones((2, 2))
+    bad[0, 1] = np.inf
+    with pytest.raises(InputError):
+        solve_minimax_signed(bad, np.ones((1, 2)))

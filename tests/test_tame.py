@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from semicascade import systems, tame, ulam
 from semicascade.errors import InputError, ResourceBudgetError
+from semicascade.simplex import solve_minimax_signed
+from test_simplex import _scipy_minimax
 
 F = Fraction
 
@@ -113,25 +115,63 @@ def test_sign_pattern_chunks_do_not_change_defect(n_terms, n_grid, chunk, seed):
     assert got[2] == report
 
 
-## per K: defect and total pivots over all sign patterns, as the serial
-## one-pattern-at-a-time solver produced them
+## per K: defect and total pivots over all sign patterns of the revised
+## simplex; the defects agree with those of the earlier dense tableau to
+## within a few ulps
 TORUS_K10 = {2: (1.0, 5), 3: (1.0, 15), 4: (0.7940821500191232, 62),
-             5: (0.7453187918974948, 199), 6: (0.6438063236874718, 506),
-             7: (0.5978001025328958, 1261), 8: (0.541196100146198, 2873),
-             9: (0.4968402262963978, 6614), 10: (0.45420055362272976, 14551)}
+             5: (0.7453187918974948, 197), 6: (0.6438063236874718, 518),
+             7: (0.5978001025328958, 1239), 8: (0.541196100146198, 2848),
+             9: (0.4968402262963978, 6504), 10: (0.45420055362272976, 14316)}
 
 
-def test_torus_k10_defects_and_pivots_pinned():
+def _torus_values():
     spec = systems.cat_map()
     grid = systems.equispaced_points(16, 2)
     fn = ulam.trig_bank(2, 2)[1][1]
-    values = tame.koopman_value_matrix(spec, fn, list(range(1, 11)), grid)
+    return tame.koopman_value_matrix(spec, fn, list(range(1, 11)), grid)
+
+
+def test_torus_k10_every_sign_pattern_against_highs():
+    ## every one of the 512 patterns, not just the best: a pattern that
+    ## stops early above its optimum can hide behind a better one
+    values = _torus_values()
+    signs = tame.sign_patterns(10)
+    results = solve_minimax_signed(values, signs)
+    assert len(results) == 512
+    for sign, res in zip(signs, results):
+        oracle = _scipy_minimax(sign[:, None] * values)
+        assert res.status == "optimal"
+        assert oracle - 1e-12 <= res.value <= oracle + 1e-9
+
+
+def test_torus_k10_defects_and_pivots_pinned():
+    values = _torus_values()
     for k, (defect, pivots) in TORUS_K10.items():
         got, coeffs, report = tame.cancellation_defect(values[:k])
         assert got == pytest.approx(defect, rel=1e-12, abs=1e-15)
         assert report == {"sign_patterns": 1 << (k - 1), "total_pivots": pivots,
                           "suboptimal": False}
         assert np.abs(coeffs).sum() == pytest.approx(1.0)
+
+
+def test_tameness_work_counts_every_solve():
+    spec = systems.doubling_map()
+    fixed = tame.tameness_profile(spec, COS1, 4, GRID)
+    vals = tame.koopman_value_matrix(spec, COS1[1], [1, 2, 3, 4], GRID)
+    for k in (2, 3, 4):
+        report = tame.cancellation_defect(vals[:k])[2]
+        assert fixed.work[k] == {"sign_patterns": report["sign_patterns"],
+                                 "pivots": report["total_pivots"]}
+    assert fixed.as_jsonable()["work"] == {str(k): v for k, v in fixed.work.items()}
+    ## the adversarial strategy solves candidate_span subsequences per K > 2
+    adv = tame.tameness_profile(spec, COS1, 3, GRID, strategy="adversarial",
+                                candidate_span=3)
+    assert adv.work[2]["sign_patterns"] == 2
+    assert adv.work[3]["sign_patterns"] == 3 * 4
+    ## and stops at K = 2 without a candidate round
+    two = tame.tameness_profile(spec, COS1, 2, GRID, strategy="adversarial")
+    assert set(two.defect_per_k) == {2} and set(two.work) == {2}
+    assert np.abs(two.coefficients).sum() == pytest.approx(1.0)
 
 
 def test_fixed_profile_nonincreasing():
@@ -161,6 +201,8 @@ def test_tameness_validation_and_budget():
         tame.cancellation_defect(np.ones((15, 4)))
     with pytest.raises(InputError):
         tame.cancellation_defect(np.ones(4))
+    with pytest.raises(InputError):
+        tame.cancellation_defect(np.ones((0, 4)))
 
 
 # ---------------------------------------------------------------------------
