@@ -274,10 +274,12 @@ def run_analyses(config):
     tm = ulam.build_transfer_matrix(partition, spec)
     graph = topology.graph_from_transfer(tm)
     bank = ulam.sample_test_bank(partition, banks["test_functions"])
-    ## one stationary solve serves both analyses that need it
-    mset = None
-    if "measures" in wanted or "kernel_projection" in wanted:
+    ## one stationary solve and one projection, shared by the analyses needing them
+    mset = est = None
+    if {"measures", "kernel_projection", "limit_measures"} & set(wanted):
         mset = measures.stationary_measures(tm, graph)
+    if {"kernel_projection", "limit_measures"} & set(wanted):
+        est = ergodic.kernel_projection_estimate(tm, graph, mset)
 
     results = {}
     verdicts = []
@@ -375,7 +377,6 @@ def run_analyses(config):
         side_tables["covering.csv"] = table_rows("covering", entry)
 
     if "kernel_projection" in wanted:
-        est = ergodic.kernel_projection_estimate(tm, graph, mset)
         results["kernel_projection"] = {
             "residual_vq": est.residual_vq,
             "residual_idem": est.residual_idem,
@@ -386,11 +387,9 @@ def run_analyses(config):
                         % (est.residual_vq, est.residual_idem, est.stop_reason))
 
     if "limit_measures" in wanted:
-        minimal_report = graph.minimal_sets
         probes = _probe_grid(options["limit_probe_count"], spec.dimension)
         limits = ergodic.limit_measure_per_point(tm, partition, spec, probes,
-                                                 horizons["orbit_n"],
-                                                 minimal_report=minimal_report)
+                                                 horizons["orbit_n"], est)
         rows = [{"probe": [float(c) for c in pt],
                  "ergodic": res.ergodic,
                  "dominant_class": res.dominant_class,

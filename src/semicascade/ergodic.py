@@ -20,6 +20,9 @@ a resolution. The exact-orbit route evaluates window averages of a test
 function along an exact rational orbit (binary arithmetic for the
 doubling map) and is the only honest way to exhibit non-convergence for
 expanding maps; see exact_orbit_diagnostic.
+
+Per-point limits take no walk: the limit of a point mass in cell c is row
+c of the Kemeny-Snell projection Q = A Pi, kept factored in a KernelEstimate.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import scipy.sparse as sp
 from scipy.sparse import linalg as splinalg
 
 from . import measures, systems, topology, ulam
-from .errors import InputError
+from .errors import CapabilityError, InputError
 
 TWO_PI = 2.0 * math.pi
 
@@ -354,7 +357,8 @@ class KernelEstimate:
     ||Q Q - Q||_inf (max absolute row sums) come from the factors: the rows
     of Pi are probability vectors with disjoint supports, so ||M Pi||_inf =
     ||M||_inf for every n x k M, with V Q - Q = (V A - A) Pi and
-    Q Q - Q = (A (Pi A) - A) Pi.
+    Q Q - Q = (A (Pi A) - A) Pi. minimal_report is the terminal-SCC
+    decomposition whose classes index the columns of A and the rows of Pi.
     """
 
     absorption: np.ndarray
@@ -362,6 +366,7 @@ class KernelEstimate:
     residual_vq: float
     residual_idem: float
     stop_reason: str
+    minimal_report: topology.MinimalSetReport
 
     @property
     def q(self):
@@ -397,7 +402,8 @@ def kernel_projection_estimate(tm, graph, mset=None):
         a[transient] = splinalg.splu(lhs).solve(p_t @ a)
     residual_vq = _inf_norm(tm.matrix @ a - a)
     residual_idem = _inf_norm(a @ (pi @ a) - a)
-    return KernelEstimate(a, pi, residual_vq, residual_idem, "exact")
+    return KernelEstimate(a, pi, residual_vq, residual_idem, "exact",
+                          mset.minimal_report)
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +412,12 @@ def kernel_projection_estimate(tm, graph, mset=None):
 
 @dataclass(frozen=True)
 class LimitMeasureResult:
-    """Cesaro limit of a point mass, with a single-class concentration flag.
+    """Cesaro limit of a point mass, with an exact single-class flag.
 
-    ergodic is True when all but class_mass_slack of the averaged mass
-    sits inside one terminal SCC; the slack absorbs the O(1/n) tail that
-    finite averaging leaves on transient cells.
+    mass_in_class is the largest mass the limit puts on one terminal SCC, whose
+    id is dominant_class. ergodic uses no tolerance: on the matrix route it says
+    the point's cell reaches exactly one terminal SCC, on the exact-cycle route
+    that the cycle's cells lie in one terminal SCC.
     """
 
     measure: np.ndarray
@@ -421,76 +428,67 @@ class LimitMeasureResult:
     support_cells: np.ndarray
 
 
-def limit_measure_per_point(tm, partition, spec, omegas, n,
-                            support_threshold=1e-12, class_mass_slack=1e-2,
-                            minimal_report=None, exact_step_cap=100_000):
-    """Average the orbits of point masses and test single-class concentration.
+def limit_measure_per_point(tm, partition, spec, omegas, n, projection=None):
+    """Cesaro limit of each point mass, read off the chain's decomposition.
 
     omegas is a sequence of points, each a RationalPoint or a float
     coordinate array; the result is a tuple with one LimitMeasureResult per
     point, in order. Exact rational points ride the exact backend when the
-    family supports it: the orbit is followed until it cycles, and the
-    measure is the uniform distribution over the cycle's cells (the true
-    limit, no averaging error). Float points, and exact orbits that fail to
-    cycle within exact_step_cap, take the n-step Cesaro mean of the matrix;
-    all of them share one block walk.
+    family supports it: the orbit is followed for up to n steps until it
+    cycles, and the measure is the uniform distribution over the cycle's
+    cells. Float points, and exact orbits that do not cycle within n steps,
+    take the matrix route: for a point in cell c the Cesaro limit of the
+    sampled chain is row c of Q = A Pi, and its class masses are row c of A
+    (Kemeny & Snell). projection is the KernelEstimate of tm; it is
+    computed from graph_from_transfer(tm) when not given.
     """
     if n < 1:
         raise InputError("need n >= 1")
-    if minimal_report is None:
-        minimal_report = topology.graph_from_transfer(tm).minimal_sets
-
-    found = []  # (measure or None, route) per point
-    walked = []  # (index into found, float coordinates) per matrix-route point
-    for omega in omegas:
-        if isinstance(omega, systems.RationalPoint):
-            cycle = _exact_cycle(spec, omega, exact_step_cap)
-            if cycle is not None:
-                measure = np.zeros(tm.n_cells)
-                for rp in cycle:
-                    measure[partition.cell_of_rational(rp)] += 1.0 / len(cycle)
-                found.append((measure, "exact_cycle"))
-                continue
-            omega = omega.as_floats()
-        walked.append((len(found), np.asarray(omega, dtype=np.float64).reshape(-1)))
-        found.append((None, "matrix_cesaro"))
-    if walked:
-        pts = np.array([pt for _, pt in walked])
-        if pts.shape[1] != partition.dimension:
-            raise InputError("points must have %d coordinates" % partition.dimension)
-        block = np.zeros((tm.n_cells, len(walked)))
-        block[partition.cell_of_points(pts), np.arange(len(walked))] = 1.0
-        means = _walk_sums(tm, np.ones((1, n)), block)[0] / n
-        for (i, _), column in zip(walked, means.T):
-            found[i] = (column.copy(), "matrix_cesaro")
-
+    if projection is None:
+        projection = kernel_projection_estimate(tm, topology.graph_from_transfer(tm))
+    elif projection.absorption.shape[0] != tm.n_cells:
+        raise InputError("projection must be the kernel estimate of this matrix")
+    report = projection.minimal_report
     results = []
-    for measure, route in found:
-        class_mass = [(float(measure[cells].sum()), i)
-                      for i, cells in enumerate(minimal_report.terminal_cells)]
-        best_mass, best_idx = max(class_mass) if class_mass else (0.0, -1)
-        flag = best_mass >= 1.0 - class_mass_slack
-        dominant = minimal_report.terminal_scc_ids[best_idx] if best_idx >= 0 else -1
-        support_cells = np.flatnonzero(measure > support_threshold)
-        results.append(LimitMeasureResult(measure, bool(flag), int(dominant),
-                                          best_mass, route, support_cells))
+    for omega in omegas:
+        cycle = None
+        if isinstance(omega, systems.RationalPoint):
+            cycle = _exact_cycle(spec, omega, n)
+            omega = omega.as_floats()
+        if cycle is not None:
+            cells = [partition.cell_of_rational(rp) for rp in cycle]
+            measure = np.zeros(tm.n_cells)
+            np.add.at(measure, cells, 1.0 / len(cycle))
+            masses = [float(measure[cls].sum()) for cls in report.terminal_cells]
+            sccs = set(report.scc_of_cell[cells])
+            single = len(sccs) == 1 and sccs <= set(report.terminal_scc_ids)
+            route = "exact_cycle"
+        else:
+            pt = np.asarray(omega, dtype=np.float64).reshape(1, -1)
+            if pt.shape[1] != partition.dimension:
+                raise InputError("points must have %d coordinates" % partition.dimension)
+            c = partition.cell_of_points(pt)[0]
+            masses = projection.absorption[c]
+            measure = masses @ projection.stationary
+            single = len(report.terminal_ids_for_cell(c)) == 1
+            route = "matrix_cesaro"
+        best = int(np.argmax(masses))
+        results.append(LimitMeasureResult(
+            measure, single, int(report.terminal_scc_ids[best]), float(masses[best]),
+            route, measures.support(measure)))
     return tuple(results)
 
 
 def _exact_cycle(spec, point, cap):
     """Forward-orbit cycle of an exact point, or None if unavailable."""
-    from .errors import CapabilityError
-
+    seen = {point: 0}  # orbit point -> step; insertion order is the orbit
+    cur = point
     try:
-        seen = {point: 0}
-        trail = [point]
-        cur = point
         for _ in range(cap):
             cur = systems.exact_step(spec, cur)
             if cur in seen:
-                return trail[seen[cur]:]
-            seen[cur] = len(trail)
-            trail.append(cur)
+                return list(seen)[seen[cur]:]
+            seen[cur] = len(seen)
     except CapabilityError:
-        return None
+        pass
     return None

@@ -376,10 +376,9 @@ def test_ac10_limit_measures_single_class(north_south_64):
     for label, spec, part, tm, graph in (
             ("north_south", ns_spec, ns_part, ns_tm, ns_graph),
             ("rotation", rot_spec, rot_part, rot_tm, rot_graph)):
-        minimal = topology.minimal_invariant_sets(graph)
         results = ergodic.limit_measure_per_point(tm, part, spec,
                                                   [np.array([p]) for p in probes],
-                                                  4096, minimal_report=minimal)
+                                                  4096)
         for p, res in zip(probes, results):
             min_mass = min(min_mass, res.mass_in_class)
             if not res.ergodic:

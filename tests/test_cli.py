@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import semicascade
-from semicascade import cli, measures, systems, tame, topology
+from semicascade import cli, ergodic, measures, systems, tame, topology
 
 
 def _base_config(out_dir):
@@ -137,6 +137,33 @@ def test_one_stationary_solve_per_run(tmp_path, monkeypatch):
     report, _ = cli.run_analyses(cli.validate_config(cfg))
     assert set(report["results"]) == set(cfg["analyses"])
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("analyses,estimates", [
+    (list(cli.ANALYSES), 1),
+    (["unique_minimal_set", "measures", "proximality", "tameness", "covering"], 0),
+], ids=["all_analyses", "torus_wildness_analyses"])
+def test_one_projection_per_run(tmp_path, monkeypatch, analyses, estimates):
+    ## kernel_projection and limit_measures share one projection; a run
+    ## without them (the torus-wildness analyses) never builds one
+    calls = {"estimate": 0, "stationary": 0}
+    estimate, solve = ergodic.kernel_projection_estimate, measures.stationary_measures
+
+    def spy_estimate(*args):
+        calls["estimate"] += 1
+        return estimate(*args)
+
+    def spy_solve(*args):
+        calls["stationary"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(ergodic, "kernel_projection_estimate", spy_estimate)
+    monkeypatch.setattr(measures, "stationary_measures", spy_solve)
+    cfg = _base_config(tmp_path / "out")
+    cfg["analyses"] = analyses
+    report, _ = cli.run_analyses(cli.validate_config(cfg))
+    assert set(report["results"]) == set(analyses)
+    assert calls == {"estimate": estimates, "stationary": 1}
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):

@@ -344,13 +344,14 @@ def test_limit_measure_exact_cycle_route():
 def test_limit_measure_exact_cap_falls_back():
     spec = systems.doubling_map()
     tm = _tm_of(spec, 16)
-    ## 1/10 needs 5 exact steps to close its cycle; cap 2 forces the
-    ## matrix route
-    res, = ergodic.limit_measure_per_point(tm, tm.partition, spec,
-                                           [systems.RationalPoint((F(1, 10),))], 64,
-                                           exact_step_cap=2)
+    ## 1/10 needs 5 exact steps to close its cycle; n = 2 forces the
+    ## matrix route, whose measure is the row of Q for the point's cell
+    point = systems.RationalPoint((F(1, 10),))
+    res, = ergodic.limit_measure_per_point(tm, tm.partition, spec, [point], 2)
     assert res.route == "matrix_cesaro"
-    assert res.measure.sum() == pytest.approx(1.0)
+    q = ergodic.kernel_projection_estimate(tm, topology.graph_from_transfer(tm)).q
+    cell = tm.partition.cell_of_points(np.array([point.as_floats()]))[0]
+    assert np.array_equal(res.measure, q[cell])
 
 
 def test_limit_measure_float_route_north_south():
@@ -360,11 +361,28 @@ def test_limit_measure_float_route_north_south():
                                            [np.array([0.25])], 4096)
     assert res.route == "matrix_cesaro"
     assert res.ergodic is True
-    assert res.mass_in_class >= 0.99
-    ## from the repelling fixed point the transient tail is much heavier;
-    ## at this short horizon the single-class flag honestly refuses
+    assert res.mass_in_class >= 1.0 - 1e-12
+    ## the repelling fixed point's cell leaks all of its limit into the one
+    ## terminal class of the sampled chain: the exact limit is single-class
     res0, = ergodic.limit_measure_per_point(tm, tm.partition, spec,
                                             [np.array([0.0])], 512)
-    assert res0.ergodic is False
+    assert res0.ergodic is True
+    assert res0.mass_in_class == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(InputError):
         ergodic.limit_measure_per_point(tm, tm.partition, spec, [np.array([0.25])], 0)
+
+
+def test_limit_measure_flag_has_no_slack():
+    ## cell 0 ends in absorbing cell 1 with probability 0.995 and in absorbing
+    ## cell 2 otherwise: almost all of its limit is in one class, yet it
+    ## reaches two, so it is not single-class
+    part = ulam.build_partition(systems.doubling_map(), 3, 1)
+    mat = sp.csr_matrix(np.array([[0.0, 0.995, 0.005], [0.0, 1.0, 0.0],
+                                  [0.0, 0.0, 1.0]]))
+    tm = ulam.TransferMatrix(mat, part, systems.doubling_map())
+    split, absorbed = ergodic.limit_measure_per_point(
+        tm, part, tm.spec, [np.array([0.1]), np.array([0.5])], 1)
+    assert split.ergodic is False
+    assert split.mass_in_class == pytest.approx(0.995, abs=1e-15)
+    assert np.allclose(split.measure, [0.0, 0.995, 0.005], atol=1e-15)
+    assert absorbed.ergodic is True and absorbed.mass_in_class == 1.0

@@ -205,6 +205,27 @@ def test_tameness_validation_and_budget():
         tame.cancellation_defect(np.ones((0, 4)))
 
 
+def test_budget_limited_rise_is_reported_not_raised():
+    ## at 10 pivots per pattern the torus defect rises from K=4 to K=5; the
+    ## solves are flagged suboptimal, so the profile comes back flagged
+    solve = tame.cancellation_defect
+    fn = ulam.trig_bank(2, 2)[1]
+    grid = systems.equispaced_points(16, 2)
+    with mock.patch.object(tame, "cancellation_defect",
+                           lambda values: solve(values, pivot_budget=10)):
+        rep = tame.tameness_profile(systems.cat_map(), fn, 6, grid)
+    assert rep.suboptimal is True
+    assert rep.defect_per_k[5] > rep.defect_per_k[4] + 1e-10
+    assert rep.as_jsonable()["suboptimal"] is True
+    ## a rise between optimal solves still means the solver is wrong
+    rising = iter([0.5, 0.4, 0.45])
+    with mock.patch.object(tame, "cancellation_defect", lambda values: (
+            next(rising), np.ones(len(values)) / len(values),
+            {"sign_patterns": 1, "total_pivots": 1, "suboptimal": False})):
+        with pytest.raises(RuntimeError, match="defect rose"):
+            tame.tameness_profile(systems.cat_map(), fn, 4, grid)
+
+
 # ---------------------------------------------------------------------------
 # envelope metric and covering
 

@@ -5,7 +5,8 @@ pure cycle blocks (a random permutation) and whose other rows spread over
 one to three random cells. Every schedule sum is checked against dense
 matrix powers, every ergodicity defect against an explicit T(mu - mu V),
 batched limit measures against one-point calls, and the kernel
-projection against a dense Kemeny-Snell projection.
+projection and the per-point limit measures against a dense Kemeny-Snell
+projection.
 """
 
 from fractions import Fraction
@@ -92,22 +93,22 @@ def test_gate_defects_match_explicit_telescoping(chain, sch, k, data):
         assert "gate" in gated.cause
 
 
-@PROPERTY_SETTINGS
-@given(chains(), st.lists(st.one_of(
+points = st.lists(st.one_of(
     st.floats(0.0, 1.0, exclude_max=True).map(lambda x: np.array([x])),
     st.integers(1, 40).flatmap(lambda q: st.integers(0, q - 1).map(
-        lambda a: systems.RationalPoint((F(a, q),))))), min_size=1, max_size=6),
-    st.integers(1, 48), st.integers(1, 8))
-def test_batched_limit_measures_equal_single_calls(chain, points, n, cap):
-    ## a small exact_step_cap sends some rational points to the matrix route,
-    ## so the block mixes fallbacks with float points
+        lambda a: systems.RationalPoint((F(a, q),))))), min_size=1, max_size=6)
+
+
+@PROPERTY_SETTINGS
+@given(chains(), points, st.integers(1, 48))
+def test_batched_limit_measures_equal_single_calls(chain, points, n):
+    ## a small n cuts the exact-cycle search short for some rational points,
+    ## so the batch mixes matrix-route fallbacks with float points
     tm, _ = chain
-    batch = ergodic.limit_measure_per_point(tm, tm.partition, tm.spec, points, n,
-                                            exact_step_cap=cap)
+    batch = ergodic.limit_measure_per_point(tm, tm.partition, tm.spec, points, n)
     assert len(batch) == len(points)
     for pt, res in zip(points, batch):
-        single, = ergodic.limit_measure_per_point(tm, tm.partition, tm.spec, [pt], n,
-                                                  exact_step_cap=cap)
+        single, = ergodic.limit_measure_per_point(tm, tm.partition, tm.spec, [pt], n)
         assert res.route == single.route
         assert np.array_equal(res.measure, single.measure)
         assert res.ergodic == single.ergodic
@@ -115,7 +116,11 @@ def test_batched_limit_measures_equal_single_calls(chain, points, n, cap):
 
 
 def _kemeny_snell(dense):
-    """Cesaro limit Q = A Pi of a dense row-stochastic matrix, by numpy.linalg."""
+    """Cesaro limit Q = A Pi of a dense row-stochastic matrix, by numpy.linalg.
+
+    Returns (Q, A, classes): A has one column per closed class, and
+    classes[j] is the boolean cell mask of column j.
+    """
     n = len(dense)
     reach = np.linalg.matrix_power((np.eye(n) + dense > 0).astype(float), n) > 0
     closed = np.all(reach.T | ~reach, axis=1)  # every cell it reaches reaches back
@@ -129,7 +134,36 @@ def _kemeny_snell(dense):
     a = classes.T.astype(float)
     a[~closed] = np.linalg.solve(np.eye(n - closed.sum()) - dense[np.ix_(~closed, ~closed)],
                                  dense[np.ix_(~closed, closed)] @ a[closed])
-    return a @ pi
+    return a @ pi, a, classes
+
+
+@PROPERTY_SETTINGS
+@given(chains(), points, st.integers(1, 48))
+def test_limit_measures_match_kemeny_snell(chain, pts, n):
+    ## the limit of a point mass in cell c is row c of Q, its class masses
+    ## are row c of A, and it is single-class iff c reaches one closed class;
+    ## an exact cycle is single-class iff its cells lie in one closed class
+    tm, dense = chain
+    q, a, classes = _kemeny_snell(dense)
+    reach = np.linalg.matrix_power((np.eye(len(dense)) + dense > 0).astype(float),
+                                   len(dense)) > 0
+    scc_of_cell = topology.graph_from_transfer(tm).minimal_sets.scc_of_cell
+    results = ergodic.limit_measure_per_point(tm, tm.partition, tm.spec, pts, n)
+    for pt, res in zip(pts, results):
+        class_masses = [res.measure[cells].sum() for cells in classes]
+        assert abs(res.mass_in_class - max(class_masses)) <= 1e-12
+        if res.route == "exact_cycle":
+            assert res.ergodic == any(cells[res.support_cells].all() for cells in classes)
+            continue
+        if isinstance(pt, systems.RationalPoint):
+            pt = pt.as_floats()  # its orbit did not cycle within n steps
+        c = tm.partition.cell_of_points(np.array([pt]))[0]
+        assert np.max(np.abs(res.measure - q[c])) <= 1e-9
+        assert np.max(np.abs(np.array(class_masses) - a[c])) <= 1e-12
+        dominant, = [j for j, cells in enumerate(classes)
+                     if np.array_equal(cells, scc_of_cell == res.dominant_class)]
+        assert abs(a[c, dominant] - a[c].max()) <= 1e-12
+        assert res.ergodic == (int(np.any(classes & reach[c], axis=1).sum()) == 1)
 
 
 @PROPERTY_SETTINGS
@@ -138,7 +172,7 @@ def test_kernel_projection_matches_kemeny_snell(chain):
     tm, dense = chain
     est = ergodic.kernel_projection_estimate(tm, topology.graph_from_transfer(tm))
     q = est.q
-    assert np.max(np.abs(q - _kemeny_snell(dense))) <= 1e-9
+    assert np.max(np.abs(q - _kemeny_snell(dense)[0])) <= 1e-9
     assert np.max(np.abs(q.sum(axis=1) - 1.0)) <= 1e-12
     assert est.residual_idem <= 1e-12
     assert est.residual_vq <= 1e-12
