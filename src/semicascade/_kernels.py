@@ -11,12 +11,6 @@ import math
 
 import numpy as np
 
-# family codes shared with systems.py
-ROTATION = 0
-DOUBLING = 1
-NORTH_SOUTH = 2
-TENT = 3
-
 TWO_PI = 2.0 * math.pi
 
 
@@ -28,17 +22,17 @@ def _wrap01(x):
 
 
 def step_1d(family, par, x):
-    """One map step for an array of circle points (any shape, elementwise)."""
-    if family == ROTATION:
+    """One step of the named circle family for an array of points (elementwise)."""
+    if family == "circle_rotation":
         y = x + par
-    elif family == DOUBLING:
+    elif family == "doubling":
         y = 2.0 * x
-    elif family == NORTH_SOUTH:
+    elif family == "north_south":
         y = x + par * np.sin(TWO_PI * x) / TWO_PI
-    elif family == TENT:
+    elif family == "tent":
         y = par * np.minimum(x, 1.0 - x)
     else:
-        raise ValueError("unknown 1d family code %r" % family)
+        raise ValueError("unknown 1d family %r" % family)
     return _wrap01(y)
 
 

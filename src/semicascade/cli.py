@@ -187,9 +187,9 @@ def validate_config(raw):
     tolerances = _merged_section(raw, "tolerances")
     for key in ("tol", "eps"):
         _positive_number(tolerances[key], "tolerances.%s" % key)
-    _require(_is_number(tolerances["support_threshold"])
-             and tolerances["support_threshold"] >= 0,
-             "tolerances.support_threshold", "must be a nonnegative number")
+    threshold = tolerances["support_threshold"]
+    _require(_is_number(threshold) and math.isfinite(threshold) and threshold >= 0,
+             "tolerances.support_threshold", "must be a finite nonnegative number")
 
     banks = _merged_section(raw, "banks")
     _positive_int(banks["test_functions"], "banks.test_functions")
@@ -277,9 +277,9 @@ def run_analyses(config):
     ## one stationary solve and one projection, shared by the analyses needing them
     mset = est = None
     if {"measures", "kernel_projection", "limit_measures"} & set(wanted):
-        mset = measures.stationary_measures(tm, graph)
+        mset = measures.stationary_measures(graph)
     if {"kernel_projection", "limit_measures"} & set(wanted):
-        est = ergodic.kernel_projection_estimate(tm, graph, mset)
+        est = ergodic.kernel_projection_estimate(mset)
 
     results = {}
     verdicts = []
@@ -305,9 +305,7 @@ def run_analyses(config):
         side_tables["convergence_defects.csv"] = table_rows("convergence", entry)
 
     if "unique_minimal_set" in wanted:
-        check = topology.unique_minimal_set_check(spec, partition,
-                                                  max_period=options["max_period"],
-                                                  graph=graph)
+        check = topology.unique_minimal_set_check(graph, max_period=options["max_period"])
         entry = check.as_jsonable()
         entry["context"] = _context(m, None, None)
         results["unique_minimal_set"] = entry
@@ -388,8 +386,7 @@ def run_analyses(config):
 
     if "limit_measures" in wanted:
         probes = _probe_grid(options["limit_probe_count"], spec.dimension)
-        limits = ergodic.limit_measure_per_point(tm, partition, spec, probes,
-                                                 horizons["orbit_n"], est)
+        limits = ergodic.limit_measure_per_point(est, probes, horizons["orbit_n"])
         rows = [{"probe": [float(c) for c in pt],
                  "ergodic": res.ergodic,
                  "dominant_class": res.dominant_class,

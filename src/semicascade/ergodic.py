@@ -357,8 +357,8 @@ class KernelEstimate:
     ||Q Q - Q||_inf (max absolute row sums) come from the factors: the rows
     of Pi are probability vectors with disjoint supports, so ||M Pi||_inf =
     ||M||_inf for every n x k M, with V Q - Q = (V A - A) Pi and
-    Q Q - Q = (A (Pi A) - A) Pi. minimal_report is the terminal-SCC
-    decomposition whose classes index the columns of A and the rows of Pi.
+    Q Q - Q = (A (Pi A) - A) Pi. The terminal classes of graph index the
+    columns of A and the rows of Pi.
     """
 
     absorption: np.ndarray
@@ -366,7 +366,7 @@ class KernelEstimate:
     residual_vq: float
     residual_idem: float
     stop_reason: str
-    minimal_report: topology.MinimalSetReport
+    graph: topology.TransitionGraph
 
     @property
     def q(self):
@@ -377,33 +377,29 @@ def _inf_norm(mat):
     return float(np.max(np.abs(mat).sum(axis=1)))
 
 
-def kernel_projection_estimate(tm, graph, mset=None):
+def kernel_projection_estimate(mset):
     """Exact Cesaro-limit projection Q = A Pi of the chain, factored.
 
-    graph is the transition graph of tm, as for measures.stationary_measures,
-    which supplies Pi; a caller that already holds its result for this tm
-    and graph passes it as mset, and it is computed here otherwise. The
-    transient rows of A solve (I - P_TT) A_T = P_TR E, E the class
-    indicators of the terminal cells, with one sparse LU of I - P_TT.
+    mset is the result of measures.stationary_measures, whose measures are
+    the rows of Pi; the chain is mset.graph.transfer. The transient rows of
+    A solve (I - P_TT) A_T = P_TR E, E the class indicators of the terminal
+    cells, with one sparse LU of I - P_TT.
     """
-    if mset is None:
-        mset = measures.stationary_measures(tm, graph)
-    elif mset.minimal_report is not graph.minimal_sets:
-        raise InputError("mset must be the stationary measures of this graph")
+    graph = mset.graph
+    matrix = graph.transfer.matrix
     pi = np.array(mset.measures)
-    a = np.zeros((tm.n_cells, pi.shape[0]))
-    for j, cells in enumerate(mset.minimal_report.terminal_cells):
+    a = np.zeros((graph.n_cells, pi.shape[0]))
+    for j, cells in enumerate(graph.minimal_sets.terminal_cells):
         a[cells, j] = 1.0
     transient = np.flatnonzero(a.sum(axis=1) == 0.0)
     if transient.size:
-        p_t = tm.matrix[transient]
+        p_t = matrix[transient]
         lhs = sp.identity(transient.size, format="csc") - p_t[:, transient].tocsc()
         ## rows of A outside T are the class indicators, so P_T. A = P_TR E
         a[transient] = splinalg.splu(lhs).solve(p_t @ a)
-    residual_vq = _inf_norm(tm.matrix @ a - a)
+    residual_vq = _inf_norm(matrix @ a - a)
     residual_idem = _inf_norm(a @ (pi @ a) - a)
-    return KernelEstimate(a, pi, residual_vq, residual_idem, "exact",
-                          mset.minimal_report)
+    return KernelEstimate(a, pi, residual_vq, residual_idem, "exact", graph)
 
 
 # ---------------------------------------------------------------------------
@@ -428,36 +424,35 @@ class LimitMeasureResult:
     support_cells: np.ndarray
 
 
-def limit_measure_per_point(tm, partition, spec, omegas, n, projection=None):
+def limit_measure_per_point(est, omegas, n):
     """Cesaro limit of each point mass, read off the chain's decomposition.
 
-    omegas is a sequence of points, each a RationalPoint or a float
-    coordinate array; the result is a tuple with one LimitMeasureResult per
-    point, in order. Exact rational points ride the exact backend when the
-    family supports it: the orbit is followed for up to n steps until it
-    cycles, and the measure is the uniform distribution over the cycle's
-    cells. Float points, and exact orbits that do not cycle within n steps,
-    take the matrix route: for a point in cell c the Cesaro limit of the
-    sampled chain is row c of Q = A Pi, and its class masses are row c of A
-    (Kemeny & Snell). projection is the KernelEstimate of tm; it is
-    computed from graph_from_transfer(tm) when not given.
+    est is the KernelEstimate of the chain; omegas is a sequence of points,
+    each a RationalPoint or a float coordinate array; the result is a tuple
+    with one LimitMeasureResult per point, in order. Exact rational points
+    ride the exact backend when the family supports it: the orbit is
+    followed for up to n steps until it cycles, and the measure is the
+    uniform distribution over the cycle's cells. Float points, and exact
+    orbits that do not cycle within n steps, take the matrix route: for a
+    point in cell c the Cesaro limit of the sampled chain is row c of
+    Q = A Pi, and its class masses are row c of A (Kemeny & Snell).
     """
     if n < 1:
         raise InputError("need n >= 1")
-    if projection is None:
-        projection = kernel_projection_estimate(tm, topology.graph_from_transfer(tm))
-    elif projection.absorption.shape[0] != tm.n_cells:
-        raise InputError("projection must be the kernel estimate of this matrix")
-    report = projection.minimal_report
+    partition, spec = est.graph.transfer.partition, est.graph.transfer.spec
+    report = est.graph.minimal_sets
     results = []
     for omega in omegas:
         cycle = None
         if isinstance(omega, systems.RationalPoint):
-            cycle = _exact_cycle(spec, omega, n)
+            try:
+                cycle = systems.exact_cycle(spec, omega, n)
+            except CapabilityError:
+                pass  # no exact backend: the matrix route
             omega = omega.as_floats()
         if cycle is not None:
             cells = [partition.cell_of_rational(rp) for rp in cycle]
-            measure = np.zeros(tm.n_cells)
+            measure = np.zeros(partition.n_cells)
             np.add.at(measure, cells, 1.0 / len(cycle))
             masses = [float(measure[cls].sum()) for cls in report.terminal_cells]
             sccs = set(report.scc_of_cell[cells])
@@ -468,8 +463,8 @@ def limit_measure_per_point(tm, partition, spec, omegas, n, projection=None):
             if pt.shape[1] != partition.dimension:
                 raise InputError("points must have %d coordinates" % partition.dimension)
             c = partition.cell_of_points(pt)[0]
-            masses = projection.absorption[c]
-            measure = masses @ projection.stationary
+            masses = est.absorption[c]
+            measure = masses @ est.stationary
             single = len(report.terminal_ids_for_cell(c)) == 1
             route = "matrix_cesaro"
         best = int(np.argmax(masses))
@@ -477,18 +472,3 @@ def limit_measure_per_point(tm, partition, spec, omegas, n, projection=None):
             measure, single, int(report.terminal_scc_ids[best]), float(masses[best]),
             route, measures.support(measure)))
     return tuple(results)
-
-
-def _exact_cycle(spec, point, cap):
-    """Forward-orbit cycle of an exact point, or None if unavailable."""
-    seen = {point: 0}  # orbit point -> step; insertion order is the orbit
-    cur = point
-    try:
-        for _ in range(cap):
-            cur = systems.exact_step(spec, cur)
-            if cur in seen:
-                return list(seen)[seen[cur]:]
-            seen[cur] = len(seen)
-    except CapabilityError:
-        pass
-    return None

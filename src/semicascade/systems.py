@@ -126,14 +126,6 @@ def cat_map() -> SystemSpec:
     return toral_automorphism(2, 1, 1, 1)
 
 
-_FAMILY_CODE = {
-    "circle_rotation": _kernels.ROTATION,
-    "doubling": _kernels.DOUBLING,
-    "north_south": _kernels.NORTH_SOUTH,
-    "tent": _kernels.TENT,
-}
-
-
 def as_point(p, dimension):
     """Coerce scalars/sequences to a validated (d,) float array in [0,1)."""
     arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
@@ -163,7 +155,7 @@ def _step(spec, pts):
     ## proximality loops call this directly to skip per-step validation
     if spec.dimension == 1:
         par = spec.params[0] if spec.params else 0.0  # doubling has none
-        return _kernels.step_1d(_FAMILY_CODE[spec.family], par, pts)
+        return _kernels.step_1d(spec.family, par, pts)
     return _kernels.step_2d(*spec.params, pts)
 
 
@@ -279,16 +271,20 @@ def exact_orbit(spec, rp, n):
     return out
 
 
-def _orbit_of(spec, rp, cap):
-    ## follow the exact orbit until it returns to its start; None if it does not
-    ## close up within cap steps (then rp is not periodic with period <= cap)
-    pts = [rp]
+def exact_cycle(spec, rp, cap):
+    """The cycle the exact orbit of rp enters within cap steps, or None.
+
+    The cycle is listed in visiting order from the first of its points that
+    the orbit reaches, so rp is periodic with least period <= cap exactly
+    when the cycle starts at rp.
+    """
+    step_of = {rp: 0}  # orbit point -> step; insertion order is the orbit
     cur = rp
     for _ in range(cap):
         cur = exact_step(spec, cur)
-        if cur == rp:
-            return pts
-        pts.append(cur)
+        if cur in step_of:
+            return list(step_of)[step_of[cur]:]
+        step_of[cur] = len(step_of)
     return None
 
 
@@ -301,8 +297,8 @@ def _doubling_periodic(spec, max_period):
             pt = RationalPoint((Fraction(k, den),))
             if pt in seen:
                 continue
-            cycle = _orbit_of(spec, pt, p)
-            if cycle is None:
+            cycle = exact_cycle(spec, pt, p)
+            if cycle is None or cycle[0] != pt:  # no period <= p
                 continue
             seen.update(cycle)
             if len(cycle) == p:
@@ -317,7 +313,7 @@ def _rotation_periodic(spec, max_period):
     ## every point is periodic with period q; report the canonical lattice
     ## orbit through 0, of which every other orbit is a translate
     start = RationalPoint((Fraction(0),))
-    cycle = _orbit_of(spec, start, q)
+    cycle = exact_cycle(spec, start, q)
     return [PeriodicOrbit(tuple(cycle), q)]
 
 
@@ -338,7 +334,6 @@ def _toral_periodic(spec, max_period):
         ## solutions of (A^p - I)x = k, k integer, x in [0,1)^2: enumerate k
         ## over the image parallelogram's bounding box and invert exactly
         inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=object)
-        corners = [inv @ np.array(c, dtype=object) for c in ((0, 0), (1, 0), (0, 1), (1, 1))]
         ## x = inv @ k / det must land in [0,1)^2, i.e. k in m @ [0,1)^2
         k_corners = [m @ np.array(c, dtype=object) for c in ((0, 0), (1, 0), (0, 1), (1, 1))]
         k0 = [min(c[i] for c in k_corners) for i in (0, 1)]
@@ -352,8 +347,8 @@ def _toral_periodic(spec, max_period):
                 pt = RationalPoint((x % 1, y % 1))
                 if pt in seen:
                     continue
-                cycle = _orbit_of(spec, pt, p)
-                if cycle is None:
+                cycle = exact_cycle(spec, pt, p)
+                if cycle is None or cycle[0] != pt:  # no period <= p
                     continue
                 seen.update(cycle)
                 if len(cycle) == p:

@@ -37,15 +37,18 @@ SAMPLED_TRIPLES = 100_000
 
 @dataclass(frozen=True)
 class TransitionGraph:
-    """Directed cell graph; adjacency is boolean CSR over partition cells."""
+    """Directed cell graph of a transfer matrix, which it carries.
 
+    adjacency is the boolean CSR support of transfer.matrix; the partition
+    and the system are transfer.partition and transfer.spec.
+    """
+
+    transfer: ulam.TransferMatrix
     adjacency: sp.csr_matrix
-    partition: ulam.Partition
-    spec: systems.SystemSpec
 
     @property
     def n_cells(self):
-        return self.partition.n_cells
+        return self.transfer.n_cells
 
     @functools.cached_property
     def minimal_sets(self):
@@ -54,8 +57,7 @@ class TransitionGraph:
 
 
 def graph_from_transfer(tm):
-    adj = (tm.matrix > 0).astype(np.int8).tocsr()
-    return TransitionGraph(adj, tm.partition, tm.spec)
+    return TransitionGraph(tm, (tm.matrix > 0).astype(np.int8).tocsr())
 
 
 def build_transition_graph(partition, spec):
@@ -204,12 +206,11 @@ class UniqueMinimalSetReport:
         }
 
 
-def unique_minimal_set_check(spec, partition, max_period=2, graph=None):
+def unique_minimal_set_check(graph, max_period=2):
     """Does every reachable closure contain exactly one terminal component?"""
     if max_period < 1:
         raise InputError("max_period must be >= 1")
-    if graph is None:
-        graph = build_transition_graph(partition, spec)
+    spec = graph.transfer.spec
     report = graph.minimal_sets
     graph_verdict = all(len(t) == 1 for t in report.terminals_reachable)
 

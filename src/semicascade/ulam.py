@@ -58,12 +58,7 @@ class Partition:
         return 1.0 / self.cells_per_axis
 
     def lower_corners(self):
-        m = self.cells_per_axis
-        if self.dimension == 1:
-            return (np.arange(m, dtype=np.float64) / m)[:, None]
-        side = np.arange(m, dtype=np.float64) / m
-        gx, gy = np.meshgrid(side, side, indexing="ij")
-        return np.column_stack([gx.ravel(), gy.ravel()])
+        return systems.equispaced_points(self.cells_per_axis, self.dimension)
 
     def centers(self):
         return self.lower_corners() + 0.5 * self.width

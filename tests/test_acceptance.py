@@ -78,7 +78,7 @@ def test_ac2_north_south_positive_direction(north_south_64):
     ## attractor's point mass
     t0 = time.perf_counter()
     spec, part, tm, graph, bank = north_south_64
-    check = topology.unique_minimal_set_check(spec, part, max_period=2, graph=graph)
+    check = topology.unique_minimal_set_check(graph, max_period=2)
     schedules = [ergodic.cesaro_schedule(n) for n in (256, 512, 1024, 2048, 4096)]
     probe_cells = [4 * i for i in range(16)]
     verdicts = set()
@@ -89,7 +89,7 @@ def test_ac2_north_south_positive_direction(north_south_64):
         rep = ergodic.convergence_diagnostic(tm, schedules, mu0, bank, tol=1e-2)
         verdicts.add(rep.verdict)
         worst_tail = max(worst_tail, rep.max_tail_defect)
-    est = ergodic.kernel_projection_estimate(tm, graph)
+    est = ergodic.kernel_projection_estimate(measures.stationary_measures(graph))
     one_hot = np.zeros(64)
     one_hot[32] = 1.0
     ## cell 0 holds the repelling fixed point and is exempt by the claim
@@ -114,8 +114,8 @@ def test_ac3_doubling_negative_direction():
     ## expanding map: the exact periodic backend refutes uniqueness with
     ## the fixed point and the 2-cycle as witnesses
     spec = systems.doubling_map()
-    part, _tm = _tm_of(spec, 64)
-    check = topology.unique_minimal_set_check(spec, part, max_period=2)
+    _part, tm = _tm_of(spec, 64)
+    check = topology.unique_minimal_set_check(topology.graph_from_transfer(tm), max_period=2)
     witness_sets = [frozenset(pt.coords[0] for pt in orb.points)
                     for orb in check.witnesses]
     expected = [frozenset({F(0)}), frozenset({F(1, 3), F(2, 3)})]
@@ -147,7 +147,7 @@ def test_ac4_supports_equal_minimal_sets():
     for (name, make), m in itertools.product(BUNDLE, (16, 64, 256)):
         spec = make()
         _part, tm = _tm_of(spec, m)
-        mset = measures.stationary_measures(tm, topology.graph_from_transfer(tm))
+        mset = measures.stationary_measures(topology.graph_from_transfer(tm))
         minimal = all(measures.support_minimality_check(mset))
         center = measures.attraction_center_vs_minimal_union(mset)
         if not (minimal and center.equal and all(mset.converged)):
@@ -369,15 +369,12 @@ def test_ac10_limit_measures_single_class(north_south_64):
     probes = [(i + 0.5) / 16 for i in range(16)]
     bad = []
     min_mass = 1.0
-    ns_spec, ns_part, ns_tm, ns_graph, _bank = north_south_64
-    rot_spec = systems.circle_rotation(systems.GOLDEN)
-    rot_part, rot_tm = _tm_of(rot_spec, 64)
+    _spec, _part, _tm, ns_graph, _bank = north_south_64
+    _rot_part, rot_tm = _tm_of(systems.circle_rotation(systems.GOLDEN), 64)
     rot_graph = topology.graph_from_transfer(rot_tm)
-    for label, spec, part, tm, graph in (
-            ("north_south", ns_spec, ns_part, ns_tm, ns_graph),
-            ("rotation", rot_spec, rot_part, rot_tm, rot_graph)):
-        results = ergodic.limit_measure_per_point(tm, part, spec,
-                                                  [np.array([p]) for p in probes],
+    for label, graph in (("north_south", ns_graph), ("rotation", rot_graph)):
+        est = ergodic.kernel_projection_estimate(measures.stationary_measures(graph))
+        results = ergodic.limit_measure_per_point(est, [np.array([p]) for p in probes],
                                                   4096)
         for p, res in zip(probes, results):
             min_mass = min(min_mass, res.mass_in_class)

@@ -126,9 +126,9 @@ def test_one_stationary_solve_per_run(tmp_path, monkeypatch):
     calls = []
     solve = measures.stationary_measures
 
-    def spy(tm, graph):
+    def spy(graph):
         calls.append(graph)
-        return solve(tm, graph)
+        return solve(graph)
 
     monkeypatch.setattr(measures, "stationary_measures", spy)
     cfg = _base_config(tmp_path / "out")
@@ -250,6 +250,13 @@ def test_rejects_probe_dimension_mismatch(tmp_path, capsys):
     cfg = _base_config(tmp_path)
     cfg["options"]["convergence_probe"] = [0.3, 0.4]
     _expect_config_error(tmp_path, capsys, cfg, "options.convergence_probe")
+
+
+def test_rejects_infinite_support_threshold(tmp_path, capsys):
+    ## json.load reads Infinity, and a threshold of inf empties every support
+    cfg = _base_config(tmp_path)
+    cfg["tolerances"] = {"support_threshold": float("inf")}
+    _expect_config_error(tmp_path, capsys, cfg, "config field tolerances.support_threshold")
 
 
 def test_omitted_probe_defaults_per_dimension(tmp_path, capsys):
@@ -378,7 +385,8 @@ def _corruptions(family, dimension):
         ("horizons", "covering_horizon"): positive,
         ("tolerances", "tol"): WRONG_TYPES + [0, -1.0, float("inf"), float("nan")],
         ("tolerances", "eps"): WRONG_TYPES + [0, -1.0],
-        ("tolerances", "support_threshold"): WRONG_TYPES + [-1e-3, float("nan")],
+        ("tolerances", "support_threshold"): WRONG_TYPES + [-1e-3, float("inf"),
+                                                            float("nan")],
         ("banks", "test_functions"): positive,
         ("banks", "grid_size"): positive,
         ("options", "max_period"): positive,

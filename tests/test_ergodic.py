@@ -33,6 +33,12 @@ def _tm_of(spec, m, s=3):
     return ulam.build_transfer_matrix(part, spec)
 
 
+def _estimate(tm):
+    """The chain's pipeline: graph, stationary measures, kernel estimate."""
+    graph = topology.graph_from_transfer(tm)
+    return ergodic.kernel_projection_estimate(measures.stationary_measures(graph))
+
+
 # ---------------------------------------------------------------------------
 # schedules
 
@@ -256,7 +262,7 @@ def test_exact_orbit_diagnostic_gate():
 def test_kernel_projection_swap_oracle():
     ## the 2-cycle chain averages to the rank-one projection onto uniform
     tm = _tm_swap()
-    est = ergodic.kernel_projection_estimate(tm, topology.graph_from_transfer(tm))
+    est = _estimate(tm)
     assert np.allclose(est.q, np.full((2, 2), 0.5), atol=1e-15)
     assert est.residual_vq <= 1e-13
     assert est.residual_idem <= 1e-13
@@ -266,7 +272,7 @@ def test_kernel_projection_swap_oracle():
 def test_kernel_projection_identity_chain():
     part = ulam.build_partition(systems.doubling_map(), 3, 1)
     tm = ulam.TransferMatrix(sp.csr_matrix(np.eye(3)), part, systems.doubling_map())
-    est = ergodic.kernel_projection_estimate(tm, topology.graph_from_transfer(tm))
+    est = _estimate(tm)
     assert np.array_equal(est.q, np.eye(3))
     assert est.residual_vq == 0.0 and est.residual_idem == 0.0
     ## every cell is its own terminal class: both factors are the identity
@@ -276,32 +282,16 @@ def test_kernel_projection_identity_chain():
 
 def test_kernel_projection_north_south_rows():
     ## every row of the projection is the point mass at the attractor cell
-    tm = _tm_of(systems.north_south(0.5), 64)
-    graph = topology.graph_from_transfer(tm)
-    est = ergodic.kernel_projection_estimate(tm, graph)
+    est = _estimate(_tm_of(systems.north_south(0.5), 64))
     assert est.residual_vq <= 1e-8
     one_hot = np.zeros(64)
     one_hot[32] = 1.0
     assert np.max(np.abs(est.q - one_hot[None, :])) <= 1e-6
-    ## stationary measures handed in give the same factors
-    given = ergodic.kernel_projection_estimate(
-        tm, graph, measures.stationary_measures(tm, graph))
-    assert np.array_equal(given.absorption, est.absorption)
-    assert np.array_equal(given.stationary, est.stationary)
 
 
-def test_kernel_projection_guards():
-    ## the graph must come from the same partition; there is no cell cap
-    tm = _tm_of(systems.north_south(0.5), 16)
-    other = topology.graph_from_transfer(_tm_of(systems.north_south(0.5), 32))
-    with pytest.raises(InputError):
-        ergodic.kernel_projection_estimate(tm, other)
-    ## handed-in stationary measures must belong to the same graph
-    stale = measures.stationary_measures(tm, topology.graph_from_transfer(tm))
-    with pytest.raises(InputError):
-        ergodic.kernel_projection_estimate(tm, topology.graph_from_transfer(tm), stale)
-    big = _tm_of(systems.circle_rotation(systems.GOLDEN), 2048, 1)
-    est = ergodic.kernel_projection_estimate(big, topology.graph_from_transfer(big))
+def test_kernel_projection_has_no_cell_cap():
+    ## the dense squaring it replaced stopped at 1024 cells
+    est = _estimate(_tm_of(systems.circle_rotation(systems.GOLDEN), 2048, 1))
     assert est.residual_vq <= 1e-12 and est.residual_idem <= 1e-12
 
 
@@ -310,7 +300,7 @@ def test_kernel_projection_guards():
 def test_kernel_projection_bundle_certificates(name, make, m):
     spec = make()
     tm = _tm_of(spec, m, 3 if spec.dimension == 1 else 5)
-    est = ergodic.kernel_projection_estimate(tm, topology.graph_from_transfer(tm))
+    est = _estimate(tm)
     assert est.residual_idem <= 1e-12
     assert est.residual_vq <= 1e-12
 
@@ -318,7 +308,7 @@ def test_kernel_projection_bundle_certificates(name, make, m):
 def test_kernel_projection_cat_map_16k_cells():
     tm = _tm_of(systems.cat_map(), 128)
     assert tm.n_cells == 16384
-    est = ergodic.kernel_projection_estimate(tm, topology.graph_from_transfer(tm))
+    est = _estimate(tm)
     assert est.residual_idem <= 1e-12
     assert est.residual_vq <= 1e-12
 
@@ -330,7 +320,7 @@ def test_kernel_projection_cat_map_16k_cells():
 def test_limit_measure_exact_cycle_route():
     spec = systems.doubling_map()
     tm = _tm_of(spec, 64)
-    res, = ergodic.limit_measure_per_point(tm, tm.partition, spec,
+    res, = ergodic.limit_measure_per_point(_estimate(tm),
                                            [systems.RationalPoint((F(1, 3),))], 256)
     assert res.route == "exact_cycle"
     ## 1/3 <-> 2/3 is a 2-cycle through cells 21 and 42
@@ -347,29 +337,28 @@ def test_limit_measure_exact_cap_falls_back():
     ## 1/10 needs 5 exact steps to close its cycle; n = 2 forces the
     ## matrix route, whose measure is the row of Q for the point's cell
     point = systems.RationalPoint((F(1, 10),))
-    res, = ergodic.limit_measure_per_point(tm, tm.partition, spec, [point], 2)
+    est = _estimate(tm)
+    res, = ergodic.limit_measure_per_point(est, [point], 2)
     assert res.route == "matrix_cesaro"
-    q = ergodic.kernel_projection_estimate(tm, topology.graph_from_transfer(tm)).q
     cell = tm.partition.cell_of_points(np.array([point.as_floats()]))[0]
-    assert np.array_equal(res.measure, q[cell])
+    assert np.array_equal(res.measure, est.q[cell])
 
 
 def test_limit_measure_float_route_north_south():
     spec = systems.north_south(0.5)
     tm = _tm_of(spec, 32)
-    res, = ergodic.limit_measure_per_point(tm, tm.partition, spec,
-                                           [np.array([0.25])], 4096)
+    est = _estimate(tm)
+    res, = ergodic.limit_measure_per_point(est, [np.array([0.25])], 4096)
     assert res.route == "matrix_cesaro"
     assert res.ergodic is True
     assert res.mass_in_class >= 1.0 - 1e-12
     ## the repelling fixed point's cell leaks all of its limit into the one
     ## terminal class of the sampled chain: the exact limit is single-class
-    res0, = ergodic.limit_measure_per_point(tm, tm.partition, spec,
-                                            [np.array([0.0])], 512)
+    res0, = ergodic.limit_measure_per_point(est, [np.array([0.0])], 512)
     assert res0.ergodic is True
     assert res0.mass_in_class == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(InputError):
-        ergodic.limit_measure_per_point(tm, tm.partition, spec, [np.array([0.25])], 0)
+        ergodic.limit_measure_per_point(est, [np.array([0.25])], 0)
 
 
 def test_limit_measure_flag_has_no_slack():
@@ -381,7 +370,7 @@ def test_limit_measure_flag_has_no_slack():
                                   [0.0, 0.0, 1.0]]))
     tm = ulam.TransferMatrix(mat, part, systems.doubling_map())
     split, absorbed = ergodic.limit_measure_per_point(
-        tm, part, tm.spec, [np.array([0.1]), np.array([0.5])], 1)
+        _estimate(tm), [np.array([0.1]), np.array([0.5])], 1)
     assert split.ergodic is False
     assert split.mass_in_class == pytest.approx(0.995, abs=1e-15)
     assert np.allclose(split.measure, [0.0, 0.995, 0.005], atol=1e-15)

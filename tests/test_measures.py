@@ -33,7 +33,7 @@ def test_rotation_uniform_is_exactly_stationary():
     ## damped iteration never runs
     tm = _tm_of(systems.circle_rotation(F(1, 8)), 16)
     graph = topology.graph_from_transfer(tm)
-    ms = measures.stationary_measures(tm, graph)
+    ms = measures.stationary_measures(graph)
     assert len(ms.measures) == 1
     assert ms.iterations == (0,)
     assert ms.converged == (True,)
@@ -44,7 +44,7 @@ def test_rotation_uniform_is_exactly_stationary():
 def test_north_south_point_mass():
     tm = _tm_of(systems.north_south(0.5), 64)
     graph = topology.graph_from_transfer(tm)
-    ms = measures.stationary_measures(tm, graph)
+    ms = measures.stationary_measures(graph)
     assert len(ms.measures) == 1
     expected = np.zeros(64)
     expected[32] = 1.0
@@ -60,7 +60,7 @@ def test_two_swap_blocks_give_two_half_half_measures():
     dense[2, 3] = dense[3, 2] = 1.0
     tm = _synthetic_tm(dense, 4)
     graph = topology.graph_from_transfer(tm)
-    ms = measures.stationary_measures(tm, graph)
+    ms = measures.stationary_measures(graph)
     assert len(ms.measures) == 2
     assert ms.iterations == (0, 0)
     supports = sorted(tuple(measures.support(mu)) for mu in ms.measures)
@@ -82,16 +82,15 @@ def test_crafted_deficient_support_is_caught():
     dense[0, 1] = dense[1, 0] = 1.0
     dense[2, 3] = dense[3, 2] = 1.0
     tm = _synthetic_tm(dense, 4)
-    honest = measures.stationary_measures(tm, topology.graph_from_transfer(tm))
+    honest = measures.stationary_measures(topology.graph_from_transfer(tm))
     idx_01 = [i for i, mu in enumerate(honest.measures)
               if tuple(measures.support(mu)) == (0, 1)][0]
     crafted = list(honest.measures)
     bogus = np.zeros(4)
     bogus[0] = 1.0
     crafted[idx_01] = bogus
-    ms = measures.ErgodicMeasureSet(tuple(crafted), honest.class_ids,
-                                    honest.residuals, honest.converged,
-                                    honest.iterations, honest.minimal_report)
+    ms = measures.ErgodicMeasureSet(tuple(crafted), honest.residuals,
+                                    honest.converged, honest.iterations, honest.graph)
     flags = measures.support_minimality_check(ms)
     assert flags[idx_01] is False
     assert flags[1 - idx_01] is True
@@ -105,7 +104,7 @@ def test_crafted_deficient_support_is_caught():
 def test_doubling_perron_measure_full_support():
     tm = _tm_of(systems.doubling_map(), 64)
     graph = topology.graph_from_transfer(tm)
-    ms = measures.stationary_measures(tm, graph)
+    ms = measures.stationary_measures(graph)
     assert len(ms.measures) == 1
     mu = ms.measures[0]
     assert ms.converged == (True,)
@@ -114,16 +113,6 @@ def test_doubling_perron_measure_full_support():
     assert mu.min() > 0.0
     assert np.abs(ulam.apply_transfer(tm, mu) - mu).sum() <= 1e-9
     assert measures.support_minimality_check(ms) == [True]
-
-
-def test_stationary_guard_rejects_mismatched_inputs():
-    tm = _tm_of(systems.circle_rotation(F(1, 8)), 8)
-    other_m = topology.graph_from_transfer(_tm_of(systems.circle_rotation(F(1, 8)), 16))
-    with pytest.raises(InputError):
-        measures.stationary_measures(tm, other_m)
-    other_spec = topology.graph_from_transfer(_tm_of(systems.doubling_map(), 8))
-    with pytest.raises(InputError):
-        measures.stationary_measures(tm, other_spec)
 
 
 # ---------------------------------------------------------------------------

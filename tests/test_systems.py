@@ -155,6 +155,17 @@ def test_doubling_periodic_orbits_oracle():
     assert got[1] == {F(3, 7), F(6, 7), F(5, 7)}
 
 
+def test_exact_cycle_starts_at_the_point_iff_periodic():
+    ## 1/6 -> 1/3 -> 2/3 -> 1/3: the preperiodic point enters the cycle at 1/3
+    spec = systems.doubling_map()
+    pt = lambda x: systems.RationalPoint((x,))
+    assert systems.exact_cycle(spec, pt(F(1, 6)), 3) == [pt(F(1, 3)), pt(F(2, 3))]
+    assert systems.exact_cycle(spec, pt(F(2, 3)), 2) == [pt(F(2, 3)), pt(F(1, 3))]
+    assert systems.exact_cycle(spec, pt(F(1, 6)), 2) is None
+    with pytest.raises(CapabilityError):
+        systems.exact_cycle(systems.north_south(0.5), pt(F(1, 3)), 4)
+
+
 def test_rotation_periodic_orbits():
     spec = systems.circle_rotation(F(1, 4))
     assert systems.periodic_orbits(spec, 3) == []

@@ -17,8 +17,8 @@ def _graph_from_dense(dense, spec=None, m=None):
     spec = spec or systems.north_south(0.5)
     m = m or dense.shape[0]
     part = ulam.build_partition(spec, m, 1)
-    adj = sp.csr_matrix(np.asarray(dense, dtype=np.int8))
-    return topology.TransitionGraph(adj, part, spec)
+    mat = sp.csr_matrix(np.asarray(dense, dtype=np.float64))
+    return topology.graph_from_transfer(ulam.TransferMatrix(mat, part, spec))
 
 
 ## hand-built 8-cell graph: transient chain 0 -> 1 -> 2 branching into two
@@ -60,7 +60,7 @@ def test_reachable_closure():
 
 def test_unique_check_synthetic_false():
     graph = _synthetic_two_sink_graph()
-    chk = topology.unique_minimal_set_check(graph.spec, graph.partition, graph=graph)
+    chk = topology.unique_minimal_set_check(graph)
     assert chk.verdict is False and chk.graph_verdict is False
     assert chk.backend_used == "graph" and chk.exact_verdict is None
     assert not chk.discrepancy
@@ -69,7 +69,7 @@ def test_unique_check_synthetic_false():
 def test_north_south_unique_true():
     spec = systems.north_south(0.5)
     part = ulam.build_partition(spec, 64, 3)
-    chk = topology.unique_minimal_set_check(spec, part)
+    chk = topology.unique_minimal_set_check(topology.build_transition_graph(part, spec))
     assert chk.verdict is True and chk.backend_used == "graph"
     ## the only terminal class is the attractor's cell [1/2, 1/2 + w)
     cells = [list(map(int, c)) for c in chk.minimal_sets.terminal_cells]
@@ -79,7 +79,8 @@ def test_north_south_unique_true():
 def test_doubling_exact_falsification_and_discrepancy():
     spec = systems.doubling_map()
     part = ulam.build_partition(spec, 64, 3)
-    chk = topology.unique_minimal_set_check(spec, part, max_period=2)
+    chk = topology.unique_minimal_set_check(topology.build_transition_graph(part, spec),
+                                            max_period=2)
     ## the sampled graph collapses everything into one class (verdict true)
     ## while exact period <= 2 orbits witness two minimal sets
     assert chk.graph_verdict is True

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from semicascade import ergodic, systems, topology, ulam
+from semicascade import ergodic, measures, systems, topology, ulam
 
 F = Fraction
 
@@ -99,16 +99,21 @@ points = st.lists(st.one_of(
         lambda a: systems.RationalPoint((F(a, q),))))), min_size=1, max_size=6)
 
 
+def _estimate(tm):
+    graph = topology.graph_from_transfer(tm)
+    return ergodic.kernel_projection_estimate(measures.stationary_measures(graph))
+
+
 @PROPERTY_SETTINGS
 @given(chains(), points, st.integers(1, 48))
 def test_batched_limit_measures_equal_single_calls(chain, points, n):
     ## a small n cuts the exact-cycle search short for some rational points,
     ## so the batch mixes matrix-route fallbacks with float points
-    tm, _ = chain
-    batch = ergodic.limit_measure_per_point(tm, tm.partition, tm.spec, points, n)
+    est = _estimate(chain[0])
+    batch = ergodic.limit_measure_per_point(est, points, n)
     assert len(batch) == len(points)
     for pt, res in zip(points, batch):
-        single, = ergodic.limit_measure_per_point(tm, tm.partition, tm.spec, [pt], n)
+        single, = ergodic.limit_measure_per_point(est, [pt], n)
         assert res.route == single.route
         assert np.array_equal(res.measure, single.measure)
         assert res.ergodic == single.ergodic
@@ -147,8 +152,9 @@ def test_limit_measures_match_kemeny_snell(chain, pts, n):
     q, a, classes = _kemeny_snell(dense)
     reach = np.linalg.matrix_power((np.eye(len(dense)) + dense > 0).astype(float),
                                    len(dense)) > 0
-    scc_of_cell = topology.graph_from_transfer(tm).minimal_sets.scc_of_cell
-    results = ergodic.limit_measure_per_point(tm, tm.partition, tm.spec, pts, n)
+    est = _estimate(tm)
+    scc_of_cell = est.graph.minimal_sets.scc_of_cell
+    results = ergodic.limit_measure_per_point(est, pts, n)
     for pt, res in zip(pts, results):
         class_masses = [res.measure[cells].sum() for cells in classes]
         assert abs(res.mass_in_class - max(class_masses)) <= 1e-12
@@ -170,7 +176,7 @@ def test_limit_measures_match_kemeny_snell(chain, pts, n):
 @given(chains())
 def test_kernel_projection_matches_kemeny_snell(chain):
     tm, dense = chain
-    est = ergodic.kernel_projection_estimate(tm, topology.graph_from_transfer(tm))
+    est = _estimate(tm)
     q = est.q
     assert np.max(np.abs(q - _kemeny_snell(dense)[0])) <= 1e-9
     assert np.max(np.abs(q.sum(axis=1) - 1.0)) <= 1e-12
