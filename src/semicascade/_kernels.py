@@ -2,7 +2,7 @@
 
 `systems.orbit_batch`, `systems.evaluate_map_batch` and
 `topology.proximality_graph` all advance points through `step_1d` or
-`step_2d`, so every float route shares the same arithmetic bit for bit.
+`step_linear`, so every float route shares the same arithmetic bit for bit.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ def step_1d(family, par, x):
     """One step of the named circle family for an array of points (elementwise)."""
     if family == "circle_rotation":
         y = x + par
-    elif family == "doubling":
-        y = 2.0 * x
     elif family == "north_south":
         y = x + par * np.sin(TWO_PI * x) / TWO_PI
     elif family == "tent":
@@ -36,9 +34,11 @@ def step_1d(family, par, x):
     return _wrap01(y)
 
 
-def step_2d(m11, m12, m21, m22, pts):
-    """One toral-automorphism step, pts shape (P, 2)."""
+def step_linear(rows, pts):
+    """One step of x -> Lx mod 1 for the integer matrix L with the given rows, pts shape (P, d)."""
     y = np.empty_like(pts)
-    y[:, 0] = m11 * pts[:, 0] + m12 * pts[:, 1]
-    y[:, 1] = m21 * pts[:, 0] + m22 * pts[:, 1]
+    for i, row in enumerate(rows):
+        y[:, i] = row[0] * pts[:, 0]
+        for j in range(1, len(row)):
+            y[:, i] += row[j] * pts[:, j]
     return _wrap01(y)

@@ -27,7 +27,6 @@ c of the Kemeny-Snell projection Q = A Pi, kept factored in a KernelEstimate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +35,6 @@ from scipy.sparse import linalg as splinalg
 
 from . import measures, systems, topology, ulam
 from .errors import CapabilityError, InputError
-
-TWO_PI = 2.0 * math.pi
 
 DEFAULT_TOL = 1e-2
 ## schedules whose telescoping bound exceeds this are too far from ergodic

@@ -3,10 +3,11 @@
 Five families are bundled: an irrational/rational circle rotation, the
 angle-doubling map, a north-south circle map with one repelling and one
 attracting fixed point, a tent map, and an integer toral automorphism.
-Every float orbit is built from one numpy map step (`_step`); an
-exact-rational backend (fractions.Fraction) covers the algebraic families
-so periodic orbits and crafted binary points can be followed without
-roundoff.
+Doubling and the toral automorphisms, x -> Lx mod 1, are told apart from
+the rest only by their integer matrix `SystemSpec.linear`. Every float
+orbit is built from one numpy map step (`_step`); an exact-rational
+backend (fractions.Fraction) covers the algebraic families so periodic
+orbits and crafted binary points can be followed without roundoff.
 
 Conventions
 -----------
@@ -17,6 +18,7 @@ min(|a-b|, 1-|a-b|). Exact points are `RationalPoint` instances.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,27 +26,33 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, InputError, ResourceBudgetError
 
 #: (sqrt(5)-1)/2, the canonical irrational rotation angle used in tests
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 FAMILIES = ("circle_rotation", "doubling", "north_south", "tent", "toral_automorphism")
 
+#: cap on the lattice points (L^p - I)x = k scanned over all p <= max_period
+PERIODIC_LATTICE_BUDGET = 1 << 16
+
 
 @dataclass(frozen=True)
 class SystemSpec:
     """Immutable description of one bundled system.
 
-    Parameters are stored as floats in `params`; when the family admits an
-    exact backend and the parameters were given exactly, `exact_params`
-    carries them as Fractions (integer matrix entries for the toral family).
+    An integer-linear map x -> Lx mod 1 carries the rows of L in `linear`:
+    ((2,),) for doubling, ((m11, m12), (m21, m22)) for a toral
+    automorphism, and has no `params`. The other families hold their
+    parameter as a float in `params`; an exactly given rotation angle or
+    tent slope is also the Fraction in `exact_params`.
     """
 
     family: str
     dimension: int
     params: tuple
     exact_params: tuple | None = None
+    linear: tuple | None = None
 
     def describe(self):
         if self.family == "circle_rotation":
@@ -55,7 +63,7 @@ class SystemSpec:
             return "north_south(kappa=%r)" % (self.params[0],)
         if self.family == "tent":
             return "tent(slope=%r)" % (self.params[0],)
-        return "toral_automorphism(%d,%d,%d,%d)" % self.params
+        return "toral_automorphism(%d,%d,%d,%d)" % (self.linear[0] + self.linear[1])
 
 
 def _as_fraction(value):
@@ -87,7 +95,7 @@ def circle_rotation(alpha) -> SystemSpec:
 
 def doubling_map() -> SystemSpec:
     """Angle doubling w -> 2w mod 1."""
-    return SystemSpec("doubling", 1, (), (Fraction(2),))
+    return SystemSpec("doubling", 1, (), linear=((2,),))
 
 
 def north_south(kappa) -> SystemSpec:
@@ -119,11 +127,26 @@ def toral_automorphism(m11, m12, m21, m22) -> SystemSpec:
     det = entries[0] * entries[3] - entries[1] * entries[2]
     if abs(det) != 1:
         raise InputError("toral matrix must have determinant +-1, got det=%d" % det)
-    return SystemSpec("toral_automorphism", 2, entries, tuple(Fraction(e) for e in entries))
+    return SystemSpec("toral_automorphism", 2, (), linear=(entries[:2], entries[2:]))
 
 
 def cat_map() -> SystemSpec:
     return toral_automorphism(2, 1, 1, 1)
+
+
+def hyperbolic(spec):
+    """Is the map integer-linear with no eigenvalue on the unit circle?
+
+    For a toral automorphism this is ergodicity: no eigenvalue is a root
+    of unity. A 2x2 matrix with det 1 needs |tr| > 2, with det -1 tr != 0.
+    """
+    rows = spec.linear
+    if rows is None:
+        return False
+    if len(rows) == 1:
+        return abs(rows[0][0]) > 1
+    (a, b), (c, d) = rows
+    return abs(a + d) > 2 if a * d - b * c == 1 else a + d != 0
 
 
 def as_point(p, dimension):
@@ -153,10 +176,9 @@ def evaluate_map_batch(spec, pts):
 def _step(spec, pts):
     ## one unvalidated map step on a (P, d) float array; the orbit and
     ## proximality loops call this directly to skip per-step validation
-    if spec.dimension == 1:
-        par = spec.params[0] if spec.params else 0.0  # doubling has none
-        return _kernels.step_1d(spec.family, par, pts)
-    return _kernels.step_2d(*spec.params, pts)
+    if spec.linear is not None:
+        return _kernels.step_linear(spec.linear, pts)
+    return _kernels.step_1d(spec.family, spec.params[0], pts)
 
 
 def metric(spec, p1, p2):
@@ -232,11 +254,7 @@ class PeriodicOrbit:
 
 
 def _exact_supported(spec):
-    if spec.family in ("doubling", "toral_automorphism"):
-        return True
-    if spec.family in ("circle_rotation", "tent"):
-        return spec.exact_params is not None
-    return False
+    return spec.linear is not None or spec.exact_params is not None
 
 
 def exact_step(spec, rp):
@@ -249,16 +267,13 @@ def exact_step(spec, rp):
         raise CapabilityError(
             "no exact backend for %s; use the float orbit or the transition-graph route" % spec.describe()
         )
+    if spec.linear is not None:
+        return RationalPoint(tuple(sum(c * x for c, x in zip(row, rp.coords)) % 1
+                                   for row in spec.linear))
     if spec.family == "circle_rotation":
         return RationalPoint(((rp.coords[0] + spec.exact_params[0]) % 1,))
-    if spec.family == "doubling":
-        return RationalPoint(((2 * rp.coords[0]) % 1,))
-    if spec.family == "tent":
-        x = rp.coords[0]
-        return RationalPoint(((spec.exact_params[0] * min(x, 1 - x)) % 1,))
-    m11, m12, m21, m22 = spec.exact_params
-    x, y = rp.coords
-    return RationalPoint(((m11 * x + m12 * y) % 1, (m21 * x + m22 * y) % 1))
+    x = rp.coords[0]  # tent
+    return RationalPoint(((spec.exact_params[0] * min(x, 1 - x)) % 1,))
 
 
 def exact_orbit(spec, rp, n):
@@ -288,24 +303,6 @@ def exact_cycle(spec, rp, cap):
     return None
 
 
-def _doubling_periodic(spec, max_period):
-    seen = set()
-    orbits = []
-    for p in range(1, max_period + 1):
-        den = 2**p - 1
-        for k in range(den):
-            pt = RationalPoint((Fraction(k, den),))
-            if pt in seen:
-                continue
-            cycle = exact_cycle(spec, pt, p)
-            if cycle is None or cycle[0] != pt:  # no period <= p
-                continue
-            seen.update(cycle)
-            if len(cycle) == p:
-                orbits.append(PeriodicOrbit(tuple(cycle), p))
-    return orbits
-
-
 def _rotation_periodic(spec, max_period):
     q = spec.exact_params[0].denominator
     if q > max_period:
@@ -317,60 +314,65 @@ def _rotation_periodic(spec, max_period):
     return [PeriodicOrbit(tuple(cycle), q)]
 
 
-def _toral_periodic(spec, max_period):
-    m11, m12, m21, m22 = (int(v) for v in spec.params)
+def _linear_periodic(spec, max_period):
+    ## the period-p points are the x = adj @ k / det in [0,1)^d with
+    ## det = det(L^p - I) and k integer; such k lie in the bounding box of
+    ## (L^p - I)[0,1]^d. Every box is sized, against the budget, first.
+    d = len(spec.linear)
+    a, eye = np.array(spec.linear, dtype=object), np.eye(d, dtype=object)
+    lp, plan, scanned = eye, [], 0
+    for p in range(1, max_period + 1):
+        lp = lp @ a
+        m = (lp - eye).tolist()
+        if d == 1:
+            det, adj = m[0][0], ((1,),)
+        else:
+            det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+            adj = ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
+        if det == 0:
+            raise CapabilityError("L^%d - I is singular: a whole subtorus is periodic; "
+                                  "use the transition-graph route" % p)
+        box = [(sum(min(c, 0) for c in row), sum(max(c, 0) for c in row)) for row in m]
+        scanned += math.prod(hi - lo + 1 for lo, hi in box)
+        if scanned > PERIODIC_LATTICE_BUDGET:
+            raise ResourceBudgetError(
+                "periodic-point search up to period %d scans %d lattice points by period "
+                "%d, over the budget of %d; lower options.max_period"
+                % (max_period, scanned, p, PERIODIC_LATTICE_BUDGET))
+        plan.append((p, det, adj, [range(lo, hi + 1) for lo, hi in box]))
     seen = set()
     orbits = []
-    ap = np.eye(2, dtype=object)
-    a = np.array([[m11, m12], [m21, m22]], dtype=object)
-    for p in range(1, max_period + 1):
-        ap = ap @ a
-        m = ap - np.eye(2, dtype=object)
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if det == 0:
-            raise CapabilityError(
-                "toral matrix has finite order: every point is periodic; use the transition-graph route"
-            )
-        ## solutions of (A^p - I)x = k, k integer, x in [0,1)^2: enumerate k
-        ## over the image parallelogram's bounding box and invert exactly
-        inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=object)
-        ## x = inv @ k / det must land in [0,1)^2, i.e. k in m @ [0,1)^2
-        k_corners = [m @ np.array(c, dtype=object) for c in ((0, 0), (1, 0), (0, 1), (1, 1))]
-        k0 = [min(c[i] for c in k_corners) for i in (0, 1)]
-        k1 = [max(c[i] for c in k_corners) for i in (0, 1)]
-        for ka in range(k0[0], k1[0] + 1):
-            for kb in range(k0[1], k1[1] + 1):
-                x = Fraction(inv[0, 0] * ka + inv[0, 1] * kb, det)
-                y = Fraction(inv[1, 0] * ka + inv[1, 1] * kb, det)
-                if not (0 <= x < 1 and 0 <= y < 1):
-                    continue
-                pt = RationalPoint((x % 1, y % 1))
-                if pt in seen:
-                    continue
-                cycle = exact_cycle(spec, pt, p)
-                if cycle is None or cycle[0] != pt:  # no period <= p
-                    continue
-                seen.update(cycle)
-                if len(cycle) == p:
-                    orbits.append(PeriodicOrbit(tuple(cycle), p))
+    for p, det, adj, box in plan:
+        for k in itertools.product(*box):
+            x = tuple(Fraction(sum(c * kk for c, kk in zip(row, k)), det) for row in adj)
+            if not all(0 <= c < 1 for c in x):
+                continue
+            pt = RationalPoint(x)
+            if pt in seen:
+                continue
+            cycle = exact_cycle(spec, pt, p)
+            if cycle is None or cycle[0] != pt:  # no period <= p
+                continue
+            seen.update(cycle)
+            if len(cycle) == p:
+                orbits.append(PeriodicOrbit(tuple(cycle), p))
     return orbits
 
 
 def periodic_orbits(spec, max_period):
     """All periodic orbits of least period <= max_period, exactly.
 
-    Supported: doubling (period-p points are k/(2^p - 1)), hyperbolic toral
-    automorphisms, and rotations by an exact rational p/q (for which every
-    point has period q; the canonical lattice orbit through 0 is reported,
-    every other orbit being a translate of it). Other families raise
-    CapabilityError naming the graph fallback.
+    Supported: x -> Lx mod 1 while every L^p - I is invertible (doubling's
+    period-p points are k/(2^p - 1)), and rotations by an exact rational
+    p/q (for which every point has period q; the canonical lattice orbit
+    through 0 is reported, every other orbit being a translate of it).
+    Other maps raise CapabilityError naming the graph fallback, and a
+    lattice search over PERIODIC_LATTICE_BUDGET points ResourceBudgetError.
     """
     if max_period < 1:
         raise InputError("max_period must be >= 1")
-    if spec.family == "doubling":
-        return _doubling_periodic(spec, max_period)
-    if spec.family == "toral_automorphism":
-        return _toral_periodic(spec, max_period)
+    if spec.linear is not None:
+        return _linear_periodic(spec, max_period)
     if spec.family == "circle_rotation" and spec.exact_params is not None:
         return _rotation_periodic(spec, max_period)
     raise CapabilityError(
@@ -446,7 +448,8 @@ def systems_catalog():
         {
             "family": "toral_automorphism",
             "dimension": 2,
-            "params": {"matrix": "four integers m11,m12,m21,m22 with |det| = 1"},
+            "params": {key: "integer entry of the matrix [[m11, m12], [m21, m22]], |det| = 1"
+                       for key in ("m11", "m12", "m21", "m22")},
             "exact_backend": "yes",
             "description": "integer matrix action on the 2-torus",
         },

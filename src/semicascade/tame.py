@@ -252,8 +252,7 @@ class CoveringProfile:
         }
 
 
-def covering_profile(spec, horizon, eps_list, bank_count=ENVELOPE_BANK,
-                     point_count=ENVELOPE_POINTS, budget=COVERING_PAIR_BUDGET):
+def covering_profile(spec, horizon, eps_list):
     """Greedy first-fit eps-net sizes of {phi^0 .. phi^horizon}.
 
     Scans iterates in order, opening a new center whenever no existing
@@ -263,21 +262,23 @@ def covering_profile(spec, horizon, eps_list, bank_count=ENVELOPE_BANK,
     t is compared with all earlier iterates on NET_HEAD_COLUMNS head
     columns, a lower bound on the distance, and measured in full only
     against the centers that bound leaves within eps (see
-    _greedy_net_sizes). The budget still caps (horizon+1)^2.
+    _greedy_net_sizes). COVERING_PAIR_BUDGET still caps (horizon+1)^2.
+    The features are ENVELOPE_BANK test functions at ENVELOPE_POINTS points.
     """
     if horizon < 1:
         raise InputError("horizon must be >= 1")
     if any(e <= 0 for e in eps_list):
         raise InputError("eps values must be positive")
-    if (horizon + 1) ** 2 > budget:
+    if (horizon + 1) ** 2 > COVERING_PAIR_BUDGET:
         raise ResourceBudgetError(
             "covering at horizon %d may need %d pairwise distances, over the "
-            "budget of %d; lower the horizon" % (horizon, (horizon + 1) ** 2, budget))
-    feats = _envelope_features(spec, horizon, bank_count, point_count)
+            "budget of %d; lower the horizon"
+            % (horizon, (horizon + 1) ** 2, COVERING_PAIR_BUDGET))
+    feats = _envelope_features(spec, horizon, ENVELOPE_BANK, ENVELOPE_POINTS)
     counts = _greedy_net_sizes(feats, eps_list)
-    truncation = 2.0 * (0.5 ** bank_count + 0.5 ** point_count)
+    truncation = 2.0 * (0.5 ** ENVELOPE_BANK + 0.5 ** ENVELOPE_POINTS)
     return CoveringProfile(int(horizon), tuple(float(e) for e in eps_list),
-                           counts, bank_count, point_count, truncation)
+                           counts, ENVELOPE_BANK, ENVELOPE_POINTS, truncation)
 
 
 def _head_columns(feats):
@@ -318,10 +319,11 @@ def _greedy_net_sizes(feats, eps_list):
     return tuple(int(c) for c in is_center.sum(axis=1))
 
 
-def equicontinuity_probe(spec, delta_list, horizon, base_points=None):
+def equicontinuity_probe(spec, delta_list, horizon):
     """Worst forward spread of pairs that start delta-close.
 
-    For each delta, pairs a base set with copies offset by delta (shrunk
+    For each delta, pairs an equispaced base set (64 points on the
+    circle, 8 x 8 on the torus) with copies offset by delta (shrunk
     by one part in 1e12 to keep the starting distance strictly below
     delta) and reports the max metric over all pairs and all times up to
     the horizon. Isometries return delta back; expanding maps saturate
@@ -331,12 +333,7 @@ def equicontinuity_probe(spec, delta_list, horizon, base_points=None):
         raise InputError("horizon must be >= 0")
     if any(d <= 0 or d >= 0.5 for d in delta_list):
         raise InputError("deltas must lie in (0, 0.5)")
-    if base_points is None:
-        count = 64 if spec.dimension == 1 else 8
-        base_points = systems.equispaced_points(count, spec.dimension)
-    base = np.asarray(base_points, dtype=np.float64)
-    if base.ndim == 1:
-        base = base[:, None]
+    base = systems.equispaced_points(64 if spec.dimension == 1 else 8, spec.dimension)
     orb_a = systems.orbit_batch(spec, base, horizon)
     table = {}
     for delta in delta_list:

@@ -11,7 +11,7 @@ Terminal SCCs miss repelling invariant sets on purpose: a repelling fixed
 point's cell leaks samples outward, so its component acquires an out-edge
 and is classified transient at every finite resolution. The exact periodic
 backend (see unique_minimal_set_check) exists to recover falsifications
-that this collapse would otherwise hide for expanding maps.
+that this collapse would otherwise hide for hyperbolic integer-linear maps.
 
 Proximality is rendered with a horizon and a threshold: two probe points
 are proximal at (N, eps) when their orbits come within eps somewhere in
@@ -33,6 +33,7 @@ from .errors import InputError, ResourceBudgetError
 PAIR_OP_BUDGET = 1 << 31
 EXACT_TRIPLE_LIMIT = 200
 SAMPLED_TRIPLES = 100_000
+VIOLATION_SAMPLE_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -58,11 +59,6 @@ class TransitionGraph:
 
 def graph_from_transfer(tm):
     return TransitionGraph(tm, (tm.matrix > 0).astype(np.int8).tocsr())
-
-
-def build_transition_graph(partition, spec):
-    """Edges exactly where the sampled transfer matrix is positive."""
-    return graph_from_transfer(ulam.build_transfer_matrix(partition, spec))
 
 
 def reachable_closure(graph, cell):
@@ -161,23 +157,18 @@ def minimal_invariant_sets(graph):
     return MinimalSetReport(n_sccs, labels, terminal_ids, terminal_cells, tuple(reach))
 
 
-## families whose dense-orbit witness is strong connectivity of the sampled
-## graph; the isometries are excluded (their graphs are cycles of cells
-## without any point having a dense orbit at rational parameters)
-_EXPANDING_EXACT_FAMILIES = ("doubling", "toral_automorphism")
-
-
 @dataclass(frozen=True)
 class UniqueMinimalSetReport:
     """Verdict of the unique-minimal-set-per-orbit-closure question.
 
     Graph route: true iff every cell's reachable closure contains exactly
-    one terminal SCC. Exact route (expanding integer families only): if
+    one terminal SCC. Exact route (systems.hyperbolic maps only: they have
+    a dense orbit, which a finite-order or parabolic matrix does not): if
     the sampled graph is strongly connected (dense-orbit witness) and at
     least two distinct exact periodic orbits of period <= max_period
-    exist, some orbit closure contains two minimal sets, so the verdict
-    is false with those orbits as witnesses. The exact route only ever
-    falsifies; when it finds nothing the graph verdict stands. Both
+    exist, the dense orbit's closure contains two minimal sets, so the
+    verdict is false with those orbits as witnesses. The exact route only
+    ever falsifies; when it finds nothing the graph verdict stands. Both
     verdicts are kept and a disagreement is reported, not hidden.
     """
 
@@ -216,9 +207,9 @@ def unique_minimal_set_check(graph, max_period=2):
 
     exact_verdict = None
     witnesses = ()
-    if spec.family in _EXPANDING_EXACT_FAMILIES:
+    if report.n_sccs == 1 and systems.hyperbolic(spec):
         orbits = systems.periodic_orbits(spec, max_period)
-        if report.n_sccs == 1 and len(orbits) >= 2:
+        if len(orbits) >= 2:
             exact_verdict = False
             witnesses = tuple(orbits)
 
@@ -245,7 +236,7 @@ class ProximalityGraph:
     edges: np.ndarray  # (P, P) bool, symmetric, True diagonal
 
 
-def proximality_graph(spec, points, horizon, eps, budget=PAIR_OP_BUDGET):
+def proximality_graph(spec, points, horizon, eps):
     """Pairs whose orbits pass within eps of each other in the first `horizon` steps."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
@@ -257,11 +248,11 @@ def proximality_graph(spec, points, horizon, eps, budget=PAIR_OP_BUDGET):
     if eps <= 0:
         raise InputError("eps must be > 0")
     n_pts = pts.shape[0]
-    if n_pts * n_pts * (horizon + 1) > budget:
+    if n_pts * n_pts * (horizon + 1) > PAIR_OP_BUDGET:
         raise ResourceBudgetError(
             "pairwise orbit comparison needs %d point-step operations, over the "
             "budget of %d; subsample the probes or shorten the horizon"
-            % (n_pts * n_pts * (horizon + 1), budget)
+            % (n_pts * n_pts * (horizon + 1), PAIR_OP_BUDGET)
         )
     cur = pts
     dmin = systems.metric_pairwise(cur, cur)
@@ -294,7 +285,7 @@ class TransitivityReport:
         }
 
 
-def transitivity_defect(pg, sample_cap=10):
+def transitivity_defect(pg):
     """Fraction of distinct ordered triples (a,b,c) with edges ab, bc but not ac.
 
     The denominator counts distinct ordered triples carrying both edges ab
@@ -314,7 +305,7 @@ def transitivity_defect(pg, sample_cap=10):
         violations = int(two_step[viol_mask].sum())
         method = "exact"
         sample = []
-        for a, c in np.argwhere(viol_mask)[:sample_cap]:
+        for a, c in np.argwhere(viol_mask)[:VIOLATION_SAMPLE_CAP]:
             mid = int(np.flatnonzero(off[a] & off[:, c])[0])
             sample.append((int(a), mid, int(c)))
     else:
@@ -327,7 +318,7 @@ def transitivity_defect(pg, sample_cap=10):
         bad = has_path & ~off[a, c]
         violations = int(bad.sum())
         method = "sampled"
-        idx = np.flatnonzero(bad)[:sample_cap]
+        idx = np.flatnonzero(bad)[:VIOLATION_SAMPLE_CAP]
         sample = [(int(a[i]), int(b[i]), int(c[i])) for i in idx]
     if total == 0:
         return TransitivityReport(0.0, 0, 0, True, method, ())

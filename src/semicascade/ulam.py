@@ -102,8 +102,7 @@ def _sample_offsets(dimension, s, width, seed):
     return np.asarray(offs, dtype=np.float64).reshape(s, dimension)
 
 
-def build_partition(spec, cells_per_axis, samples_per_cell, seed=0,
-                    budget=DEFAULT_SAMPLE_BUDGET):
+def build_partition(spec, cells_per_axis, samples_per_cell, seed=0):
     """Build the uniform partition with its deterministic sample layout.
 
     Parameters
@@ -116,17 +115,18 @@ def build_partition(spec, cells_per_axis, samples_per_cell, seed=0,
         s >= 1; sample order is closed-cell corners, center, Kronecker fill.
     seed : int
         Shifts the Kronecker fill; everything else is seed-independent.
-    budget : int
-        Cap on m**d * s; exceeding it raises ResourceBudgetError.
+
+    More than DEFAULT_SAMPLE_BUDGET samples (m**d * s) raise
+    ResourceBudgetError.
     """
     m, s = int(cells_per_axis), int(samples_per_cell)
     if m < 1 or s < 1:
         raise InputError("need cells_per_axis >= 1 and samples_per_cell >= 1")
     total = (m**spec.dimension) * s
-    if total > budget:
+    if total > DEFAULT_SAMPLE_BUDGET:
         raise ResourceBudgetError(
             "partition would carry %d sample points, over the budget of %d; "
-            "lower cells_per_axis or samples_per_cell" % (total, budget)
+            "lower cells_per_axis or samples_per_cell" % (total, DEFAULT_SAMPLE_BUDGET)
         )
     offsets = _sample_offsets(spec.dimension, s, 1.0 / m, seed)
     return Partition(spec.dimension, m, s, int(seed), offsets)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -461,6 +462,42 @@ def test_budget_exhaustion_exits_3(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("matrix,verdict", [
+    ((0, 1, -1, 0), "true (backend graph)"),  # A^4 = I
+    ((1, 1, 0, 1), "true (backend graph)"),  # parabolic shear
+    ((0, 1, 1, 0), "true (backend graph)"),  # det -1, trace 0: A^2 = I
+    ((2, 1, 1, 1), "false (backend exact_periodic)"),  # the cat map
+    (None, "false (backend exact_periodic)"),  # doubling
+], ids=["order-4", "shear", "swap", "cat", "doubling"])
+def test_exact_route_only_for_hyperbolic_maps(tmp_path, capsys, matrix, verdict):
+    ## every orbit closure of a non-hyperbolic toral map is one minimal set,
+    ## so periodic orbits there falsify nothing; the graph verdict stands
+    cfg = _base_config(tmp_path / "out")
+    cfg["analyses"] = ["unique_minimal_set"]
+    if matrix is None:
+        cfg["system"] = {"family": "doubling"}
+    else:
+        cfg["system"] = {"family": "toral_automorphism",
+                         "params": dict(zip(("m11", "m12", "m21", "m22"), matrix))}
+        cfg["options"]["convergence_probe"] = [0.3, 0.4]
+    assert cli.main(["run", _write_config(tmp_path, cfg)]) == 0
+    assert "unique minimal set per orbit closure: %s" % verdict in capsys.readouterr().out
+
+
+def test_periodic_search_over_budget_exits_3_promptly(tmp_path, capsys):
+    ## 2^1 + ... + 2^40 lattice points; the search is refused before it starts
+    cfg = _base_config(tmp_path / "out")
+    cfg["system"] = {"family": "doubling"}
+    cfg["analyses"] = ["unique_minimal_set"]
+    cfg["options"]["max_period"] = 40
+    start = time.perf_counter()
+    code = cli.main(["run", _write_config(tmp_path, cfg)])
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    assert "over the budget of %d" % systems.PERIODIC_LATTICE_BUDGET in capsys.readouterr().err
+    assert elapsed < 10.0
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
@@ -475,6 +512,30 @@ def test_systems_subcommand(capsys):
     assert cli.main(["systems"]) == 0
     catalog = json.loads(capsys.readouterr().out)
     assert [entry["family"] for entry in catalog] == list(systems.FAMILIES)
+
+
+CATALOG_PARAMS = {"circle_rotation": {"alpha": "1/3"}, "doubling": {},
+                  "north_south": {"kappa": 0.5}, "tent": {"slope": "3/2"},
+                  "toral_automorphism": {"m11": 2, "m12": 1, "m21": 1, "m22": 1}}
+
+
+def test_catalog_params_are_the_config_keys():
+    ## the catalog's param names, each given a value, are a valid config; every
+    ## one is required, and no other key is accepted
+    def validate(params):
+        cli.validate_config({"schema": cli.CONFIG_SCHEMA, "partition": {"cells_per_axis": 4},
+                             "analyses": ["measures"],
+                             "system": {"family": entry["family"], "params": params}})
+
+    for entry in systems.systems_catalog():
+        params = CATALOG_PARAMS[entry["family"]]
+        assert set(params) == set(entry["params"])
+        validate(params)
+        for key in params:
+            with pytest.raises(cli.ConfigError, match="system.params.%s is required" % key):
+                validate({k: v for k, v in params.items() if k != key})
+        with pytest.raises(cli.ConfigError, match="is not recognized"):
+            validate(dict(params, matrix=0))
 
 
 def test_module_entry_point():

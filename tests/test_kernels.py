@@ -1,6 +1,7 @@
 """The numpy map steps behind every float orbit."""
 
 import numpy as np
+import pytest
 
 from semicascade import _kernels
 
@@ -12,5 +13,19 @@ def test_wrap_hits_zero_not_one():
     out_tent = _kernels.step_1d("tent", 2.0, np.array([0.5]))
     assert out_tent[0] == 0.0
     ## a tiny negative image makes np.mod round up to exactly 1.0
-    out_2d = _kernels.step_2d(0, 1, -1, 0, np.array([[1e-17, 0.5]]))
+    out_2d = _kernels.step_linear(((0, 1), (-1, 0)), np.array([[1e-17, 0.5]]))
     assert out_2d[0, 0] == 0.5 and out_2d[0, 1] == 0.0
+
+
+@pytest.mark.parametrize("rows", [((2,),), ((2, 1), (1, 1)), ((0, 1), (-1, 0)), ((-3, 2), (1, -1))])
+def test_step_linear_matches_the_explicit_products(rows):
+    ## reference: each coordinate's products summed left to right, as the
+    ## doubling (2.0 * x) and 2x2 toral steps wrote them out by hand
+    pts = np.random.default_rng(7).random((1000, len(rows)))
+    if len(rows) == 1:
+        want = _kernels._wrap01(2.0 * pts)
+    else:
+        (a, b), (c, d) = rows
+        want = _kernels._wrap01(np.column_stack([a * pts[:, 0] + b * pts[:, 1],
+                                                 c * pts[:, 0] + d * pts[:, 1]]))
+    assert np.array_equal(_kernels.step_linear(rows, pts), want)

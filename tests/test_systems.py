@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semicascade import systems
-from semicascade.errors import CapabilityError, InputError
+from semicascade.errors import CapabilityError, InputError, ResourceBudgetError
 
 F = Fraction
 
@@ -196,6 +196,28 @@ def test_finite_order_toral_matrix_refused():
     spec = systems.toral_automorphism(0, 1, -1, 0)  # A^4 = I
     with pytest.raises(CapabilityError):
         systems.periodic_orbits(spec, 4)
+
+
+def test_hyperbolic_means_no_eigenvalue_on_the_unit_circle():
+    toral = systems.toral_automorphism
+    assert systems.hyperbolic(systems.doubling_map())
+    assert systems.hyperbolic(systems.cat_map())
+    assert systems.hyperbolic(toral(1, 1, 1, 0))  # det -1, trace 1
+    assert systems.hyperbolic(toral(-2, 1, 1, -1))  # det 1, trace -3
+    ## orders 4, 2, 6, 3 and 2, then two parabolic shears
+    for m in [(0, 1, -1, 0), (0, 1, 1, 0), (1, 1, -1, 0), (-1, 1, -1, 0), (-1, 0, 0, -1),
+              (1, 1, 0, 1), (2, 1, -1, 0)]:
+        assert not systems.hyperbolic(toral(*m)), m
+    assert not systems.hyperbolic(systems.circle_rotation(F(1, 3)))
+    assert not systems.hyperbolic(systems.tent_map(2))
+
+
+def test_periodic_search_refused_over_the_lattice_budget():
+    ## checked period by period before any point is enumerated, so a huge
+    ## max_period costs only the periods up to the one that crosses the cap
+    for spec in (systems.doubling_map(), systems.cat_map()):
+        with pytest.raises(ResourceBudgetError, match="budget of %d" % systems.PERIODIC_LATTICE_BUDGET):
+            systems.periodic_orbits(spec, 1 << 20)
 
 
 def test_point_from_bits():

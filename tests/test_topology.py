@@ -66,10 +66,23 @@ def test_unique_check_synthetic_false():
     assert not chk.discrepancy
 
 
+def test_exact_route_needs_one_scc(monkeypatch):
+    ## a doubling graph with two sinks is no dense-orbit witness: the
+    ## periodic search is not even started
+    def never(*_args):
+        raise AssertionError("periodic_orbits called on a graph with several SCCs")
+
+    monkeypatch.setattr(systems, "periodic_orbits", never)
+    dense = _synthetic_two_sink_graph().adjacency.toarray()
+    chk = topology.unique_minimal_set_check(_graph_from_dense(dense, systems.doubling_map()))
+    assert chk.verdict is False and chk.backend_used == "graph"
+
+
 def test_north_south_unique_true():
     spec = systems.north_south(0.5)
     part = ulam.build_partition(spec, 64, 3)
-    chk = topology.unique_minimal_set_check(topology.build_transition_graph(part, spec))
+    graph = topology.graph_from_transfer(ulam.build_transfer_matrix(part, spec))
+    chk = topology.unique_minimal_set_check(graph)
     assert chk.verdict is True and chk.backend_used == "graph"
     ## the only terminal class is the attractor's cell [1/2, 1/2 + w)
     cells = [list(map(int, c)) for c in chk.minimal_sets.terminal_cells]
@@ -79,8 +92,8 @@ def test_north_south_unique_true():
 def test_doubling_exact_falsification_and_discrepancy():
     spec = systems.doubling_map()
     part = ulam.build_partition(spec, 64, 3)
-    chk = topology.unique_minimal_set_check(topology.build_transition_graph(part, spec),
-                                            max_period=2)
+    graph = topology.graph_from_transfer(ulam.build_transfer_matrix(part, spec))
+    chk = topology.unique_minimal_set_check(graph, max_period=2)
     ## the sampled graph collapses everything into one class (verdict true)
     ## while exact period <= 2 orbits witness two minimal sets
     assert chk.graph_verdict is True
@@ -95,7 +108,8 @@ def test_doubling_exact_falsification_and_discrepancy():
 def test_rotation_single_class():
     spec = systems.circle_rotation(systems.GOLDEN)
     part = ulam.build_partition(spec, 64, 3)
-    rep = topology.minimal_invariant_sets(topology.build_transition_graph(part, spec))
+    graph = topology.graph_from_transfer(ulam.build_transfer_matrix(part, spec))
+    rep = topology.minimal_invariant_sets(graph)
     assert rep.n_sccs == 1
     assert len(rep.terminal_cells) == 1 and len(rep.terminal_cells[0]) == 64
 
