@@ -532,7 +532,3 @@ def main(argv=None):
     except ResourceBudgetError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

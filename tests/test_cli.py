@@ -1,9 +1,12 @@
 """CLI contract: configs, exit codes, artifacts, determinism, plot data."""
 
+import builtins
 import contextlib
+import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -538,15 +541,78 @@ def test_catalog_params_are_the_config_keys():
             validate(dict(params, matrix=0))
 
 
-def test_module_entry_point():
+def _module_entry(*args, env=None):
     ## the child imports the same package as this process, installed or not
     package_root = os.path.dirname(os.path.dirname(semicascade.__file__))
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "semicascade", "systems"],
+    return subprocess.run([sys.executable, "-m", "semicascade", *args],
                           capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          env=dict(os.environ, PYTHONPATH=path, **(env or {})))
+
+
+def _without_timestamp(report_bytes):
+    stripped, count = re.subn(rb'\n  "timestamp": "[^"]*",', b"", report_bytes)
+    assert count == 1
+    return stripped
+
+
+def test_module_entry_point(finished_run, tmp_path):
+    ## `python -m semicascade` writes what an in-process cli.main writes, byte
+    ## for byte but for the timestamp, and keeps its exit codes
+    proc = _module_entry("systems")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)
+    run_dir, out_dir, _, _ = finished_run
+    child_out = tmp_path / "out"
+    proc = _module_entry("run", str(run_dir / "config.json"),
+                         env={cli.OUTPUT_DIR_ENV: str(child_out)})
+    assert proc.returncode == 0, proc.stderr
+    names = sorted(p.name for p in out_dir.iterdir())
+    assert sorted(p.name for p in child_out.iterdir()) == names
+    for name in names:
+        ours, theirs = (out_dir / name).read_bytes(), (child_out / name).read_bytes()
+        if name == "report.json":
+            ours, theirs = _without_timestamp(ours), _without_timestamp(theirs)
+        assert theirs == ours, name
+    bad = dict(_base_config(tmp_path / "bad"), seed=-1)
+    proc = _module_entry("run", _write_config(tmp_path, bad, "bad.json"))
+    assert proc.returncode == 2
+    assert "seed" in proc.stderr
+    assert not (tmp_path / "bad").exists()
+
+
+def test_process_entry_freezes_after_import_before_main(monkeypatch):
+    ## run() freezes the heap once, with the CLI, numpy and scipy loaded and
+    ## before main starts, and returns main's exit code
+    from semicascade import __main__ as entry
+
+    events = []
+    real_import = builtins.__import__
+
+    def traced_import(name, globals=None, locals=None, fromlist=(), level=0):
+        if globals is not None and globals.get("__name__") == entry.__name__:
+            events.append(("import", name))
+        return real_import(name, globals, locals, fromlist, level)
+
+    def freeze():
+        loaded = ("semicascade.cli", "numpy", "scipy.sparse")
+        events.append(("freeze", all(name in sys.modules for name in loaded)))
+
+    def main():
+        events.append(("main", None))
+        return 7
+
+    monkeypatch.setattr(builtins, "__import__", traced_import)
+    monkeypatch.setattr(gc, "freeze", freeze)
+    monkeypatch.setattr(cli, "main", main)
+    assert entry.run() == 7
+    assert events == [("import", "cli"), ("freeze", True), ("main", None)]
+
+
+def test_in_process_main_leaves_the_collector_alone(capsys):
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+    assert cli.main(["systems"]) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
 
 
 # ---------------------------------------------------------------------------
