@@ -349,12 +349,12 @@ class KernelEstimate:
     Kemeny & Snell (Finite Markov Chains, 1960): stationary (Pi, k x n)
     stacks one stationary measure per terminal class; absorption (A, n x k)
     holds the probability that a chain started in each cell ends in each
-    class, an indicator on terminal cells. q materializes A Pi as a dense
-    n x n array. residual_vq = ||V Q - Q||_inf and residual_idem =
-    ||Q Q - Q||_inf (max absolute row sums) come from the factors: the rows
-    of Pi are probability vectors with disjoint supports, so ||M Pi||_inf =
-    ||M||_inf for every n x k M, with V Q - Q = (V A - A) Pi and
-    Q Q - Q = (A (Pi A) - A) Pi. The terminal classes of graph index the
+    class, an indicator on every cell that reaches one class. q materializes
+    A Pi as a dense n x n array. residual_vq = ||V Q - Q||_inf and
+    residual_idem = ||Q Q - Q||_inf (max absolute row sums) come from the
+    factors: the rows of Pi are probability vectors with disjoint supports,
+    so ||M Pi||_inf = ||M||_inf for every n x k M, with V Q - Q = (V A - A) Pi
+    and Q Q - Q = (A (Pi A) - A) Pi. The terminal classes of graph index the
     columns of A and the rows of Pi.
     """
 
@@ -378,22 +378,24 @@ def kernel_projection_estimate(mset):
     """Exact Cesaro-limit projection Q = A Pi of the chain, factored.
 
     mset is the result of measures.stationary_measures, whose measures are
-    the rows of Pi; the chain is mset.graph.transfer. The transient rows of
-    A solve (I - P_TT) A_T = P_TR E, E the class indicators of the terminal
-    cells, with one sparse LU of I - P_TT.
+    the rows of Pi; the chain is mset.graph.transfer. A finite chain is
+    absorbed with probability 1, so a cell that reaches one class (a row of
+    graph.minimal_sets.reach with one entry) has that class's indicator as
+    its row of A. The rows of the cells S that reach two or more classes
+    solve (I - P_SS) A_S = P_SR A_R, with one sparse LU of I - P_SS when S
+    is not empty.
     """
     graph = mset.graph
     matrix = graph.transfer.matrix
     pi = np.array(mset.measures)
-    a = np.zeros((graph.n_cells, pi.shape[0]))
-    for j, cells in enumerate(graph.minimal_sets.terminal_cells):
-        a[cells, j] = 1.0
-    transient = np.flatnonzero(a.sum(axis=1) == 0.0)
-    if transient.size:
-        p_t = matrix[transient]
-        lhs = sp.identity(transient.size, format="csc") - p_t[:, transient].tocsc()
-        ## rows of A outside T are the class indicators, so P_T. A = P_TR E
-        a[transient] = splinalg.splu(lhs).solve(p_t @ a)
+    reach = graph.minimal_sets.reach
+    a = reach.toarray().astype(np.float64)
+    multi = np.flatnonzero(np.diff(reach.indptr) > 1)
+    if multi.size:
+        a[multi] = 0.0  # so that P_S. A = P_SR A_R
+        p_s = matrix[multi]
+        lhs = sp.identity(multi.size, format="csc") - p_s[:, multi].tocsc()
+        a[multi] = splinalg.splu(lhs).solve(p_s @ a)
     residual_vq = _inf_norm(matrix @ a - a)
     residual_idem = _inf_norm(a @ (pi @ a) - a)
     return KernelEstimate(a, pi, residual_vq, residual_idem, "exact", graph)
@@ -462,7 +464,7 @@ def limit_measure_per_point(est, omegas, n):
             c = partition.cell_of_points(pt)[0]
             masses = est.absorption[c]
             measure = masses @ est.stationary
-            single = len(report.terminal_ids_for_cell(c)) == 1
+            single = report.reach[c].nnz == 1
             route = "matrix_cesaro"
         best = int(np.argmax(masses))
         results.append(LimitMeasureResult(

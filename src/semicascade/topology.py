@@ -40,8 +40,10 @@ VIOLATION_SAMPLE_CAP = 10
 class TransitionGraph:
     """Directed cell graph of a transfer matrix, which it carries.
 
-    adjacency is the boolean CSR support of transfer.matrix; the partition
-    and the system are transfer.partition and transfer.spec.
+    adjacency is the 0/1 CSR support of transfer.matrix, held in float64:
+    scipy.sparse.csgraph copies a graph of any other dtype to float64 on
+    every call. The partition and the system are transfer.partition and
+    transfer.spec.
     """
 
     transfer: ulam.TransferMatrix
@@ -58,7 +60,7 @@ class TransitionGraph:
 
 
 def graph_from_transfer(tm):
-    return TransitionGraph(tm, (tm.matrix > 0).astype(np.int8).tocsr())
+    return TransitionGraph(tm, (tm.matrix > 0).astype(np.float64).tocsr())
 
 
 def reachable_closure(graph, cell):
@@ -76,24 +78,20 @@ class MinimalSetReport:
     """Terminal-SCC decomposition of a transition graph.
 
     scc_of_cell maps each cell to its strongly connected component id;
-    terminal_scc_ids lists the components without out-edges in the
-    condensation; terminal_cells holds the sorted member cells of each of
-    those; terminals_reachable[c] is the frozenset of terminal component
-    ids visible from component c (the per-cell witness set for the
-    uniqueness question). Repelling invariant sets appear as transient
-    components here, never as terminal ones: their cells leak samples
-    outward at any finite resolution.
+    terminal_scc_ids lists the components without out-edges, ascending, and
+    terminal_cells the sorted member cells of each. reach is the boolean
+    n_cells x n_terminal CSR relation whose row c marks the terminal
+    components that cell c reaches (column j is terminal_scc_ids[j]).
+    Repelling invariant sets appear as transient components here, never as
+    terminal ones: their cells leak samples outward at any finite resolution.
     """
 
     n_sccs: int
     scc_of_cell: np.ndarray
     terminal_scc_ids: tuple
     terminal_cells: tuple
-    terminals_reachable: tuple
+    reach: sp.csr_matrix
     backend: str = "graph"
-
-    def terminal_ids_for_cell(self, cell):
-        return self.terminals_reachable[int(self.scc_of_cell[cell])]
 
     def as_jsonable(self):
         return {
@@ -101,60 +99,55 @@ class MinimalSetReport:
             "backend": self.backend,
             "terminal_scc_ids": [int(i) for i in self.terminal_scc_ids],
             "terminal_cells": [[int(c) for c in cells] for cells in self.terminal_cells],
-            "max_terminals_seen_from_any_cell": int(
-                max(len(t) for t in self.terminals_reachable)
-            ),
+            "max_terminals_seen_from_any_cell": int(np.diff(self.reach.indptr).max()),
         }
 
 
-def _condensation_edges(adjacency, labels, n_sccs):
-    coo = adjacency.tocoo()
-    a = labels[coo.row]
-    b = labels[coo.col]
-    keep = a != b
-    if not np.any(keep):
-        return np.empty((0, 2), dtype=np.int64)
-    pairs = np.unique(np.stack([a[keep], b[keep]], axis=1), axis=0)
-    return pairs
-
-
 def minimal_invariant_sets(graph):
-    """SCC condensation with terminal components as minimal-set stand-ins."""
-    n_sccs, labels = csgraph.connected_components(graph.adjacency, directed=True,
-                                                  connection="strong")
-    dag = _condensation_edges(graph.adjacency, labels, n_sccs)
-    out_deg = np.zeros(n_sccs, dtype=np.int64)
-    if dag.size:
-        np.add.at(out_deg, dag[:, 0], 1)
-    terminal_ids = tuple(int(i) for i in np.flatnonzero(out_deg == 0))
-    terminal_cells = tuple(np.flatnonzero(labels == t) for t in terminal_ids)
+    """Terminal SCCs as minimal-set stand-ins, with the cell-to-class reach relation.
 
-    ## reachable terminal sets per component, in reverse topological order
-    succ = [[] for _ in range(n_sccs)]
-    indeg = np.zeros(n_sccs, dtype=np.int64)
-    for a, b in dag:
-        succ[a].append(b)
-        indeg[b] += 1
-    topo = []
-    stack = [int(i) for i in np.flatnonzero(indeg == 0)]
-    while stack:
-        node = stack.pop()
-        topo.append(node)
-        for nxt in succ[node]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                stack.append(int(nxt))
-    terminal_set = set(terminal_ids)
-    reach = [frozenset()] * n_sccs
-    for node in reversed(topo):
-        if node in terminal_set:
-            reach[node] = frozenset((node,))
-        else:
-            acc = set()
-            for nxt in succ[node]:
-                acc |= reach[nxt]
-            reach[node] = frozenset(acc)
-    return MinimalSetReport(n_sccs, labels, terminal_ids, terminal_cells, tuple(reach))
+    A terminal component is strongly connected, so the cells that reach it
+    are those one backward breadth-first search from any of its cells
+    finds. A component without incoming cross edges is reached only by its
+    own cells and needs no search.
+    """
+    adjacency = graph.adjacency
+    n_sccs, labels = csgraph.connected_components(adjacency, directed=True,
+                                                  connection="strong")
+    ## the classes of each edge's source and target
+    a = np.repeat(labels, np.diff(adjacency.indptr))
+    b = np.take(labels, adjacency.indices)
+    cross = a != b
+    terminal = np.ones(n_sccs, dtype=bool)
+    terminal[a[cross]] = False
+    fed = np.zeros(n_sccs, dtype=bool)
+    fed[b[cross]] = True
+    terminal_ids = np.flatnonzero(terminal)
+    column = np.full(n_sccs, -1)
+    column[terminal_ids] = np.arange(terminal_ids.size)
+
+    ## a stable sort keeps each class's cells ascending
+    order = np.argsort(labels, kind="stable")
+    lo = np.searchsorted(labels, terminal_ids, sorter=order)
+    hi = np.searchsorted(labels, terminal_ids, side="right", sorter=order)
+    terminal_cells = tuple(order[i:j] for i, j in zip(lo, hi))
+
+    rows = [np.flatnonzero((terminal & ~fed)[labels])]
+    cols = [column[labels[rows[0]]]]
+    fed_ids = np.flatnonzero(terminal & fed)
+    if fed_ids.size:
+        backward = adjacency.T.tocsr()
+        for j in column[fed_ids]:
+            ## the order is a view into an n-sized buffer: copy, do not hold it
+            seen = csgraph.breadth_first_order(backward, int(terminal_cells[j][0]),
+                                               return_predecessors=False).copy()
+            rows.append(seen)
+            cols.append(np.full(seen.size, j))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    reach = sp.csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)),
+                          shape=(graph.n_cells, terminal_ids.size))
+    return MinimalSetReport(n_sccs, labels, tuple(int(t) for t in terminal_ids),
+                            terminal_cells, reach)
 
 
 @dataclass(frozen=True)
@@ -203,7 +196,7 @@ def unique_minimal_set_check(graph, max_period=2):
         raise InputError("max_period must be >= 1")
     spec = graph.transfer.spec
     report = graph.minimal_sets
-    graph_verdict = all(len(t) == 1 for t in report.terminals_reachable)
+    graph_verdict = bool(np.all(np.diff(report.reach.indptr) == 1))
 
     exact_verdict = None
     witnesses = ()

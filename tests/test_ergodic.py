@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from semicascade import ergodic, measures, systems, topology, ulam
 from semicascade.errors import InputError
 from test_acceptance import BUNDLE
+from test_topology import _synthetic_two_sink_graph
 
 F = Fraction
 
@@ -35,8 +36,24 @@ def _tm_of(spec, m, s=3):
 
 def _estimate(tm):
     """The chain's pipeline: graph, stationary measures, kernel estimate."""
-    graph = topology.graph_from_transfer(tm)
+    return _estimate_graph(topology.graph_from_transfer(tm))
+
+
+def _estimate_graph(graph):
     return ergodic.kernel_projection_estimate(measures.stationary_measures(graph))
+
+
+def _spy_splu(monkeypatch):
+    """Record the left-hand side of every sparse LU the projection runs."""
+    systems_solved = []
+    splu = ergodic.splinalg.splu
+
+    def spy(lhs, *args, **kwargs):
+        systems_solved.append(lhs.toarray())
+        return splu(lhs, *args, **kwargs)
+
+    monkeypatch.setattr(ergodic.splinalg, "splu", spy)
+    return systems_solved
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +297,30 @@ def test_kernel_projection_identity_chain():
     assert np.array_equal(est.stationary, np.eye(3))
 
 
-def test_kernel_projection_north_south_rows():
-    ## every row of the projection is the point mass at the attractor cell
+def test_kernel_projection_north_south_rows(monkeypatch):
+    ## every row of the projection is the point mass at the attractor cell;
+    ## every cell reaches that one class, so A is read off without an LU
+    lu_systems = _spy_splu(monkeypatch)
     est = _estimate(_tm_of(systems.north_south(0.5), 64))
+    assert lu_systems == []
     assert est.residual_vq <= 1e-8
     one_hot = np.zeros(64)
     one_hot[32] = 1.0
     assert np.max(np.abs(est.q - one_hot[None, :])) <= 1e-6
+
+
+def test_kernel_projection_lu_only_over_multi_class_cells(monkeypatch):
+    ## cells 0, 1, 2 of the two-sink chain reach both 2-cycles and are the
+    ## only unknowns; every other cell keeps its class indicator
+    lu_systems = _spy_splu(monkeypatch)
+    graph = _synthetic_two_sink_graph()
+    est = _estimate_graph(graph)
+    lhs, = lu_systems
+    assert np.array_equal(lhs, [[1, -1, 0], [0, 1, -1], [0, 0, 1]])
+    reach = graph.minimal_sets.reach.toarray()
+    assert np.array_equal(est.absorption[3:], reach[3:])
+    assert np.allclose(est.absorption[:3], 0.5 * reach[:3], atol=1e-15)
+    assert est.residual_vq <= 1e-15 and est.residual_idem <= 1e-15
 
 
 def test_kernel_projection_has_no_cell_cap():

@@ -21,12 +21,12 @@ def _graph_from_dense(dense, spec=None, m=None):
     return topology.graph_from_transfer(ulam.TransferMatrix(mat, part, spec))
 
 
-## hand-built 8-cell graph: transient chain 0 -> 1 -> 2 branching into two
-## 2-cycles {3,4} and {5,6}; cell 7 is an isolated self-loop
+## hand-built 8-cell chain: transient chain 0 -> 1 -> 2 branching evenly into
+## two 2-cycles {3,4} and {5,6}; cell 7 is an isolated self-loop
 def _synthetic_two_sink_graph():
-    dense = np.zeros((8, 8), dtype=np.int8)
+    dense = np.zeros((8, 8))
     dense[0, 1] = dense[1, 2] = 1
-    dense[2, 3] = dense[2, 5] = 1
+    dense[2, 3] = dense[2, 5] = 0.5
     dense[3, 4] = dense[4, 3] = 1
     dense[5, 6] = dense[6, 5] = 1
     dense[7, 7] = 1
@@ -40,10 +40,10 @@ def test_minimal_sets_synthetic_oracle():
     terminal_sets = {frozenset(int(c) for c in cells) for cells in rep.terminal_cells}
     assert terminal_sets == {frozenset({3, 4}), frozenset({5, 6}), frozenset({7})}
     ## cells 0,1,2 see both cycle sinks; sink cells see only themselves
-    assert len(rep.terminal_ids_for_cell(0)) == 2
-    assert len(rep.terminal_ids_for_cell(3)) == 1
-    assert rep.terminal_ids_for_cell(3) == rep.terminal_ids_for_cell(4)
-    assert len(rep.terminal_ids_for_cell(7)) == 1
+    assert rep.reach[0].nnz == 2
+    assert rep.reach[3].nnz == 1
+    assert list(rep.reach[3].indices) == list(rep.reach[4].indices)
+    assert rep.reach[7].nnz == 1
     js = rep.as_jsonable()
     assert js["max_terminals_seen_from_any_cell"] == 2
     assert js["backend"] == "graph"
@@ -112,6 +112,23 @@ def test_rotation_single_class():
     rep = topology.minimal_invariant_sets(graph)
     assert rep.n_sccs == 1
     assert len(rep.terminal_cells) == 1 and len(rep.terminal_cells[0]) == 64
+
+
+def test_many_unfed_classes_need_no_search(monkeypatch):
+    ## the half-turn with one sample per cell pairs cell i with i + m/2: 2048
+    ## two-cell classes that nothing feeds, so each cell reaches only its own
+    ## class and no breadth-first search runs (k searches would cost O(k n))
+    def never(*_args, **_kwargs):
+        raise AssertionError("breadth_first_order called on an unfed class")
+
+    spec = systems.circle_rotation("1/2")
+    part = ulam.build_partition(spec, 4096, 1)
+    graph = topology.graph_from_transfer(ulam.build_transfer_matrix(part, spec))
+    monkeypatch.setattr(topology.csgraph, "breadth_first_order", never)
+    rep = topology.minimal_invariant_sets(graph)
+    assert len(rep.terminal_cells) == 2048
+    assert np.array_equal(np.diff(rep.reach.indptr), np.ones(4096, dtype=int))
+    assert rep.as_jsonable()["max_terminals_seen_from_any_cell"] == 1
 
 
 def test_proximality_rotation_is_diagonal():

@@ -4,9 +4,9 @@ Chains are random sparse row-stochastic matrices whose first cells form
 pure cycle blocks (a random permutation) and whose other rows spread over
 one to three random cells. Every schedule sum is checked against dense
 matrix powers, every ergodicity defect against an explicit T(mu - mu V),
-batched limit measures against one-point calls, and the kernel
-projection and the per-point limit measures against a dense Kemeny-Snell
-projection.
+batched limit measures against one-point calls, the cell-to-class reach
+relation against a dense transitive closure, and the kernel projection and
+the per-point limit measures against a dense Kemeny-Snell projection.
 """
 
 from fractions import Fraction
@@ -120,6 +120,12 @@ def test_batched_limit_measures_equal_single_calls(chain, points, n):
         assert res.mass_in_class == single.mass_in_class
 
 
+def _reach(dense):
+    """Dense transitive closure: reach[c, d] iff cell c reaches cell d."""
+    n = len(dense)
+    return np.linalg.matrix_power((np.eye(n) + dense > 0).astype(float), n) > 0
+
+
 def _kemeny_snell(dense):
     """Cesaro limit Q = A Pi of a dense row-stochastic matrix, by numpy.linalg.
 
@@ -127,7 +133,7 @@ def _kemeny_snell(dense):
     classes[j] is the boolean cell mask of column j.
     """
     n = len(dense)
-    reach = np.linalg.matrix_power((np.eye(n) + dense > 0).astype(float), n) > 0
+    reach = _reach(dense)
     closed = np.all(reach.T | ~reach, axis=1)  # every cell it reaches reaches back
     classes = np.unique(reach[closed], axis=0)  # a closed cell reaches its class
     pi = np.zeros((len(classes), n))
@@ -150,8 +156,7 @@ def test_limit_measures_match_kemeny_snell(chain, pts, n):
     ## an exact cycle is single-class iff its cells lie in one closed class
     tm, dense = chain
     q, a, classes = _kemeny_snell(dense)
-    reach = np.linalg.matrix_power((np.eye(len(dense)) + dense > 0).astype(float),
-                                   len(dense)) > 0
+    reach = _reach(dense)
     est = _estimate(tm)
     scc_of_cell = est.graph.minimal_sets.scc_of_cell
     results = ergodic.limit_measure_per_point(est, pts, n)
@@ -170,6 +175,26 @@ def test_limit_measures_match_kemeny_snell(chain, pts, n):
                      if np.array_equal(cells, scc_of_cell == res.dominant_class)]
         assert abs(a[c, dominant] - a[c].max()) <= 1e-12
         assert res.ergodic == (int(np.any(classes & reach[c], axis=1).sum()) == 1)
+
+
+@PROPERTY_SETTINGS
+@given(chains())
+def test_reach_relation_matches_dense_closure(chain):
+    ## column j of reach is the set of cells whose closure meets terminal
+    ## class j; pure-cycle blocks give unfed classes, spreading rows fed ones
+    tm, dense = chain
+    classes = _kemeny_snell(dense)[2]
+    reach = _reach(dense)
+    report = topology.graph_from_transfer(tm).minimal_sets
+    assert report.reach.shape == (tm.n_cells, len(report.terminal_cells))
+    got = {frozenset(cells.tolist()): frozenset(report.reach[:, [j]].nonzero()[0].tolist())
+           for j, cells in enumerate(report.terminal_cells)}
+    want = {frozenset(np.flatnonzero(cells).tolist()):
+            frozenset(np.flatnonzero(reach[:, cells].any(axis=1)).tolist())
+            for cells in classes}
+    assert got == want
+    seen = (reach[:, None, :] & classes[None, :, :]).any(axis=2).sum(axis=1)
+    assert report.as_jsonable()["max_terminals_seen_from_any_cell"] == seen.max()
 
 
 @PROPERTY_SETTINGS
