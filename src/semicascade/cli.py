@@ -92,17 +92,13 @@ def _merged_section(config, name):
     return merged
 
 
-def _param(params, key, fraction_ok):
-    """A required numeric system parameter; some may be "p/q" strings."""
-    field = "system.params.%s" % key
-    _require(key in params, field, "is required")
-    value = params[key]
-    if fraction_ok:
-        _require(_is_number(value) or isinstance(value, str), field,
-                 'must be a number or a "p/q" string')
-    else:
-        _require(_is_number(value), field, "must be a number")
-    return value
+#: what each config kind of a system parameter accepts, and the message if not
+_PARAM_KINDS = {
+    "fraction": (lambda v: _is_number(v) or isinstance(v, str),
+                 'must be a number or a "p/q" string'),
+    "number": (_is_number, "must be a number"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "must be an integer"),
+}
 
 
 def _build_system(section):
@@ -111,31 +107,20 @@ def _build_system(section):
     _require(isinstance(family, str), "system.family", "must be a string")
     params = section.get("params", {})
     _require(isinstance(params, dict), "system.params", "must be an object")
+    row = systems.FAMILY_TABLE.get(family)
+    if row is None:
+        raise ConfigError("config field system.family has unknown value %r (see the "
+                          "systems subcommand for the catalog)" % family)
+    _check_keys(params, "system.params", {key for key, _, _ in row.params})
+    for key, kind, _ in row.params:
+        field = "system.params.%s" % key
+        _require(key in params, field, "is required")
+        accepts, message = _PARAM_KINDS[kind]
+        _require(accepts(params[key]), field, message)
     try:
-        if family == "circle_rotation":
-            _check_keys(params, "system.params", {"alpha"})
-            return systems.circle_rotation(_param(params, "alpha", fraction_ok=True))
-        if family == "doubling":
-            _check_keys(params, "system.params", set())
-            return systems.doubling_map()
-        if family == "north_south":
-            _check_keys(params, "system.params", {"kappa"})
-            return systems.north_south(_param(params, "kappa", fraction_ok=False))
-        if family == "tent":
-            _check_keys(params, "system.params", {"slope"})
-            return systems.tent_map(_param(params, "slope", fraction_ok=True))
-        if family == "toral_automorphism":
-            _check_keys(params, "system.params", {"m11", "m12", "m21", "m22"})
-            for key in ("m11", "m12", "m21", "m22"):
-                _require(key in params, "system.params.%s" % key, "is required")
-                _require(isinstance(params[key], int) and not isinstance(params[key], bool),
-                         "system.params.%s" % key, "must be an integer")
-            return systems.toral_automorphism(params["m11"], params["m12"],
-                                              params["m21"], params["m22"])
+        return row.build(*(params[key] for key, _, _ in row.params))
     except InputError as exc:
         raise ConfigError("config field system.params is invalid: %s" % exc)
-    raise ConfigError("config field system.family has unknown value %r (see the "
-                      "systems subcommand for the catalog)" % family)
 
 
 def load_config(path):

@@ -31,8 +31,6 @@ from .errors import CapabilityError, InputError, ResourceBudgetError
 #: (sqrt(5)-1)/2, the canonical irrational rotation angle used in tests
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-FAMILIES = ("circle_rotation", "doubling", "north_south", "tent", "toral_automorphism")
-
 #: cap on the lattice points (L^p - I)x = k scanned over all p <= max_period
 PERIODIC_LATTICE_BUDGET = 1 << 16
 
@@ -132,6 +130,42 @@ def toral_automorphism(m11, m12, m21, m22) -> SystemSpec:
 
 def cat_map() -> SystemSpec:
     return toral_automorphism(2, 1, 1, 1)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One bundled family, declared once for config parsing and the catalog.
+
+    `params` lists (name, kind, catalog text) in the order `build` takes
+    them; kind says what a config may give: "fraction" (a number or a
+    "p/q" string), "number" or "int".
+    """
+
+    dimension: int
+    params: tuple
+    build: object
+    exact_backend: str
+    description: str
+
+
+FAMILY_TABLE = {
+    "circle_rotation": Family(
+        1, (("alpha", "fraction", "float or exact rational string in (0,1)"),),
+        circle_rotation, "rational alpha only", "rotation w -> w + alpha mod 1"),
+    "doubling": Family(1, (), doubling_map, "yes", "angle doubling w -> 2w mod 1"),
+    "north_south": Family(
+        1, (("kappa", "number", "float in (0,1)"),), north_south, "no",
+        "w -> w + kappa*sin(2 pi w)/(2 pi); 0 repels, 1/2 attracts"),
+    "tent": Family(
+        1, (("slope", "fraction", "float or exact rational string in (1,2]"),),
+        tent_map, "rational slope only", "w -> slope*min(w, 1-w)"),
+    "toral_automorphism": Family(
+        2, tuple((key, "int", "integer entry of the matrix [[m11, m12], [m21, m22]], |det| = 1")
+                 for key in ("m11", "m12", "m21", "m22")),
+        toral_automorphism, "yes", "integer matrix action on the 2-torus"),
+}
+
+FAMILIES = tuple(FAMILY_TABLE)
 
 
 def hyperbolic(spec):
@@ -394,63 +428,24 @@ def point_from_bits(bits):
 
 
 def equispaced_points(count, dimension):
-    """count^dimension grid points (cell-center free, starts at 0)."""
-    if dimension == 1:
-        return (np.arange(count, dtype=np.float64) / count)[:, None]
+    """count^dimension grid points (cell-center free, starts at 0), first axis slowest."""
     side = np.arange(count, dtype=np.float64) / count
-    gx, gy = np.meshgrid(side, side, indexing="ij")
-    return np.column_stack([gx.ravel(), gy.ravel()])
+    return np.column_stack([g.ravel() for g in np.meshgrid(*[side] * dimension, indexing="ij")])
 
 
-_KRONECKER_1D = 0.6180339887498949
-_KRONECKER_2D = (0.7548776662466927, 0.5698402909980532)
+#: per-dimension Kronecker steps: 1/phi, and (1/rho, 1/rho^2) for the plastic number rho
+_KRONECKER_STEPS = {1: (0.6180339887498949,), 2: (0.7548776662466927, 0.5698402909980532)}
 
 
 def kronecker_points(count, dimension, seed=0):
     """Deterministic low-discrepancy points: fractional parts of j*alpha."""
     j = np.arange(1 + seed, count + 1 + seed, dtype=np.float64)
-    if dimension == 1:
-        return np.mod(j * _KRONECKER_1D, 1.0)[:, None]
-    return np.column_stack([np.mod(j * _KRONECKER_2D[0], 1.0), np.mod(j * _KRONECKER_2D[1], 1.0)])
+    return np.mod(np.multiply.outer(j, _KRONECKER_STEPS[dimension]), 1.0)
 
 
 def systems_catalog():
     """Stable-ordered description of the bundled families for the CLI."""
-    return [
-        {
-            "family": "circle_rotation",
-            "dimension": 1,
-            "params": {"alpha": "float or exact rational string in (0,1)"},
-            "exact_backend": "rational alpha only",
-            "description": "rotation w -> w + alpha mod 1",
-        },
-        {
-            "family": "doubling",
-            "dimension": 1,
-            "params": {},
-            "exact_backend": "yes",
-            "description": "angle doubling w -> 2w mod 1",
-        },
-        {
-            "family": "north_south",
-            "dimension": 1,
-            "params": {"kappa": "float in (0,1)"},
-            "exact_backend": "no",
-            "description": "w -> w + kappa*sin(2 pi w)/(2 pi); 0 repels, 1/2 attracts",
-        },
-        {
-            "family": "tent",
-            "dimension": 1,
-            "params": {"slope": "float or exact rational string in (1,2]"},
-            "exact_backend": "rational slope only",
-            "description": "w -> slope*min(w, 1-w)",
-        },
-        {
-            "family": "toral_automorphism",
-            "dimension": 2,
-            "params": {key: "integer entry of the matrix [[m11, m12], [m21, m22]], |det| = 1"
-                       for key in ("m11", "m12", "m21", "m22")},
-            "exact_backend": "yes",
-            "description": "integer matrix action on the 2-torus",
-        },
-    ]
+    return [{"family": name, "dimension": row.dimension,
+             "params": {key: text for key, _, text in row.params},
+             "exact_backend": row.exact_backend, "description": row.description}
+            for name, row in FAMILY_TABLE.items()]

@@ -25,13 +25,14 @@ through these two and never transposes M itself.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import systems
+from . import _kernels, systems
 from .errors import InputError, ResourceBudgetError
 
 DEFAULT_SAMPLE_BUDGET = 1 << 24
@@ -66,39 +67,28 @@ class Partition:
     def all_samples(self):
         """Sample points, cell-major: shape (n_cells * s, d), wrapped into [0,1)."""
         pts = self.lower_corners()[:, None, :] + self.offsets[None, :, :]
-        pts = pts.reshape(-1, self.dimension)
-        pts = np.mod(pts, 1.0)
-        pts[pts >= 1.0] = 0.0
-        return pts
+        return _kernels._wrap01(pts.reshape(-1, self.dimension))
 
     def cell_of_points(self, pts):
         """Cell index for each row of a (P, d) float array with coords in [0,1)."""
-        pts = np.asarray(pts, dtype=np.float64)
         m = self.cells_per_axis
-        idx = np.minimum((pts * m).astype(np.int64), m - 1)
-        if self.dimension == 1:
-            return idx[:, 0]
-        return idx[:, 0] * m + idx[:, 1]
+        idx = (np.asarray(pts, dtype=np.float64).T * m).astype(np.int64)
+        ## mode="clip" keeps a coordinate of exactly 1.0 in the last cell
+        return np.ravel_multi_index(tuple(idx), (m,) * self.dimension, mode="clip")
 
     def cell_of_rational(self, rp):
+        ## exact: a Fraction coordinate c < 1 has int(c * m) <= m - 1
         m = self.cells_per_axis
-        parts = [min(int(c * m), m - 1) for c in rp.coords]
-        if self.dimension == 1:
-            return parts[0]
-        return parts[0] * m + parts[1]
+        return int(np.ravel_multi_index([int(c * m) for c in rp.coords], (m,) * self.dimension))
 
 
 def _sample_offsets(dimension, s, width, seed):
-    if dimension == 1:
-        base = [0.0, width, 0.5 * width]
-    else:
-        base = [(0.0, 0.0), (width, 0.0), (0.0, width), (width, width),
-                (0.5 * width, 0.5 * width)]
-    offs = [np.atleast_1d(np.asarray(b, dtype=np.float64)) for b in base[:s]]
+    ## closed-cell corners, first axis fastest, then the center
+    corners = [c[::-1] for c in itertools.product((0.0, width), repeat=dimension)]
+    offs = (corners + [(0.5 * width,) * dimension])[:s]
     need = s - len(offs)
     if need > 0:
-        fill = systems.kronecker_points(need, dimension, seed=seed) * width
-        offs.extend(fill)
+        offs.extend(systems.kronecker_points(need, dimension, seed=seed) * width)
     return np.asarray(offs, dtype=np.float64).reshape(s, dimension)
 
 

@@ -358,8 +358,10 @@ def valid_configs(draw):
     ## every optional section and field may be left to its default
     family = draw(st.sampled_from(sorted(FAMILY_PARAMS)))
     dimension = 2 if family == "toral_automorphism" else 1
+    ## a fresh params dict: the corruption test writes into it, and
+    ## sampled_from and just hand every example the same objects
     cfg = {"schema": cli.CONFIG_SCHEMA,
-           "system": {"family": family, "params": draw(FAMILY_PARAMS[family])},
+           "system": {"family": family, "params": dict(draw(FAMILY_PARAMS[family]))},
            "partition": {"cells_per_axis": draw(st.integers(1, 64))},
            "analyses": draw(st.lists(st.sampled_from(cli.ANALYSES), min_size=1, max_size=8))}
     for section, fields in _section_fields(dimension).items():
@@ -515,6 +517,24 @@ def test_systems_subcommand(capsys):
     assert cli.main(["systems"]) == 0
     catalog = json.loads(capsys.readouterr().out)
     assert [entry["family"] for entry in catalog] == list(systems.FAMILIES)
+
+
+def test_systems_subcommand_prints_the_pinned_catalog(capsys):
+    ## the catalog's bytes are pinned; its keys, order and texts are public
+    pinned = os.path.join(os.path.dirname(__file__), "data", "systems_catalog.json")
+    assert cli.main(["systems"]) == 0
+    with open(pinned, "rb") as fh:
+        assert capsys.readouterr().out.encode() == fh.read()
+
+
+def test_system_params_checked_in_table_order(tmp_path, capsys):
+    ## each parameter's type is checked before the next one's presence:
+    ## a bad m11 is named although m12 is missing
+    cfg = _base_config(tmp_path / "out")
+    cfg["system"] = {"family": "toral_automorphism",
+                     "params": {"m11": "x", "m21": 1, "m22": 1}}
+    _expect_config_error(tmp_path, capsys, cfg,
+                         "config field system.params.m11 must be an integer")
 
 
 CATALOG_PARAMS = {"circle_rotation": {"alpha": "1/3"}, "doubling": {},
