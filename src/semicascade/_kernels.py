@@ -1,8 +1,11 @@
-"""One numpy map step per family; every float orbit is built from these.
+"""One map formula per family, run by both the float and the exact backend.
 
-`systems.orbit_batch`, `systems.evaluate_map_batch` and
-`topology.proximality_graph` all advance points through `step_1d` or
-`step_linear`, so every float route shares the same arithmetic bit for bit.
+Each formula is `(parameter, coords) -> unwrapped image coords`, with one
+entry of `coords` per axis. `systems._step` passes float64 columns and wraps
+the images with `_wrap01`, so every float orbit (`systems.orbit_batch`,
+`systems.evaluate_map_batch`, `topology.proximality_graph`) shares the same
+arithmetic bit for bit; `systems.exact_step` passes Fractions and reduces
+them mod 1.
 """
 
 from __future__ import annotations
@@ -21,24 +24,23 @@ def _wrap01(x):
     return r
 
 
-def step_1d(family, par, x):
-    """One step of the named circle family for an array of points (elementwise)."""
-    if family == "circle_rotation":
-        y = x + par
-    elif family == "north_south":
-        y = x + par * np.sin(TWO_PI * x) / TWO_PI
-    elif family == "tent":
-        y = par * np.minimum(x, 1.0 - x)
-    else:
-        raise ValueError("unknown 1d family %r" % family)
-    return _wrap01(y)
+def rotation(alpha, coords):
+    (x,) = coords
+    return (x + alpha,)
 
 
-def step_linear(rows, pts):
-    """One step of x -> Lx mod 1 for the integer matrix L with the given rows, pts shape (P, d)."""
-    y = np.empty_like(pts)
-    for i, row in enumerate(rows):
-        y[:, i] = row[0] * pts[:, 0]
-        for j in range(1, len(row)):
-            y[:, i] += row[j] * pts[:, j]
-    return _wrap01(y)
+def north_south(kappa, coords):
+    (x,) = coords
+    return (x + kappa * np.sin(TWO_PI * x) / TWO_PI,)
+
+
+def tent(slope, coords):
+    ## np.minimum of two Fractions is the smaller Fraction
+    (x,) = coords
+    return (slope * np.minimum(x, 1 - x),)
+
+
+def linear(rows, coords):
+    """x -> Lx for the integer matrix L with the given rows, summed left to right."""
+    return tuple(sum((c * x for c, x in zip(row[1:], coords[1:])), row[0] * coords[0])
+                 for row in rows)

@@ -7,11 +7,11 @@ Subcommands:
   plotdata <report> <analysis>
                          extract plot-ready CSV from an existing report
 
-Exit codes: 0 done, 2 config/usage error (message names the offending
-field), 3 resource budget exceeded. The report is deterministic for a
-fixed config and seed except for its timestamp field. The environment
-variable SEMICASCADE_OUTPUT_DIR overrides the configured output
-directory.
+Exit codes: 0 done, 2 config/usage/input-file error (message names the
+offending field or file), 3 resource budget exceeded. The report is
+deterministic for a fixed config and seed except for its timestamp field.
+The environment variable SEMICASCADE_OUTPUT_DIR overrides the configured
+output directory.
 """
 
 from __future__ import annotations
@@ -123,15 +123,18 @@ def _build_system(section):
         raise ConfigError("config field system.params is invalid: %s" % exc)
 
 
-def load_config(path):
+def _read_json(path, what):
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
     except FileNotFoundError:
-        raise ConfigError("config file %s does not exist" % path)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config file %s is not valid JSON: %s" % (path, exc))
-    return validate_config(raw)
+        raise ConfigError("%s file %s does not exist" % (what, path))
+    except (OSError, ValueError) as exc:  # a directory, not UTF-8, not JSON
+        raise ConfigError("%s file %s is not valid JSON: %s" % (what, path, exc))
+
+
+def load_config(path):
+    return validate_config(_read_json(path, "config"))
 
 
 def validate_config(raw):
@@ -433,8 +436,14 @@ def table_rows(analysis, entry):
             [entry["residual_vq"], entry["residual_idem"]]]
 
 
-def _resolve_output_dir(config):
-    return os.environ.get(OUTPUT_DIR_ENV) or config["output_dir"]
+def _output_dir(path, field):
+    ## the environment overrides the given directory, which is made up front
+    path = os.environ.get(OUTPUT_DIR_ENV) or path
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("%s %s is not a usable directory: %s" % (field, path, exc))
+    return path
 
 
 def _write_csv_rows(path, rows):
@@ -444,9 +453,8 @@ def _write_csv_rows(path, rows):
 
 def cmd_run(args):
     config = load_config(args.config)
+    out_dir = _output_dir(config["output_dir"], "output_dir")
     report, side_tables = run_analyses(config)
-    out_dir = _resolve_output_dir(config)
-    os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, "report.json")
     with open(report_path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -465,22 +473,20 @@ def cmd_systems(_args):
 
 
 def cmd_plotdata(args):
-    try:
-        with open(args.report) as fh:
-            report = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError("report file %s does not exist" % args.report)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("report file %s is not valid JSON: %s" % (args.report, exc))
-    results = report.get("results", {})
+    report = _read_json(args.report, "report")
+    results = report.get("results", {}) if isinstance(report, dict) else None
+    if not isinstance(results, dict):
+        raise ConfigError("report file %s has no results object" % args.report)
     if args.analysis not in results:
         raise ConfigError("analysis %r is not present in the report (has: %s)"
                           % (args.analysis, ", ".join(sorted(results)) or "none"))
-    entry = results[args.analysis]
-    out_dir = os.environ.get(OUTPUT_DIR_ENV) or args.output_dir
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        rows = table_rows(args.analysis, results[args.analysis])
+    except (LookupError, TypeError, AttributeError) as exc:
+        raise ConfigError("analysis %r in report file %s is malformed: %r" % (args.analysis, args.report, exc))
+    out_dir = _output_dir(args.output_dir, "--output-dir")
     path = os.path.join(out_dir, "plot_%s.csv" % args.analysis)
-    _write_csv_rows(path, table_rows(args.analysis, entry))
+    _write_csv_rows(path, rows)
     print("plot data written to %s" % path)
     return 0
 
@@ -508,10 +514,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except InputError as exc:
+    except (ConfigError, InputError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except ResourceBudgetError as exc:

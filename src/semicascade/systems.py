@@ -3,11 +3,11 @@
 Five families are bundled: an irrational/rational circle rotation, the
 angle-doubling map, a north-south circle map with one repelling and one
 attracting fixed point, a tent map, and an integer toral automorphism.
-Doubling and the toral automorphisms, x -> Lx mod 1, are told apart from
-the rest only by their integer matrix `SystemSpec.linear`. Every float
-orbit is built from one numpy map step (`_step`); an exact-rational
-backend (fractions.Fraction) covers the algebraic families so periodic
-orbits and crafted binary points can be followed without roundoff.
+Each family is one row of `FAMILY_TABLE`: config schema, map formula,
+description and exact periodic-orbit solver. Every float orbit is built
+from one numpy map step (`_step`), and an exact-rational backend
+(fractions.Fraction) runs the same formula on the algebraic families so
+periodic orbits and crafted binary points can be followed without roundoff.
 
 Conventions
 -----------
@@ -39,11 +39,12 @@ PERIODIC_LATTICE_BUDGET = 1 << 16
 class SystemSpec:
     """Immutable description of one bundled system.
 
-    An integer-linear map x -> Lx mod 1 carries the rows of L in `linear`:
-    ((2,),) for doubling, ((m11, m12), (m21, m22)) for a toral
-    automorphism, and has no `params`. The other families hold their
-    parameter as a float in `params`; an exactly given rotation angle or
-    tent slope is also the Fraction in `exact_params`.
+    `params` holds the constructor arguments: the four integer entries of
+    a toral automorphism, none for doubling, else the parameter as a
+    float; an exactly given rotation angle or tent slope is also the
+    Fraction in `exact_params`. An integer-linear map x -> Lx mod 1
+    carries the rows of L in `linear`: ((2,),) for doubling,
+    ((m11, m12), (m21, m22)) for a toral automorphism.
     """
 
     family: str
@@ -53,15 +54,7 @@ class SystemSpec:
     linear: tuple | None = None
 
     def describe(self):
-        if self.family == "circle_rotation":
-            return "circle_rotation(alpha=%r)" % (self.params[0],)
-        if self.family == "doubling":
-            return "doubling()"
-        if self.family == "north_south":
-            return "north_south(kappa=%r)" % (self.params[0],)
-        if self.family == "tent":
-            return "tent(slope=%r)" % (self.params[0],)
-        return "toral_automorphism(%d,%d,%d,%d)" % (self.linear[0] + self.linear[1])
+        return FAMILY_TABLE[self.family].describe % self.params
 
 
 def _as_fraction(value):
@@ -125,47 +118,11 @@ def toral_automorphism(m11, m12, m21, m22) -> SystemSpec:
     det = entries[0] * entries[3] - entries[1] * entries[2]
     if abs(det) != 1:
         raise InputError("toral matrix must have determinant +-1, got det=%d" % det)
-    return SystemSpec("toral_automorphism", 2, (), linear=(entries[:2], entries[2:]))
+    return SystemSpec("toral_automorphism", 2, entries, linear=(entries[:2], entries[2:]))
 
 
 def cat_map() -> SystemSpec:
     return toral_automorphism(2, 1, 1, 1)
-
-
-@dataclass(frozen=True)
-class Family:
-    """One bundled family, declared once for config parsing and the catalog.
-
-    `params` lists (name, kind, catalog text) in the order `build` takes
-    them; kind says what a config may give: "fraction" (a number or a
-    "p/q" string), "number" or "int".
-    """
-
-    dimension: int
-    params: tuple
-    build: object
-    exact_backend: str
-    description: str
-
-
-FAMILY_TABLE = {
-    "circle_rotation": Family(
-        1, (("alpha", "fraction", "float or exact rational string in (0,1)"),),
-        circle_rotation, "rational alpha only", "rotation w -> w + alpha mod 1"),
-    "doubling": Family(1, (), doubling_map, "yes", "angle doubling w -> 2w mod 1"),
-    "north_south": Family(
-        1, (("kappa", "number", "float in (0,1)"),), north_south, "no",
-        "w -> w + kappa*sin(2 pi w)/(2 pi); 0 repels, 1/2 attracts"),
-    "tent": Family(
-        1, (("slope", "fraction", "float or exact rational string in (1,2]"),),
-        tent_map, "rational slope only", "w -> slope*min(w, 1-w)"),
-    "toral_automorphism": Family(
-        2, tuple((key, "int", "integer entry of the matrix [[m11, m12], [m21, m22]], |det| = 1")
-                 for key in ("m11", "m12", "m21", "m22")),
-        toral_automorphism, "yes", "integer matrix action on the 2-torus"),
-}
-
-FAMILIES = tuple(FAMILY_TABLE)
 
 
 def hyperbolic(spec):
@@ -188,7 +145,7 @@ def as_point(p, dimension):
     arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
     if arr.shape != (dimension,):
         raise InputError("expected a point of dimension %d, got shape %r" % (dimension, arr.shape))
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
+    if not np.all((arr >= 0.0) & (arr < 1.0)):  # NaN fails both
         raise InputError("coordinates must lie in [0,1), got %r" % (arr,))
     return arr
 
@@ -210,9 +167,8 @@ def evaluate_map_batch(spec, pts):
 def _step(spec, pts):
     ## one unvalidated map step on a (P, d) float array; the orbit and
     ## proximality loops call this directly to skip per-step validation
-    if spec.linear is not None:
-        return _kernels.step_linear(spec.linear, pts)
-    return _kernels.step_1d(spec.family, spec.params[0], pts)
+    lift = FAMILY_TABLE[spec.family].lift
+    return _kernels._wrap01(np.column_stack(lift(spec.linear or spec.params[0], tuple(pts.T))))
 
 
 def metric(spec, p1, p2):
@@ -301,13 +257,8 @@ def exact_step(spec, rp):
         raise CapabilityError(
             "no exact backend for %s; use the float orbit or the transition-graph route" % spec.describe()
         )
-    if spec.linear is not None:
-        return RationalPoint(tuple(sum(c * x for c, x in zip(row, rp.coords)) % 1
-                                   for row in spec.linear))
-    if spec.family == "circle_rotation":
-        return RationalPoint(((rp.coords[0] + spec.exact_params[0]) % 1,))
-    x = rp.coords[0]  # tent
-    return RationalPoint(((spec.exact_params[0] * min(x, 1 - x)) % 1,))
+    lift = FAMILY_TABLE[spec.family].lift
+    return RationalPoint(tuple(c % 1 for c in lift(spec.linear or spec.exact_params[0], rp.coords)))
 
 
 def exact_orbit(spec, rp, n):
@@ -393,6 +344,52 @@ def _linear_periodic(spec, max_period):
     return orbits
 
 
+@dataclass(frozen=True)
+class Family:
+    """One bundled family: the only place that knows it by name.
+
+    `params` lists (name, kind, catalog text) in the order `build` takes
+    them; kind is what a config may give: "fraction" (a number or a "p/q"
+    string), "number" or "int". `lift` is the `_kernels` formula both
+    backends run, `describe` formats `SystemSpec.params`, and `periodic`
+    is the exact periodic-orbit solver, if any.
+    """
+
+    dimension: int
+    params: tuple
+    build: object
+    exact_backend: str
+    description: str
+    lift: object
+    describe: str
+    periodic: object = None
+
+
+FAMILY_TABLE = {
+    "circle_rotation": Family(
+        1, (("alpha", "fraction", "float or exact rational string in (0,1)"),),
+        circle_rotation, "rational alpha only", "rotation w -> w + alpha mod 1",
+        _kernels.rotation, "circle_rotation(alpha=%r)", _rotation_periodic),
+    "doubling": Family(1, (), doubling_map, "yes", "angle doubling w -> 2w mod 1",
+                       _kernels.linear, "doubling()", _linear_periodic),
+    "north_south": Family(
+        1, (("kappa", "number", "float in (0,1)"),), north_south, "no",
+        "w -> w + kappa*sin(2 pi w)/(2 pi); 0 repels, 1/2 attracts",
+        _kernels.north_south, "north_south(kappa=%r)"),
+    "tent": Family(
+        1, (("slope", "fraction", "float or exact rational string in (1,2]"),),
+        tent_map, "rational slope only", "w -> slope*min(w, 1-w)",
+        _kernels.tent, "tent(slope=%r)"),
+    "toral_automorphism": Family(
+        2, tuple((key, "int", "integer entry of the matrix [[m11, m12], [m21, m22]], |det| = 1")
+                 for key in ("m11", "m12", "m21", "m22")),
+        toral_automorphism, "yes", "integer matrix action on the 2-torus",
+        _kernels.linear, "toral_automorphism(%d,%d,%d,%d)", _linear_periodic),
+}
+
+FAMILIES = tuple(FAMILY_TABLE)
+
+
 def periodic_orbits(spec, max_period):
     """All periodic orbits of least period <= max_period, exactly.
 
@@ -405,10 +402,9 @@ def periodic_orbits(spec, max_period):
     """
     if max_period < 1:
         raise InputError("max_period must be >= 1")
-    if spec.linear is not None:
-        return _linear_periodic(spec, max_period)
-    if spec.family == "circle_rotation" and spec.exact_params is not None:
-        return _rotation_periodic(spec, max_period)
+    periodic = FAMILY_TABLE[spec.family].periodic
+    if periodic is not None and _exact_supported(spec):
+        return periodic(spec, max_period)
     raise CapabilityError(
         "periodic_orbits has no exact backend for %s; fall back to minimal_invariant_sets "
         "on the transition graph" % spec.describe()
@@ -417,10 +413,9 @@ def periodic_orbits(spec, max_period):
 
 def point_from_bits(bits):
     """Exact binary point 0.b1 b2 b3 ... as a Fraction, bits a string of 0/1."""
-    num = 0
-    for b in bits:
-        num = (num << 1) | (1 if b == "1" else 0)
-    return Fraction(num, 1 << len(bits))
+    if not set(bits) <= {"0", "1"}:
+        raise InputError("bits must be a string of 0s and 1s, got %r" % (bits,))
+    return Fraction(int("0" + bits, 2), 1 << len(bits))
 
 
 # ---------------------------------------------------------------------------

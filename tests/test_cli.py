@@ -705,3 +705,27 @@ def test_plotdata_missing_report(tmp_path, capsys):
     code = cli.main(["plotdata", str(tmp_path / "nope.json"), "convergence"])
     err = capsys.readouterr().err
     assert code == 2 and "does not exist" in err
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (["run", "{d}"], "config file {d} "),
+    (["run", "{d}/latin1.json"], "config file {d}/latin1.json"),
+    (["run", "{d}/to_file.json"], "output_dir {d}/taken"),
+    (["plotdata", "{d}", "covering"], "report file {d} "),
+    (["plotdata", "{d}/latin1.json", "covering"], "report file {d}/latin1.json"),
+    (["plotdata", "{d}/list.json", "covering"], "report file {d}/list.json"),
+    (["plotdata", "{d}/empty_entry.json", "covering"], "'covering' in report file {d}/empty_entry.json"),
+], ids=["run-directory", "run-not-utf8", "run-output-dir-is-a-file", "plotdata-directory",
+        "plotdata-not-utf8", "plotdata-list-report", "plotdata-empty-entry"])
+def test_malformed_file_input_exits_2_naming_it(tmp_path, capsys, monkeypatch, argv, fragment):
+    (tmp_path / "latin1.json").write_bytes(b'{"schema": "caf\xe9"}')
+    (tmp_path / "list.json").write_text("[]")
+    (tmp_path / "empty_entry.json").write_text('{"results": {"covering": {}}}')
+    (tmp_path / "taken").write_text("")
+    _write_config(tmp_path, dict(_base_config(tmp_path / "taken"), analyses=["measures"]), "to_file.json")
+    ## an unusable output_dir is refused before any analysis runs
+    monkeypatch.setattr(cli, "run_analyses", lambda config: pytest.fail("the analyses ran"))
+    code = cli.main([a.format(d=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error:"), err
+    assert fragment.format(d=tmp_path) in err, err

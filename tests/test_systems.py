@@ -1,5 +1,6 @@
 """Map families: float/exact agreement, periodic-orbit oracles, validation."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +38,17 @@ def test_as_point_validation():
         systems.evaluate_map(spec, -0.1)
     with pytest.raises(InputError):
         systems.evaluate_map(spec, [0.1, 0.2])  # wrong dimension
+
+
+def test_as_point_rejects_nan():
+    ## NaN fails both range comparisons, so it must be refused explicitly
+    spec = systems.doubling_map()
+    for call in (lambda: systems.evaluate_map(spec, float("nan")),
+                 lambda: systems.orbit(spec, float("nan"), 3),
+                 lambda: systems.metric(spec, 0.5, float("nan")),
+                 lambda: systems.evaluate_map(systems.cat_map(), [0.5, float("nan")])):
+        with pytest.raises(InputError, match=r"\[0,1\)"):
+            call()
 
 
 def test_metric_wraparound():
@@ -118,6 +130,44 @@ def test_exact_matches_float_2d():
     floats = systems.orbit(cat, rp.as_floats(), 15)
     for e, f in zip(exact, floats):
         assert np.allclose(e.as_floats(), f, atol=2e-9)
+
+
+UNIMODULAR = [m for m in itertools.product(range(-5, 6), repeat=4) if abs(m[0] * m[3] - m[1] * m[2]) == 1]
+
+
+@st.composite
+def _exact_specs(draw):
+    ## rational rotations, rational tent slopes in (1,2], doubling, and
+    ## unimodular 2x2 matrices with entries of at most 5
+    kind = draw(st.sampled_from(["rotation", "tent", "doubling", "toral"]))
+    if kind == "rotation":
+        q = draw(st.integers(2, 50))
+        return systems.circle_rotation(F(draw(st.integers(1, q - 1)), q))
+    if kind == "tent":
+        q = draw(st.integers(1, 50))
+        return systems.tent_map(F(draw(st.integers(q + 1, 2 * q)), q))
+    if kind == "doubling":
+        return systems.doubling_map()
+    return systems.toral_automorphism(*draw(st.sampled_from(UNIMODULAR)))
+
+
+@st.composite
+def _rational_coords(draw):
+    q = draw(st.integers(1, 1000))
+    return F(draw(st.integers(0, q - 1)), q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_exact_specs(), data=st.data())
+def test_exact_step_matches_float_step_on_random_parameters(spec, data):
+    ## one step on each backend from the same rational point agrees to 1e-12
+    ## in the circle metric: the exact image converted to floats, against
+    ## evaluate_map of the point converted to floats
+    rp = systems.RationalPoint(tuple(data.draw(_rational_coords()) for _ in range(spec.dimension)))
+    exact = systems.exact_step(spec, rp).as_floats()
+    floats = systems.evaluate_map(spec, rp.as_floats())
+    d = np.abs(exact - floats)
+    assert np.max(np.minimum(d, 1.0 - d)) <= 1e-12, (spec, rp, exact, floats)
 
 
 def test_exact_step_unsupported_family():
@@ -226,6 +276,12 @@ def test_point_from_bits():
     assert systems.point_from_bits("0000") == F(0)
 
 
+@pytest.mark.parametrize("bits", ["0121", "1 0", "0_1", "x", "+1", [0, 1]])
+def test_point_from_bits_rejects_other_characters(bits):
+    with pytest.raises(InputError, match="0s and 1s"):
+        systems.point_from_bits(bits)
+
+
 def test_point_sets():
     pts = systems.equispaced_points(8, 1)
     assert pts.shape == (8, 1) and pts[0, 0] == 0.0 and pts[-1, 0] == 0.875
@@ -246,5 +302,12 @@ def test_systems_catalog():
 
 
 def test_describe_mentions_parameters():
-    assert "0.25" in systems.circle_rotation(0.25).describe()
-    assert "2,1,1,1" in systems.cat_map().describe()
+    ## these texts are every report's system_description, so they are pinned
+    ## byte for byte
+    assert systems.circle_rotation(0.25).describe() == "circle_rotation(alpha=0.25)"
+    assert systems.circle_rotation("1/3").describe() == "circle_rotation(alpha=0.3333333333333333)"
+    assert systems.doubling_map().describe() == "doubling()"
+    assert systems.north_south(0.05).describe() == "north_south(kappa=0.05)"
+    assert systems.tent_map("3/2").describe() == "tent(slope=1.5)"
+    assert systems.toral_automorphism(1, 1, 0, 1).describe() == "toral_automorphism(1,1,0,1)"
+    assert systems.cat_map().describe() == "toral_automorphism(2,1,1,1)"
