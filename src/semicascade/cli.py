@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
 import sys
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,9 +34,6 @@ from .errors import InputError, ResourceBudgetError
 CONFIG_SCHEMA = "semicascade-config-v1"
 REPORT_SCHEMA = "semicascade-report-v1"
 OUTPUT_DIR_ENV = "SEMICASCADE_OUTPUT_DIR"
-
-ANALYSES = ("convergence", "unique_minimal_set", "proximality", "measures",
-            "tameness", "covering", "kernel_projection", "limit_measures")
 
 DEFAULTS = {
     "horizons": {"orbit_n": 4096, "schedule_lengths": [64, 128, 256, 512, 1024, 2048, 4096],
@@ -236,10 +235,6 @@ def validate_config(raw):
 # analysis orchestration
 
 
-def _context(m, horizon, tol):
-    return {"resolution": m, "horizon": horizon, "tolerance": tol}
-
-
 def _probe_grid(count, dimension):
     if dimension == 1:
         return systems.equispaced_points(count, 1)
@@ -247,155 +242,220 @@ def _probe_grid(count, dimension):
     return systems.equispaced_points(side, 2)
 
 
+class SharedResults:
+    """The results that the analyses of one run share, each built on first read."""
+
+    def __init__(self, config):
+        self.config, self.spec = config, config["spec"]
+        self.horizons, self.tolerances = config["horizons"], config["tolerances"]
+        self.options = config["options"]
+
+    def context(self, horizon, tolerance):
+        return {"resolution": self.config["partition"]["cells_per_axis"],
+                "horizon": horizon, "tolerance": tolerance}
+
+    @functools.cached_property
+    def partition(self):
+        part = self.config["partition"]
+        return ulam.build_partition(self.spec, part["cells_per_axis"],
+                                    part["samples_per_cell"], seed=self.config["seed"])
+
+    @functools.cached_property
+    def transfer(self):
+        return ulam.build_transfer_matrix(self.partition, self.spec)
+
+    @functools.cached_property
+    def graph(self):
+        return topology.graph_from_transfer(self.transfer)
+
+    @functools.cached_property
+    def bank(self):
+        return ulam.sample_test_bank(self.partition, self.config["banks"]["test_functions"])
+
+    @functools.cached_property
+    def stationary(self):
+        return measures.stationary_measures(self.graph)
+
+    @functools.cached_property
+    def projection(self):
+        return ergodic.kernel_projection_estimate(self.stationary)
+
+
+def _convergence(run):
+    lengths, tol = run.horizons["schedule_lengths"], run.tolerances["tol"]
+    schedules = [ergodic.cesaro_schedule(n) for n in lengths]
+    probe = run.options["convergence_probe"]
+    coords = np.asarray(probe if isinstance(probe, list) else [probe])
+    mu0 = np.zeros(run.transfer.n_cells)
+    mu0[int(run.partition.cell_of_points(coords[None, :])[0])] = 1.0
+    report = ergodic.convergence_diagnostic(run.transfer, schedules, mu0, run.bank, tol=tol)
+    entry = report.as_jsonable()
+    entry.pop("limit")  # vectors live in CSV side files, not the report
+    entry["defect_vs_n"] = [[int(sch.max_power + 1), float(d)] for sch, d
+                            in zip(schedules[1:], report.consecutive_defects)]
+    entry["context"] = run.context(max(lengths), tol)
+    return entry
+
+
+def _unique_minimal_set(run):
+    check = topology.unique_minimal_set_check(run.graph, max_period=run.options["max_period"])
+    return dict(check.as_jsonable(), context=run.context(None, None))
+
+
+def _uniqueness_verdicts(entry, results):
+    verdict = str(entry["verdict"]).lower()
+    lines = ["unique minimal set per orbit closure: %s (backend %s)"
+             % (verdict, entry["backend_used"])]
+    if "convergence" in results:
+        convergence = results["convergence"]["verdict"]
+        consistent = not entry["verdict"] or convergence == "converged"
+        lines.append("uniqueness %s alongside convergence %s -- %s"
+                     % (verdict, convergence, "consistent" if consistent else "tension"))
+    return lines
+
+
+def _proximality(run):
+    pts = _probe_grid(run.options["proximality_points"], run.spec.dimension)
+    horizon, eps = run.horizons["proximality_horizon"], run.tolerances["eps"]
+    pg = topology.proximality_graph(run.spec, pts, horizon, eps)
+    return dict(topology.transitivity_defect(pg).as_jsonable(), n_points=int(pts.shape[0]),
+                context=run.context(horizon, eps))
+
+
+def _measures(run):
+    threshold = run.tolerances["support_threshold"]
+    minimality = measures.support_minimality_check(run.stationary, threshold=threshold)
+    center = measures.attraction_center_vs_minimal_union(run.stationary, threshold=threshold)
+    return dict(run.stationary.as_jsonable(),
+                support_minimality=[bool(v) for v in minimality],
+                attraction_center=center.as_jsonable(),
+                context=run.context(None, threshold))
+
+
+def _tameness(run):
+    fn_entry = ulam.trig_bank(2, run.spec.dimension)[1]  # first nonconstant
+    grid = _probe_grid(run.config["banks"]["grid_size"], run.spec.dimension)
+    k_max = run.options["tameness_k_max"]
+    profile = tame.tameness_profile(run.spec, fn_entry, k_max, grid,
+                                    strategy=run.options["tameness_strategy"])
+    return dict(profile.as_jsonable(), context=run.context(k_max, None))
+
+
+def _tameness_verdicts(entry, results):
+    last_k = max(entry["defect_per_k"], key=int)
+    return ["cancellation defect at K=%s: %.3g (%s strategy)"
+            % (last_k, entry["defect_per_k"][last_k], entry["strategy"])]
+
+
+def _covering(run):
+    horizon = run.horizons["covering_horizon"]
+    profile = tame.covering_profile(run.spec, horizon, run.options["covering_eps"])
+    return dict(profile.as_jsonable(), context=run.context(horizon, None))
+
+
+def _limit_measures(run):
+    probes = _probe_grid(run.options["limit_probe_count"], run.spec.dimension)
+    limits = ergodic.limit_measure_per_point(run.projection, probes, run.horizons["orbit_n"])
+    rows = [{"probe": [float(c) for c in pt],
+             "ergodic": res.ergodic,
+             "dominant_class": res.dominant_class,
+             "mass_in_class": res.mass_in_class,
+             "route": res.route} for pt, res in zip(probes, limits)]
+    return {"probes": rows, "context": run.context(run.horizons["orbit_n"], None)}
+
+
+class Analysis(NamedTuple):
+    """How `run` reports one analysis, and the rows `plotdata` emits for it."""
+
+    entry: object  # SharedResults -> report entry, context included
+    verdicts: object  # (entry, the results so far) -> verdict lines
+    plot_rows: object  # entry -> CSV rows, header first
+    ## (SharedResults, plot rows) -> {file name: CSV rows} that `run` writes
+    side_tables: object = lambda run, rows: {}
+
+
+#: one row per analysis; this order, not the config's, orders the results
+ANALYSIS_TABLE = {
+    "convergence": Analysis(
+        _convergence,
+        lambda entry, results: ["schedule convergence: %s (tol=%g)"
+                                % (entry["verdict"], entry["context"]["tolerance"])],
+        lambda entry: [["n", "defect"]] + entry["defect_vs_n"],
+        lambda run, rows: {"convergence_defects.csv": rows}),
+    "unique_minimal_set": Analysis(
+        _unique_minimal_set,
+        _uniqueness_verdicts,
+        lambda entry: [["verdict", "graph_verdict", "backend"],
+                       [entry["verdict"], entry["graph_verdict"], entry["backend_used"]]]),
+    "proximality": Analysis(
+        _proximality,
+        lambda entry, results: ["proximality transitivity defect: %g%s"
+                                % (entry["defect"], " (vacuous)" if entry["vacuous"] else "")],
+        lambda entry: [["defect", "n_two_step_triples", "n_violations"],
+                       [entry["defect"], entry["n_two_step_triples"], entry["n_violations"]]]),
+    "measures": Analysis(
+        _measures,
+        lambda entry, results: ["stationary supports minimal: %s; support union equals "
+                                "terminal-class union: %s"
+                                % (str(all(entry["support_minimality"])).lower(),
+                                   str(entry["attraction_center"]["equal"]).lower())],
+        lambda entry: [["measure", "class_id", "index"]] +
+                      [[i, cid, i] for i, cid in enumerate(entry["class_ids"])],
+        lambda run, rows: {"measure_%d.csv" % i: [["cell", "weight"]] +
+                            [[int(c), "%.17g" % w] for c, w in enumerate(mu)]
+                            for i, mu in enumerate(run.stationary.measures)}),
+    "tameness": Analysis(
+        _tameness,
+        _tameness_verdicts,
+        lambda entry: [["K", "defect"]] +
+                      [[int(k), "%.17g" % v]
+                       for k, v in sorted(entry["defect_per_k"].items(), key=lambda kv: int(kv[0]))],
+        lambda run, rows: {"tameness.csv": rows}),
+    "covering": Analysis(
+        _covering,
+        lambda entry, results: ["covering counts at horizon %d: %s"
+                                % (entry["horizon"], entry["counts"])],
+        lambda entry: [["horizon", "epsilon", "count"]] +
+                      [[entry["horizon"], "%.17g" % e, c]
+                       for e, c in zip(entry["eps_list"], entry["counts"])],
+        lambda run, rows: {"covering.csv": rows}),
+    "kernel_projection": Analysis(
+        lambda run: {"residual_vq": run.projection.residual_vq,
+                     "residual_idem": run.projection.residual_idem,
+                     "stop_reason": run.projection.stop_reason,
+                     "context": run.context(None, None)},
+        lambda entry, results: ["projection residuals: vq=%.3g idem=%.3g (%s)"
+                                % (entry["residual_vq"], entry["residual_idem"],
+                                   entry["stop_reason"])],
+        lambda entry: [["residual_vq", "residual_idem"],
+                       [entry["residual_vq"], entry["residual_idem"]]]),
+    "limit_measures": Analysis(
+        _limit_measures,
+        lambda entry, results: ["single-class limit measures: %d of %d probes"
+                                % (sum(r["ergodic"] for r in entry["probes"]),
+                                   len(entry["probes"]))],
+        lambda entry: [["probe", "ergodic", "mass_in_class"]] +
+                      [["%r" % r["probe"], int(r["ergodic"]), "%.17g" % r["mass_in_class"]]
+                       for r in entry["probes"]]),
+}
+
+ANALYSES = tuple(ANALYSIS_TABLE)
+
+
 def run_analyses(config):
     """Execute the configured analyses; returns (report dict, side tables)."""
-    spec = config["spec"]
-    m = config["partition"]["cells_per_axis"]
-    s = config["partition"]["samples_per_cell"]
-    horizons = config["horizons"]
-    tolerances = config["tolerances"]
-    banks = config["banks"]
-    options = config["options"]
-    wanted = config["analyses"]
-
-    partition = ulam.build_partition(spec, m, s, seed=config["seed"])
-    tm = ulam.build_transfer_matrix(partition, spec)
-    graph = topology.graph_from_transfer(tm)
-    bank = ulam.sample_test_bank(partition, banks["test_functions"])
-    ## one stationary solve and one projection, shared by the analyses needing them
-    mset = est = None
-    if {"measures", "kernel_projection", "limit_measures"} & set(wanted):
-        mset = measures.stationary_measures(graph)
-    if {"kernel_projection", "limit_measures"} & set(wanted):
-        est = ergodic.kernel_projection_estimate(mset)
-
-    results = {}
-    verdicts = []
-    side_tables = {}
-
-    if "convergence" in wanted:
-        schedules = [ergodic.cesaro_schedule(n) for n in horizons["schedule_lengths"]]
-        probe = options["convergence_probe"]
-        coords = np.asarray(probe if isinstance(probe, list) else [probe])
-        mu0 = np.zeros(tm.n_cells)
-        mu0[int(partition.cell_of_points(coords[None, :])[0])] = 1.0
-        report = ergodic.convergence_diagnostic(tm, schedules, mu0, bank,
-                                                tol=tolerances["tol"])
-        entry = report.as_jsonable()
-        entry.pop("limit")  # vectors live in CSV side files, not the report
-        entry["defect_vs_n"] = [[int(sch.max_power + 1), float(d)] for sch, d
-                                in zip(schedules[1:], report.consecutive_defects)]
-        entry["context"] = _context(m, max(horizons["schedule_lengths"]),
-                                    tolerances["tol"])
-        results["convergence"] = entry
-        verdicts.append("schedule convergence: %s (tol=%g)"
-                        % (report.verdict, tolerances["tol"]))
-        side_tables["convergence_defects.csv"] = table_rows("convergence", entry)
-
-    if "unique_minimal_set" in wanted:
-        check = topology.unique_minimal_set_check(graph, max_period=options["max_period"])
-        entry = check.as_jsonable()
-        entry["context"] = _context(m, None, None)
-        results["unique_minimal_set"] = entry
-        verdicts.append("unique minimal set per orbit closure: %s (backend %s)"
-                        % (str(check.verdict).lower(), check.backend_used))
-        if "convergence" in results:
-            consistent = (check.verdict and
-                          results["convergence"]["verdict"] == "converged") or \
-                         (not check.verdict)
-            verdicts.append("uniqueness %s alongside convergence %s -- %s"
-                            % (str(check.verdict).lower(),
-                               results["convergence"]["verdict"],
-                               "consistent" if consistent else "tension"))
-
-    if "proximality" in wanted:
-        pts = _probe_grid(options["proximality_points"], spec.dimension)
-        pg = topology.proximality_graph(spec, pts, horizons["proximality_horizon"],
-                                        tolerances["eps"])
-        trep = topology.transitivity_defect(pg)
-        entry = trep.as_jsonable()
-        entry["n_points"] = int(pts.shape[0])
-        entry["context"] = _context(m, horizons["proximality_horizon"],
-                                    tolerances["eps"])
-        results["proximality"] = entry
-        verdicts.append("proximality transitivity defect: %g%s"
-                        % (trep.defect, " (vacuous)" if trep.vacuous else ""))
-
-    if "measures" in wanted:
-        minimality = measures.support_minimality_check(
-            mset, threshold=tolerances["support_threshold"])
-        center = measures.attraction_center_vs_minimal_union(
-            mset, threshold=tolerances["support_threshold"])
-        entry = mset.as_jsonable()
-        entry["support_minimality"] = [bool(v) for v in minimality]
-        entry["attraction_center"] = center.as_jsonable()
-        entry["context"] = _context(m, None, tolerances["support_threshold"])
-        results["measures"] = entry
-        verdicts.append("stationary supports minimal: %s; support union equals "
-                        "terminal-class union: %s"
-                        % (str(all(minimality)).lower(), str(center.equal).lower()))
-        for i, mu in enumerate(mset.measures):
-            side_tables["measure_%d.csv" % i] = \
-                [["cell", "weight"]] + [[int(c), "%.17g" % w]
-                                        for c, w in enumerate(mu)]
-
-    if "tameness" in wanted:
-        fn_entry = ulam.trig_bank(2, spec.dimension)[1]  # first nonconstant
-        grid = _probe_grid(banks["grid_size"], spec.dimension)
-        trep = tame.tameness_profile(spec, fn_entry, options["tameness_k_max"],
-                                     grid, strategy=options["tameness_strategy"])
-        entry = trep.as_jsonable()
-        entry["context"] = _context(m, options["tameness_k_max"], None)
-        results["tameness"] = entry
-        last_k = max(trep.defect_per_k)
-        verdicts.append("cancellation defect at K=%d: %.3g (%s strategy)"
-                        % (last_k, trep.defect_per_k[last_k], trep.strategy))
-        side_tables["tameness.csv"] = table_rows("tameness", entry)
-
-    if "covering" in wanted:
-        profile = tame.covering_profile(spec, horizons["covering_horizon"],
-                                        options["covering_eps"])
-        entry = profile.as_jsonable()
-        entry["context"] = _context(m, horizons["covering_horizon"], None)
-        results["covering"] = entry
-        verdicts.append("covering counts at horizon %d: %s"
-                        % (profile.horizon, list(profile.counts)))
-        side_tables["covering.csv"] = table_rows("covering", entry)
-
-    if "kernel_projection" in wanted:
-        results["kernel_projection"] = {
-            "residual_vq": est.residual_vq,
-            "residual_idem": est.residual_idem,
-            "stop_reason": est.stop_reason,
-            "context": _context(m, None, None),
-        }
-        verdicts.append("projection residuals: vq=%.3g idem=%.3g (%s)"
-                        % (est.residual_vq, est.residual_idem, est.stop_reason))
-
-    if "limit_measures" in wanted:
-        probes = _probe_grid(options["limit_probe_count"], spec.dimension)
-        limits = ergodic.limit_measure_per_point(est, probes, horizons["orbit_n"])
-        rows = [{"probe": [float(c) for c in pt],
-                 "ergodic": res.ergodic,
-                 "dominant_class": res.dominant_class,
-                 "mass_in_class": res.mass_in_class,
-                 "route": res.route} for pt, res in zip(probes, limits)]
-        results["limit_measures"] = {
-            "probes": rows,
-            "context": _context(m, horizons["orbit_n"], None),
-        }
-        flags = [r["ergodic"] for r in rows]
-        verdicts.append("single-class limit measures: %d of %d probes"
-                        % (sum(flags), len(flags)))
-
+    run = SharedResults(config)
+    results, verdicts, side_tables = {}, [], {}
+    for name, row in ANALYSIS_TABLE.items():
+        if name in config["analyses"]:
+            entry = results[name] = row.entry(run)
+            verdicts += row.verdicts(entry, results)
+            side_tables.update(row.side_tables(run, row.plot_rows(entry)))
     report = {
         "schema": REPORT_SCHEMA,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "config": {k: config[k] for k in ("schema", "system", "partition",
-                                          "analyses", "horizons", "tolerances",
-                                          "banks", "options", "seed",
-                                          "output_dir")},
-        "system_description": spec.describe(),
+        "config": {k: v for k, v in config.items() if k != "spec"},
+        "system_description": config["spec"].describe(),
         "results": results,
         "verdict_lines": verdicts,
     }
@@ -405,35 +465,11 @@ def run_analyses(config):
 def table_rows(analysis, entry):
     """CSV rows, header first, for one analysis entry of a report.
 
-    `run` writes its convergence, tameness and covering side tables from
-    the entry it puts in the report, and `plotdata` from the entry it reads
-    back, so both emit the same bytes.
+    A lookup into ANALYSIS_TABLE. `run` writes its convergence, tameness
+    and covering side tables from the entry it puts in the report, and
+    `plotdata` from the entry it reads back, so both emit the same bytes.
     """
-    if analysis == "convergence":
-        return [["n", "defect"]] + entry["defect_vs_n"]
-    if analysis == "tameness":
-        return [["K", "defect"]] + [[int(k), "%.17g" % v]
-                                    for k, v in sorted(entry["defect_per_k"].items(),
-                                                       key=lambda kv: int(kv[0]))]
-    if analysis == "covering":
-        return [["horizon", "epsilon", "count"]] + \
-            [[entry["horizon"], "%.17g" % e, c]
-             for e, c in zip(entry["eps_list"], entry["counts"])]
-    if analysis == "measures":
-        return [["measure", "class_id", "index"]] + \
-            [[i, cid, i] for i, cid in enumerate(entry["class_ids"])]
-    if analysis == "limit_measures":
-        return [["probe", "ergodic", "mass_in_class"]] + \
-            [["%r" % r["probe"], int(r["ergodic"]), "%.17g" % r["mass_in_class"]]
-             for r in entry["probes"]]
-    if analysis == "proximality":
-        return [["defect", "n_two_step_triples", "n_violations"],
-                [entry["defect"], entry["n_two_step_triples"], entry["n_violations"]]]
-    if analysis == "unique_minimal_set":
-        return [["verdict", "graph_verdict", "backend"],
-                [entry["verdict"], entry["graph_verdict"], entry["backend_used"]]]
-    return [["residual_vq", "residual_idem"],  # kernel_projection
-            [entry["residual_vq"], entry["residual_idem"]]]
+    return ANALYSIS_TABLE[analysis].plot_rows(entry)
 
 
 def _output_dir(path, field):
@@ -446,9 +482,13 @@ def _output_dir(path, field):
     return path
 
 
-def _write_csv_rows(path, rows):
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+def _write_output(path, write):
+    ## every output file goes through here, so an unwritable path is exit 2
+    try:
+        with open(path, "w", newline="") as fh:
+            write(fh)
+    except OSError as exc:
+        raise ConfigError("output file %s cannot be written: %s" % (path, exc))
 
 
 def cmd_run(args):
@@ -456,11 +496,10 @@ def cmd_run(args):
     out_dir = _output_dir(config["output_dir"], "output_dir")
     report, side_tables = run_analyses(config)
     report_path = os.path.join(out_dir, "report.json")
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_output(report_path,
+                  lambda fh: fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n"))
     for name, rows in side_tables.items():
-        _write_csv_rows(os.path.join(out_dir, name), rows)
+        _write_output(os.path.join(out_dir, name), lambda fh: csv.writer(fh).writerows(rows))
     for line in report["verdict_lines"]:
         print(line)
     print("report written to %s" % report_path)
@@ -486,7 +525,7 @@ def cmd_plotdata(args):
         raise ConfigError("analysis %r in report file %s is malformed: %r" % (args.analysis, args.report, exc))
     out_dir = _output_dir(args.output_dir, "--output-dir")
     path = os.path.join(out_dir, "plot_%s.csv" % args.analysis)
-    _write_csv_rows(path, rows)
+    _write_output(path, lambda fh: csv.writer(fh).writerows(rows))
     print("plot data written to %s" % path)
     return 0
 

@@ -34,8 +34,7 @@ copy of W is ever built. Each problem keeps its own entering and leaving
 choice, degenerate-run counter, Bland switch and pivot count, and drops
 out of the stack when it stops. Every product is an np.einsum, whose
 per-problem summation order does not depend on the stack size (a BLAS
-matmul's does), so a problem's result is the same bits in any stack;
-solve_minimax_on_simplex is the all-plus pattern alone.
+matmul's does), so a problem's result is the same bits in any stack.
 """
 
 from __future__ import annotations
@@ -60,14 +59,6 @@ class SimplexResult:
     iterations: int
     status: str  # optimal | pivot_budget_exhausted | unbounded
     suboptimal: bool
-
-
-def solve_minimax_on_simplex(w, pivot_budget=PIVOT_BUDGET):
-    """Minimize max_s |(W^T b)_s| over the probability simplex in b."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2:
-        raise InputError("need a (K, S) value matrix with K, S >= 1")
-    return solve_minimax_signed(w, np.ones((1, w.shape[0])), pivot_budget)[0]
 
 
 def solve_minimax_signed(values, signs, pivot_budget=PIVOT_BUDGET):

@@ -1,6 +1,6 @@
 """Quantitative separation diagnostics between rigid and chaotic maps.
 
-Three instruments, all comparative rather than absolute:
+Two instruments, both comparative rather than absolute:
 
 cancellation_defect asks how well signed unit-l1 combinations of iterated
 test functions x(phi^n .) can cancel on a grid. Rigid systems (rotations)
@@ -14,18 +14,15 @@ matrix and are solved as lock-step revised-simplex stacks of
 SIGN_PATTERN_CHUNK sign rows; tameness_profile reports the sign patterns
 and pivots each K cost.
 
-envelope_metric equips the iterates {phi^n} with the weighted double-sum
+covering_profile equips the iterates {phi^n} with the weighted double-sum
 pseudometric d(n1, n2) = sum 2^-(i+j) |x_i(phi^{n1} w_j) - x_i(phi^{n2} w_j)|
-over a truncated function bank and a deterministic dense point sequence;
-covering_profile then counts greedy eps-net sizes of {phi^0..phi^N} under
-d, one pass over the iterates for all eps at once. The pass prunes exactly:
-the distance over the 16 widest feature columns is a lower bound on d, so
-only the centers that bound leaves within eps are measured in full.
-Near-periodic families stay coverable by a bounded net; hyperbolic ones
-keep opening centers as N grows.
-
-equicontinuity_probe measures worst-case forward expansion of initially
-close pairs, the most direct rigid-vs-expanding separation.
+over a truncated function bank and a deterministic dense point sequence,
+and counts greedy eps-net sizes of {phi^0..phi^N} under d, one pass over
+the iterates for all eps at once. The pass prunes exactly: the distance
+over the 16 widest feature columns is a lower bound on d, so only the
+centers that bound leaves within eps are measured in full. Near-periodic
+families stay coverable by a bounded net; hyperbolic ones keep opening
+centers as N grows.
 """
 
 from __future__ import annotations
@@ -221,17 +218,6 @@ def _envelope_features(spec, horizon, bank_count, point_count):
     return feats
 
 
-def envelope_metric(spec, n1, n2, bank_count=ENVELOPE_BANK,
-                    point_count=ENVELOPE_POINTS):
-    """Truncated double-sum distance between the n1-th and n2-th iterates."""
-    if n1 < 0 or n2 < 0:
-        raise InputError("iterate indices must be nonnegative")
-    if bank_count < 1 or point_count < 1:
-        raise InputError("bank and point counts must be >= 1")
-    feats = _envelope_features(spec, max(n1, n2), bank_count, point_count)
-    return float(np.abs(feats[n1] - feats[n2]).sum())
-
-
 @dataclass(frozen=True)
 class CoveringProfile:
     horizon: int
@@ -317,30 +303,3 @@ def _greedy_net_sizes(feats, eps_list):
         is_center[:, t] = opened
         reach[t] = np.fmax.reduce(reach_eps[opened], initial=-np.inf)
     return tuple(int(c) for c in is_center.sum(axis=1))
-
-
-def equicontinuity_probe(spec, delta_list, horizon):
-    """Worst forward spread of pairs that start delta-close.
-
-    For each delta, pairs an equispaced base set (64 points on the
-    circle, 8 x 8 on the torus) with copies offset by delta (shrunk
-    by one part in 1e12 to keep the starting distance strictly below
-    delta) and reports the max metric over all pairs and all times up to
-    the horizon. Isometries return delta back; expanding maps saturate
-    toward the diameter 1/2.
-    """
-    if horizon < 0:
-        raise InputError("horizon must be >= 0")
-    if any(d <= 0 or d >= 0.5 for d in delta_list):
-        raise InputError("deltas must lie in (0, 0.5)")
-    base = systems.equispaced_points(64 if spec.dimension == 1 else 8, spec.dimension)
-    orb_a = systems.orbit_batch(spec, base, horizon)
-    table = {}
-    for delta in delta_list:
-        partner = base.copy()
-        partner[:, 0] = np.mod(partner[:, 0] + delta * (1.0 - 1e-12), 1.0)
-        orb_b = systems.orbit_batch(spec, partner, horizon)
-        diff = np.abs(orb_a - orb_b)
-        np.minimum(diff, 1.0 - diff, out=diff)
-        table[float(delta)] = float(diff.max(axis=2).max())
-    return table

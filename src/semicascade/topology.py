@@ -63,16 +63,6 @@ def graph_from_transfer(tm):
     return TransitionGraph(tm, (tm.matrix > 0).astype(np.float64).tocsr())
 
 
-def reachable_closure(graph, cell):
-    """Forward-reachable cell set (breadth-first), including the cell itself."""
-    n = graph.n_cells
-    if not 0 <= cell < n:
-        raise InputError("cell index %d out of range [0, %d)" % (cell, n))
-    order = csgraph.breadth_first_order(graph.adjacency, int(cell),
-                                        directed=True, return_predecessors=False)
-    return np.sort(order)
-
-
 @dataclass(frozen=True)
 class MinimalSetReport:
     """Terminal-SCC decomposition of a transition graph.

@@ -254,7 +254,3 @@ def sample_test_bank(partition, count):
     """
     centers = partition.centers()
     return [fn(centers) for _, fn in trig_bank(count, partition.dimension)]
-
-
-def test_bank_names(count, dimension):
-    return [nm for nm, _ in trig_bank(count, dimension)]

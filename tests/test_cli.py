@@ -729,3 +729,19 @@ def test_malformed_file_input_exits_2_naming_it(tmp_path, capsys, monkeypatch, a
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error:"), err
     assert fragment.format(d=tmp_path) in err, err
+
+
+@pytest.mark.parametrize("argv,blocked", [
+    (["run", "{d}/config.json"], "out/report.json"),
+    (["run", "{d}/config.json"], "out/tameness.csv"),
+    (["plotdata", "{report}", "covering", "--output-dir", "{d}/out"], "out/plot_covering.csv"),
+], ids=["report", "side-table", "plotdata"])
+def test_output_path_that_is_a_directory_exits_2_naming_it(finished_run, tmp_path, capsys,
+                                                            argv, blocked):
+    _write_config(tmp_path, dict(_base_config(tmp_path / "out"), analyses=["tameness"]))
+    (tmp_path / blocked).mkdir(parents=True)
+    report = finished_run[1] / "report.json"
+    code = cli.main([a.format(d=tmp_path, report=report) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error:"), err
+    assert "output file %s " % (tmp_path / blocked) in err, err

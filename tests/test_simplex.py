@@ -9,8 +9,7 @@ from scipy.optimize import linprog
 
 from semicascade import simplex
 from semicascade.errors import InputError
-from semicascade.simplex import (PIVOT_BUDGET, solve_minimax_on_simplex,
-                                 solve_minimax_signed)
+from semicascade.simplex import PIVOT_BUDGET, solve_minimax_signed
 
 
 def _scipy_minimax(w):
@@ -32,21 +31,26 @@ def _scipy_minimax(w):
     return res.fun
 
 
+def _all_plus_solve(w, pivot_budget=PIVOT_BUDGET):
+    """The plain minimax solve: the all-plus sign pattern alone."""
+    return solve_minimax_signed(w, np.ones((1, np.shape(w)[0])), pivot_budget)[0]
+
+
 def test_hand_oracles():
     ## opposing rows cancel completely
-    res = solve_minimax_on_simplex(np.array([[1.0], [-1.0]]))
+    res = _all_plus_solve(np.array([[1.0], [-1.0]]))
     assert res.value <= 1e-12
     assert res.weights == pytest.approx([0.5, 0.5])
     assert res.status == "optimal" and not res.suboptimal
     ## orthogonal rows: best split halves both coordinates
-    res = solve_minimax_on_simplex(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    res = _all_plus_solve(np.array([[1.0, 0.0], [0.0, 1.0]]))
     assert res.value == pytest.approx(0.5)
     assert res.weights == pytest.approx([0.5, 0.5])
     ## identical rows: no cancellation available
-    res = solve_minimax_on_simplex(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    res = _all_plus_solve(np.array([[1.0, 1.0], [1.0, 1.0]]))
     assert res.value == pytest.approx(1.0)
     ## single row: the simplex is a point
-    res = solve_minimax_on_simplex(np.array([[2.0]]))
+    res = _all_plus_solve(np.array([[2.0]]))
     assert res.value == pytest.approx(2.0)
     assert res.weights == pytest.approx([1.0])
 
@@ -54,7 +58,7 @@ def test_hand_oracles():
 def test_zero_matrix():
     ## any simplex point is optimal; the contract is value 0 with a
     ## certifying weight vector, not a particular optimizer
-    res = solve_minimax_on_simplex(np.zeros((3, 5)))
+    res = _all_plus_solve(np.zeros((3, 5)))
     assert res.value == 0.0
     assert np.all(res.weights >= 0.0)
     assert res.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -64,7 +68,7 @@ def test_zero_matrix():
 def test_duplicate_columns_degenerate():
     ## repeated grid columns create degenerate ties; result must still match
     w = np.array([[1.0, 1.0, 1.0, -2.0], [-1.0, -1.0, -1.0, 1.0]])
-    res = solve_minimax_on_simplex(w)
+    res = _all_plus_solve(w)
     oracle = _scipy_minimax(w)
     assert res.value == pytest.approx(oracle, abs=1e-10)
     assert res.status == "optimal"
@@ -76,7 +80,7 @@ def test_random_against_scipy(seed):
     n_rows = int(rng.integers(1, 7))
     n_grid = int(rng.integers(1, 40))
     w = rng.normal(scale=rng.choice([0.1, 1.0, 10.0]), size=(n_rows, n_grid))
-    res = solve_minimax_on_simplex(w)
+    res = _all_plus_solve(w)
     oracle = _scipy_minimax(w)
     scale = max(1.0, np.max(np.abs(w)))
     assert res.status == "optimal"
@@ -91,7 +95,7 @@ def test_random_against_scipy(seed):
 def test_pivot_budget_degrades_gracefully():
     rng = np.random.default_rng(3)
     w = rng.normal(size=(5, 30))
-    res = solve_minimax_on_simplex(w, pivot_budget=1)
+    res = _all_plus_solve(w, pivot_budget=1)
     assert res.suboptimal is True
     assert res.status == "pivot_budget_exhausted"
     assert res.weights.sum() == pytest.approx(1.0)
@@ -104,13 +108,13 @@ def test_pivot_budget_degrades_gracefully():
 
 def test_input_validation():
     with pytest.raises(InputError):
-        solve_minimax_on_simplex(np.ones(4))
+        _all_plus_solve(np.ones(4))
     with pytest.raises(InputError):
-        solve_minimax_on_simplex(np.zeros((0, 3)))
+        _all_plus_solve(np.zeros((0, 3)))
     bad = np.ones((2, 2))
     bad[0, 1] = np.nan
     with pytest.raises(InputError):
-        solve_minimax_on_simplex(bad)
+        _all_plus_solve(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +224,7 @@ def test_all_plus_pattern_is_the_plain_solve():
     signs = rng.choice([-1.0, 1.0], size=(6, 4))
     signs[3] = 1.0
     assert _bits(solve_minimax_signed(values, signs)[3]) == \
-        _bits(solve_minimax_on_simplex(values))
+        _bits(_all_plus_solve(values))
 
 
 def test_batch_validation():

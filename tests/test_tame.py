@@ -227,40 +227,19 @@ def test_budget_limited_rise_is_reported_not_raised():
 
 
 # ---------------------------------------------------------------------------
-# envelope metric and covering
-
-
-def test_envelope_metric_properties():
-    spec = systems.doubling_map()
-    d01 = tame.envelope_metric(spec, 0, 1)
-    d12 = tame.envelope_metric(spec, 1, 2)
-    d02 = tame.envelope_metric(spec, 0, 2)
-    assert tame.envelope_metric(spec, 3, 3) == 0.0
-    assert tame.envelope_metric(spec, 1, 0) == d01
-    assert d02 <= d01 + d12 + 1e-12
-    assert d01 > 0.01
-
-
-def test_envelope_metric_periodic_rotation():
-    spec = systems.circle_rotation(F(1, 8))
-    assert tame.envelope_metric(spec, 0, 8) <= 1e-12
-    assert tame.envelope_metric(spec, 3, 11) <= 1e-12
-    assert tame.envelope_metric(spec, 0, 4) > 0.05
-    with pytest.raises(InputError):
-        tame.envelope_metric(spec, -1, 2)
-    with pytest.raises(InputError):
-        tame.envelope_metric(spec, 0, 2, bank_count=0)
+# covering
 
 
 def test_covering_rotation_saturates_at_period():
     spec = systems.circle_rotation(F(1, 8))
-    prof = tame.covering_profile(spec, 64, [0.5, 0.1, 0.02])
-    assert prof.counts == (3, 8, 8)
+    ## iterates one period apart coincide, so even eps = 1e-9 opens only 8 centers
+    prof = tame.covering_profile(spec, 64, [0.5, 0.1, 0.02, 1e-9])
+    assert prof.counts == (3, 8, 8, 8)
     ## finer eps never shrinks the net
     assert all(a <= b for a, b in zip(prof.counts, prof.counts[1:]))
     assert prof.truncation_bound == pytest.approx(2.0 * 2.0 ** -15, rel=1e-12)
     js = prof.as_jsonable()
-    assert js["counts"] == [3, 8, 8] and js["horizon"] == 64
+    assert js["counts"] == [3, 8, 8, 8] and js["horizon"] == 64
 
 
 def _naive_net_sizes(feats, eps_list):
@@ -369,19 +348,3 @@ def test_covering_validation_and_budget():
         tame.covering_profile(spec, 8, [0.0])
     with pytest.raises(ResourceBudgetError):
         tame.covering_profile(spec, 3000, [0.1])
-
-
-def test_equicontinuity_rigid_vs_expanding():
-    delta = 1.0 / 256
-    rigid = tame.equicontinuity_probe(systems.circle_rotation(systems.GOLDEN),
-                                      [delta], 8)
-    assert rigid[delta] <= delta
-    assert rigid[delta] >= 0.9 * delta
-    wild = tame.equicontinuity_probe(systems.doubling_map(), [delta], 8)
-    assert wild[delta] >= 0.49
-    cat = tame.equicontinuity_probe(systems.cat_map(), [delta], 8)
-    assert cat[delta] > rigid[delta]
-    with pytest.raises(InputError):
-        tame.equicontinuity_probe(systems.doubling_map(), [0.6], 4)
-    with pytest.raises(InputError):
-        tame.equicontinuity_probe(systems.doubling_map(), [delta], -1)

@@ -50,12 +50,15 @@ def test_minimal_sets_synthetic_oracle():
 
 
 def test_reachable_closure():
-    graph = _synthetic_two_sink_graph()
-    assert list(topology.reachable_closure(graph, 0)) == [0, 1, 2, 3, 4, 5, 6]
-    assert list(topology.reachable_closure(graph, 3)) == [3, 4]
-    assert list(topology.reachable_closure(graph, 7)) == [7]
-    with pytest.raises(InputError):
-        topology.reachable_closure(graph, 8)
+    ## a row of reach names the terminal classes in the cell's forward closure
+    rep = _synthetic_two_sink_graph().minimal_sets
+
+    def closure_sinks(cell):
+        return sorted(int(c) for k in rep.reach[cell].indices for c in rep.terminal_cells[k])
+
+    assert closure_sinks(0) == [3, 4, 5, 6]
+    assert closure_sinks(3) == closure_sinks(4) == [3, 4]
+    assert closure_sinks(7) == [7]
 
 
 def test_unique_check_synthetic_false():

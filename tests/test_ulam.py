@@ -135,9 +135,9 @@ def test_cell_lookup():
 
 
 def test_trig_bank_names_and_bounds():
-    names_1d = ulam.test_bank_names(5, 1)
+    names_1d = [nm for nm, _ in ulam.trig_bank(5, 1)]
     assert names_1d == ["one", "cos1", "sin1", "cos2", "sin2"]
-    names_2d = ulam.test_bank_names(5, 2)
+    names_2d = [nm for nm, _ in ulam.trig_bank(5, 2)]
     assert names_2d == ["one", "one*cos1", "cos1*one", "one*sin1", "cos1*cos1"]
     pts = np.random.default_rng(0).random((50, 2))
     for _, fn in ulam.trig_bank(9, 2):
