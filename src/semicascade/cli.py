@@ -1,8 +1,8 @@
 """Command-line front end: config-driven runs, system catalog, plot data.
 
 Subcommands:
-  run <config.json>      execute the configured analyses, write a JSON
-                         report plus CSV side files into the output dir
+  run <config.json>      execute the configured analyses, write CSV side
+                         files and then a JSON report into the output dir
   systems                print the machine-readable family catalog
   plotdata <report> <analysis>
                          extract plot-ready CSV from an existing report
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -364,14 +365,21 @@ def _limit_measures(run):
     return {"probes": rows, "context": run.context(run.horizons["orbit_n"], None)}
 
 
+def _measure_rows(mu):
+    ## rows are made as the writer reads them, so no table of n_cells rows is held
+    return itertools.chain([["cell", "weight"]],
+                           zip(itertools.count(), map("%.17g".__mod__, mu.tolist())))
+
+
 class Analysis(NamedTuple):
     """How `run` reports one analysis, and the rows `plotdata` emits for it."""
 
     entry: object  # SharedResults -> report entry, context included
     verdicts: object  # (entry, the results so far) -> verdict lines
     plot_rows: object  # entry -> CSV rows, header first
-    ## (SharedResults, plot rows) -> {file name: CSV rows} that `run` writes
-    side_tables: object = lambda run, rows: {}
+    ## (SharedResults, plot rows) -> (file name, CSV rows) pairs that `run`
+    ## writes; a lazy iterable is read only as the file is written
+    side_tables: object = lambda run, rows: ()
 
 
 #: one row per analysis; this order, not the config's, orders the results
@@ -381,7 +389,7 @@ ANALYSIS_TABLE = {
         lambda entry, results: ["schedule convergence: %s (tol=%g)"
                                 % (entry["verdict"], entry["context"]["tolerance"])],
         lambda entry: [["n", "defect"]] + entry["defect_vs_n"],
-        lambda run, rows: {"convergence_defects.csv": rows}),
+        lambda run, rows: [("convergence_defects.csv", rows)]),
     "unique_minimal_set": Analysis(
         _unique_minimal_set,
         _uniqueness_verdicts,
@@ -401,16 +409,15 @@ ANALYSIS_TABLE = {
                                    str(entry["attraction_center"]["equal"]).lower())],
         lambda entry: [["measure", "class_id", "index"]] +
                       [[i, cid, i] for i, cid in enumerate(entry["class_ids"])],
-        lambda run, rows: {"measure_%d.csv" % i: [["cell", "weight"]] +
-                            [[int(c), "%.17g" % w] for c, w in enumerate(mu)]
-                            for i, mu in enumerate(run.stationary.measures)}),
+        lambda run, rows: (("measure_%d.csv" % i, _measure_rows(mu))
+                           for i, mu in enumerate(run.stationary.measures))),
     "tameness": Analysis(
         _tameness,
         _tameness_verdicts,
         lambda entry: [["K", "defect"]] +
                       [[int(k), "%.17g" % v]
                        for k, v in sorted(entry["defect_per_k"].items(), key=lambda kv: int(kv[0]))],
-        lambda run, rows: {"tameness.csv": rows}),
+        lambda run, rows: [("tameness.csv", rows)]),
     "covering": Analysis(
         _covering,
         lambda entry, results: ["covering counts at horizon %d: %s"
@@ -418,7 +425,7 @@ ANALYSIS_TABLE = {
         lambda entry: [["horizon", "epsilon", "count"]] +
                       [[entry["horizon"], "%.17g" % e, c]
                        for e, c in zip(entry["eps_list"], entry["counts"])],
-        lambda run, rows: {"covering.csv": rows}),
+        lambda run, rows: [("covering.csv", rows)]),
     "kernel_projection": Analysis(
         lambda run: {"residual_vq": run.projection.residual_vq,
                      "residual_idem": run.projection.residual_idem,
@@ -443,14 +450,18 @@ ANALYSES = tuple(ANALYSIS_TABLE)
 
 
 def run_analyses(config):
-    """Execute the configured analyses; returns (report dict, side tables)."""
+    """Execute the configured analyses.
+
+    Returns the report dict and an iterator of (file name, CSV rows) side
+    tables, whose rows are made only as the iterator is read.
+    """
     run = SharedResults(config)
-    results, verdicts, side_tables = {}, [], {}
+    results, verdicts, side_tables = {}, [], []
     for name, row in ANALYSIS_TABLE.items():
         if name in config["analyses"]:
             entry = results[name] = row.entry(run)
             verdicts += row.verdicts(entry, results)
-            side_tables.update(row.side_tables(run, row.plot_rows(entry)))
+            side_tables.append(row.side_tables(run, row.plot_rows(entry)))
     report = {
         "schema": REPORT_SCHEMA,
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -459,7 +470,7 @@ def run_analyses(config):
         "results": results,
         "verdict_lines": verdicts,
     }
-    return report, side_tables
+    return report, itertools.chain.from_iterable(side_tables)
 
 
 def table_rows(analysis, entry):
@@ -495,11 +506,12 @@ def cmd_run(args):
     config = load_config(args.config)
     out_dir = _output_dir(config["output_dir"], "output_dir")
     report, side_tables = run_analyses(config)
+    ## the report goes last, so a run that cannot write a side table leaves none
+    for name, rows in side_tables:
+        _write_output(os.path.join(out_dir, name), lambda fh: csv.writer(fh).writerows(rows))
     report_path = os.path.join(out_dir, "report.json")
     _write_output(report_path,
                   lambda fh: fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n"))
-    for name, rows in side_tables.items():
-        _write_output(os.path.join(out_dir, name), lambda fh: csv.writer(fh).writerows(rows))
     for line in report["verdict_lines"]:
         print(line)
     print("report written to %s" % report_path)

@@ -20,13 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import systems, topology
-from .errors import InputError
+from .errors import InputError, ResourceBudgetError
 
 DEFAULT_SUPPORT_THRESHOLD = 1e-12
 # the stop bounds how closely Q = A Pi meets a direct solve (worst gap
 # 7.4e-12 over 15,000 random chains)
 STATIONARY_RESIDUAL = 1e-12
 STATIONARY_MAX_ITERS = 50_000
+#: most terminal classes x cells that the dense measure vectors may hold
+MEASURE_ENTRY_BUDGET = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -59,11 +61,20 @@ def stationary_measures(graph):
     blocks) and iterates v <- (v + vP)/2 on the class block of
     graph.transfer until the embedded l1 residual ||mu V - mu||_1 drops
     below STATIONARY_RESIDUAL. A class that exhausts STATIONARY_MAX_ITERS
-    is returned anyway, flagged not converged.
+    is returned anyway, flagged not converged. More than
+    MEASURE_ENTRY_BUDGET entries (terminal classes x cells) raise
+    ResourceBudgetError before any vector is made.
     """
+    classes = graph.minimal_sets.terminal_cells
+    if len(classes) * graph.n_cells > MEASURE_ENTRY_BUDGET:
+        raise ResourceBudgetError(
+            "%d terminal classes x %d cells need %d stationary-measure entries, over "
+            "the budget of %d; lower cells_per_axis"
+            % (len(classes), graph.n_cells, len(classes) * graph.n_cells,
+               MEASURE_ENTRY_BUDGET))
     matrix = graph.transfer.matrix
     measures, residuals, converged, iters = [], [], [], []
-    for cells in graph.minimal_sets.terminal_cells:
+    for cells in classes:
         block = matrix[cells][:, cells].tocsr()
         v = np.full(len(cells), 1.0 / len(cells))
         it = 0

@@ -42,8 +42,9 @@ class TransitionGraph:
 
     adjacency is the 0/1 CSR support of transfer.matrix, held in float64:
     scipy.sparse.csgraph copies a graph of any other dtype to float64 on
-    every call. The partition and the system are transfer.partition and
-    transfer.spec.
+    every call. A transfer matrix stores only positive entries, so the
+    adjacency shares its index arrays and owns only its data. The
+    partition and the system are transfer.partition and transfer.spec.
     """
 
     transfer: ulam.TransferMatrix
@@ -60,7 +61,9 @@ class TransitionGraph:
 
 
 def graph_from_transfer(tm):
-    return TransitionGraph(tm, (tm.matrix > 0).astype(np.float64).tocsr())
+    mat = tm.matrix
+    return TransitionGraph(tm, sp.csr_matrix((np.ones(mat.nnz), mat.indices, mat.indptr),
+                                             shape=mat.shape))
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,21 @@ cell, so a map that permutes cells exactly acquires a 1/s echo entry for
 s > 1; the interval-exact oracle in the tests quantifies this.
 
 The transfer matrix M is row-stochastic with entry (i, j) equal to the
-fraction of cell i's samples that the map sends into cell j. Measures on
-cells and cell functions are plain numpy vectors of length n_cells. A
-measure moves forward as mu -> mu M, a cell function is pulled back as
-x -> M x (the Koopman action). The forward operator M^T is built once per
-matrix, on first use. apply_transfer pushes a measure one step through it,
-and walk yields every power mu, mu M, mu M^2, ... in turn, for one measure
-or an (n_cells, k) block of measures at once; the averaging code goes
-through these two and never transposes M itself.
+fraction of cell i's samples that the map sends into cell j. It is built
+BUILD_BLOCK_CELLS cells at a time: Partition.cell_samples makes one block's
+samples, and the cells of their images go straight into the CSR column
+array, where row i owns the slots i*s .. i*s + s - 1. One sum_duplicates
+then merges the samples of a row that land in the same cell. No array of
+every sample, image or COO row index is made, so the transient memory of
+the build is one block, not a few copies of n_cells * s.
+
+Measures on cells and cell functions are plain numpy vectors of length
+n_cells. A measure moves forward as mu -> mu M, a cell function is pulled
+back as x -> M x (the Koopman action). The forward operator M^T is built
+once per matrix, on first use. apply_transfer pushes a measure one step
+through it, and walk yields every power mu, mu M, mu M^2, ... in turn, for
+one measure or an (n_cells, k) block of measures at once; the averaging
+code goes through these two and never transposes M itself.
 """
 
 from __future__ import annotations
@@ -36,6 +43,8 @@ from . import _kernels, systems
 from .errors import InputError, ResourceBudgetError
 
 DEFAULT_SAMPLE_BUDGET = 1 << 24
+#: cells whose samples build_transfer_matrix maps at once
+BUILD_BLOCK_CELLS = 1 << 13
 
 TWO_PI = 2.0 * math.pi
 
@@ -64,9 +73,15 @@ class Partition:
     def centers(self):
         return self.lower_corners() + 0.5 * self.width
 
-    def all_samples(self):
-        """Sample points, cell-major: shape (n_cells * s, d), wrapped into [0,1)."""
-        pts = self.lower_corners()[:, None, :] + self.offsets[None, :, :]
+    def cell_samples(self, lo, hi):
+        """Sample points of cells lo..hi-1, cell-major, wrapped into [0,1).
+
+        Returns shape ((hi - lo) * s, d); row (c - lo) * s + k is sample k of cell c.
+        """
+        m = self.cells_per_axis
+        ## k / m for integer k rounds exactly as lower_corners' grid does
+        corners = np.column_stack(np.unravel_index(np.arange(lo, hi), (m,) * self.dimension)) / m
+        pts = corners[:, None, :] + self.offsets[None, :, :]
         return _kernels._wrap01(pts.reshape(-1, self.dimension))
 
     def cell_of_points(self, pts):
@@ -145,18 +160,21 @@ def build_transfer_matrix(partition, spec):
 
     Entry (i, j) is the fraction of cell i's s samples whose image lies in
     cell j, so every row sums to 1 exactly up to float summation and
-    entry (i, j) > 0 only if some sample of cell i maps into cell j.
+    entry (i, j) > 0 only if some sample of cell i maps into cell j. The
+    samples are mapped BUILD_BLOCK_CELLS cells at a time.
     """
     if partition.dimension != spec.dimension:
         raise InputError("partition dimension %d does not match system dimension %d"
                          % (partition.dimension, spec.dimension))
-    pts = partition.all_samples()
-    images = systems.evaluate_map_batch(spec, pts)
-    cols = partition.cell_of_points(images)
-    n = partition.n_cells
-    s = partition.samples_per_cell
-    rows = np.repeat(np.arange(n, dtype=np.int64), s)
-    mat = sp.coo_matrix((np.full(rows.shape, 1.0 / s), (rows, cols)), shape=(n, n)).tocsr()
+    n, s = partition.n_cells, partition.samples_per_cell
+    ## the sample budget keeps n * s, and so every index, below 2**24: int32 holds them
+    indices = np.empty(n * s, dtype=np.int32)
+    for lo in range(0, n, BUILD_BLOCK_CELLS):
+        hi = min(lo + BUILD_BLOCK_CELLS, n)
+        images = systems.evaluate_map_batch(spec, partition.cell_samples(lo, hi))
+        indices[lo * s:hi * s] = partition.cell_of_points(images)
+    indptr = np.arange(0, n * s + 1, s, dtype=np.int32)
+    mat = sp.csr_matrix((np.full(n * s, 1.0 / s), indices, indptr), shape=(n, n))
     mat.sum_duplicates()
     return TransferMatrix(mat, partition, spec)
 

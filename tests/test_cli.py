@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -467,6 +468,21 @@ def test_budget_exhaustion_exits_3(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_measure_budget_exits_3_naming_both_counts(tmp_path, capsys):
+    ## the half-turn at 2^16 cells with s = 1 has 32,768 two-cell classes:
+    ## 2^31 dense measure entries, refused before any vector is made
+    cfg = _base_config(tmp_path / "out")
+    cfg["system"] = {"family": "circle_rotation", "params": {"alpha": "1/2"}}
+    cfg["partition"] = {"cells_per_axis": 1 << 16, "samples_per_cell": 1}
+    cfg["analyses"] = ["measures"]
+    code = cli.main(["run", _write_config(tmp_path, cfg)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "32768 terminal classes x 65536 cells" in err, err
+    assert "over the budget of %d" % measures.MEASURE_ENTRY_BUDGET in err, err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 @pytest.mark.parametrize("matrix,verdict", [
     ((0, 1, -1, 0), "true (backend graph)"),  # A^4 = I
     ((1, 1, 0, 1), "true (backend graph)"),  # parabolic shear
@@ -729,6 +745,40 @@ def test_malformed_file_input_exits_2_naming_it(tmp_path, capsys, monkeypatch, a
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error:"), err
     assert fragment.format(d=tmp_path) in err, err
+
+
+def test_unwritable_side_table_leaves_no_report(tmp_path, capsys):
+    ## report.json is written after every side table, so it exists only
+    ## when the whole run's output does
+    cfg = dict(_base_config(tmp_path / "out"), analyses=["measures", "tameness"])
+    (tmp_path / "out" / "tameness.csv").mkdir(parents=True)
+    code = cli.main(["run", _write_config(tmp_path, cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "output file %s " % (tmp_path / "out" / "tameness.csv") in err, err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_run_traced_peak_with_many_measure_tables(tmp_path, capsys):
+    ## the half-turn at 512 cells with s = 1 writes 256 measure tables of 512
+    ## rows; streamed, the run's traced peak was 1.3 MB, and 13.0 MB with
+    ## every row of every table held in lists
+    cfg = _base_config(tmp_path / "out")
+    cfg["system"] = {"family": "circle_rotation", "params": {"alpha": "1/2"}}
+    cfg["partition"] = {"cells_per_axis": 512, "samples_per_cell": 1}
+    cfg["analyses"] = ["measures"]
+    path = _write_config(tmp_path, cfg)
+    assert cli.main(["run", path]) == 0  # warm up lazy imports and caches
+    tracemalloc.start()
+    try:
+        code = cli.main(["run", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert len(os.listdir(tmp_path / "out")) == 257
+    assert peak < 4 << 20, peak
 
 
 @pytest.mark.parametrize("argv,blocked", [
