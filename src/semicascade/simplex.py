@@ -95,6 +95,9 @@ def solve_minimax_signed(values, signs, pivot_budget=PIVOT_BUDGET):
     use_bland = np.zeros(n_probs, dtype=bool)
     # stack index of each problem still pivoting; each has made iters pivots
     live = np.arange(n_probs)
+    # the (P, S) prices, written in place every pivot: the allocator may map
+    # and fault in a fresh array of this size anew on each pivot
+    prices = np.empty((n_probs, n_grid))
 
     results = [None] * n_probs
     iters = 0
@@ -102,7 +105,7 @@ def solve_minimax_signed(values, signs, pivot_budget=PIVOT_BUDGET):
         at = np.arange(live.size)
         duals = np.einsum("pi,pij->pj", c_basic, inverse)
         pi_h, pi_g = duals[:, :n_rows], duals[:, n_rows]
-        d = np.einsum("pk,ks->ps", pi_h * signs, values)
+        d = np.einsum("pk,ks->ps", pi_h * signs, values, out=prices[:live.size])
         # the most negative reduced cost of each block, in column order
         u_best, v_best = d.argmin(axis=1), d.argmax(axis=1)
         h_best = pi_h.argmax(axis=1)
