@@ -1,18 +1,62 @@
 """Process entry of `python -m semicascade` and the `semicascade` script.
 
-`run` imports the CLI, which loads the package, numpy and scipy, and then
-freezes the heap with `gc.freeze`. The tens of thousands of objects the
-import leaves behind move to the permanent generation, so neither a
-full collection during the run nor interpreter shutdown walks them
-again. Outputs do not change. `cli.main` called in-process (tests,
-library callers) does not touch the collector.
+`run` defers numpy's unused submodules, imports the CLI, which loads the
+package, numpy and scipy, and then freezes the heap with `gc.freeze`.
+
+Deferral: `import scipy.sparse` reaches scipy's vendored array-api-compat,
+whose `clone_module("numpy")` calls `hasattr` on every name in
+`dir(numpy)`. numpy loads its submodules lazily through a PEP 562
+`__getattr__`, so each `hasattr` imports one: `numpy.f2py` (with
+`charset_normalizer`), `numpy.testing` (with `unittest`, `email` and
+`socket`), `numpy.ma` and a few more, 186 modules that no run uses.
+`defer_numpy_submodules` binds each of DEFERRED_NUMPY_SUBMODULES on numpy
+as an `importlib.util.LazyLoader` module first, so the `hasattr` finds an
+attribute and executes nothing; the first real attribute access loads the
+whole module as before. With numpy 2.4.6 and scipy 1.17.1 on a 2-core
+x86-64 host, a run loads 451 modules instead of 637, and on the three
+benchmark workloads peak RSS falls by 9.7-10.2 MB (64.3 to 54.6 MB on
+northsouth-projection) and run time by 35-76 ms.
+
+Freeze: the tens of thousands of objects the import leaves behind move to
+the permanent generation, so neither a full collection during the run nor
+interpreter shutdown walks them again.
+
+Outputs do not change. `cli.main` called in-process (tests, library
+callers) defers nothing and does not touch the collector.
 """
 
 import gc
+import importlib.util
 import sys
+
+# numpy's lazily loaded submodules that no run uses. numpy.random, fft,
+# typing and linalg are left alone: scipy uses them while it imports.
+DEFERRED_NUMPY_SUBMODULES = ("f2py", "testing", "ma", "polynomial", "ctypeslib",
+                             "rec", "char")
+
+
+def defer_numpy_submodules():
+    """Register a lazy module for each unloaded DEFERRED_NUMPY_SUBMODULES entry."""
+    import numpy
+
+    for short in DEFERRED_NUMPY_SUBMODULES:
+        name = "numpy." + short
+        if name in sys.modules:
+            continue
+        spec = importlib.util.find_spec(name)
+        if spec is None:
+            continue
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+        # numpy's __getattr__ runs `import numpy.x as x`, which reads the
+        # attribute back off numpy: unbound, that recurses forever
+        setattr(numpy, short, module)
 
 
 def run():
+    defer_numpy_submodules()
     from .cli import main
 
     gc.freeze()

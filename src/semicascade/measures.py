@@ -78,11 +78,14 @@ def stationary_measures(graph):
         block = matrix[cells][:, cells].tocsr()
         v = np.full(len(cells), 1.0 / len(cells))
         it = 0
-        res = float(np.abs(block.T.dot(v) - v).sum())
+        # w = vP serves the residual of v and then the step from v
+        w = block.T.dot(v)
+        res = float(np.abs(w - v).sum())
         while res > STATIONARY_RESIDUAL and it < STATIONARY_MAX_ITERS:
-            v = 0.5 * (v + block.T.dot(v))
+            v = 0.5 * (v + w)
             v /= v.sum()
-            res = float(np.abs(block.T.dot(v) - v).sum())
+            w = block.T.dot(v)
+            res = float(np.abs(w - v).sum())
             it += 1
         full = np.zeros(graph.n_cells)
         full[cells] = v

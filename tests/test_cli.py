@@ -577,13 +577,16 @@ def test_catalog_params_are_the_config_keys():
             validate(dict(params, matrix=0))
 
 
-def _module_entry(*args, env=None):
+def _child(*argv, env=None):
     ## the child imports the same package as this process, installed or not
     package_root = os.path.dirname(os.path.dirname(semicascade.__file__))
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "semicascade", *args],
-                          capture_output=True, text=True,
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path, **(env or {})))
+
+
+def _module_entry(*args, env=None):
+    return _child("-m", "semicascade", *args, env=env)
 
 
 def _without_timestamp(report_bytes):
@@ -638,17 +641,72 @@ def test_process_entry_freezes_after_import_before_main(monkeypatch):
         events.append(("main", None))
         return 7
 
+    def defer():
+        ## stands in for the deferral, so this process keeps its real modules
+        events.append(("defer", None))
+
     monkeypatch.setattr(builtins, "__import__", traced_import)
+    monkeypatch.setattr(entry, "defer_numpy_submodules", defer)
     monkeypatch.setattr(gc, "freeze", freeze)
     monkeypatch.setattr(cli, "main", main)
     assert entry.run() == 7
-    assert events == [("import", "cli"), ("freeze", True), ("main", None)]
+    assert events == [("defer", None), ("import", "cli"), ("freeze", True),
+                      ("main", None)]
 
 
 def test_in_process_main_leaves_the_collector_alone(capsys):
     frozen, enabled = gc.get_freeze_count(), gc.isenabled()
     assert cli.main(["systems"]) == 0
     assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+
+def test_in_process_main_leaves_numpy_submodules_alone(capsys):
+    import numpy
+    from semicascade import __main__ as entry
+
+    def snapshot():
+        return {short: (sys.modules.get("numpy." + short), vars(numpy).get(short))
+                for short in entry.DEFERRED_NUMPY_SUBMODULES}
+
+    before = snapshot()
+    assert cli.main(["systems"]) == 0
+    assert snapshot() == before
+
+
+_ENTRY_PROBE = """
+import json, runpy, sys, types
+sys.argv = ["semicascade", "run", sys.argv[1]]
+try:
+    runpy.run_module("semicascade", run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    code = exit.code
+def executed(name):
+    module = sys.modules.get(name)
+    children = [key for key in sys.modules if key.startswith(name + ".")]
+    return type(module) is types.ModuleType or bool(children)
+seen = {name: executed(name) for name in
+        ("numpy.f2py", "numpy.testing", "numpy.ma", "charset_normalizer")}
+import numpy.testing
+numpy.testing.assert_array_equal(numpy.arange(3), [0, 1, 2])
+print(json.dumps({"code": code, "executed": seen,
+                  "testing_after": executed("numpy.testing")}))
+"""
+
+
+def test_process_entry_defers_unused_numpy_submodules(tmp_path):
+    ## scipy's array-API shim touches every name in dir(numpy); through the
+    ## entry that runs none of numpy's unused submodules, and a later use of
+    ## one in the same process loads it in full
+    cfg = dict(_base_config(tmp_path / "out"), analyses=["measures"],
+               partition={"cells_per_axis": 16, "samples_per_cell": 1})
+    proc = _child("-c", _ENTRY_PROBE, _write_config(tmp_path, cfg))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    assert result["executed"] == {"numpy.f2py": False, "numpy.testing": False,
+                                  "numpy.ma": False, "charset_normalizer": False}
+    assert result["testing_after"] is True
+    assert (tmp_path / "out" / "report.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,45 @@ def test_doubling_perron_measure_full_support():
     assert measures.support_minimality_check(ms) == [True]
 
 
+def _two_product_stationary(graph):
+    ## the solve as it was: vP computed for the residual of v and again for
+    ## the step from v
+    out = []
+    for cells in graph.minimal_sets.terminal_cells:
+        block = graph.transfer.matrix[cells][:, cells].tocsr()
+        v = np.full(len(cells), 1.0 / len(cells))
+        it = 0
+        res = float(np.abs(block.T.dot(v) - v).sum())
+        while res > measures.STATIONARY_RESIDUAL and it < measures.STATIONARY_MAX_ITERS:
+            v = 0.5 * (v + block.T.dot(v))
+            v /= v.sum()
+            res = float(np.abs(block.T.dot(v) - v).sum())
+            it += 1
+        out.append((v, res, it))
+    return out
+
+
+@pytest.mark.parametrize("spec,m", [(systems.doubling_map(), 64),
+                                    (systems.tent_map(F(17, 10)), 1024),
+                                    (systems.tent_map(2.0), 64)],
+                         ids=["doubling", "tent-1.7", "tent-2"])
+def test_one_product_step_matches_two_product_reference(spec, m):
+    ## of the bundled families only these iterate (rotations and toral
+    ## automorphisms start exact, north_south is a point mass); measures,
+    ## residuals and iteration counts agree bit for bit with the reference
+    graph = topology.graph_from_transfer(_tm_of(spec, m))
+    ms = measures.stationary_measures(graph)
+    reference = _two_product_stationary(graph)
+    assert min(ms.iterations) > 0
+    assert len(reference) == len(ms.measures)
+    for k, (cells, (v, res, it)) in enumerate(
+            zip(graph.minimal_sets.terminal_cells, reference)):
+        assert np.array_equal(ms.measures[k][cells], v)
+        assert not np.delete(ms.measures[k], cells).any()
+        assert ms.residuals[k] == res
+        assert ms.iterations[k] == it
+
+
 # ---------------------------------------------------------------------------
 # Birkhoff measures
 
