@@ -36,20 +36,6 @@ CONFIG_SCHEMA = "semicascade-config-v1"
 REPORT_SCHEMA = "semicascade-report-v1"
 OUTPUT_DIR_ENV = "SEMICASCADE_OUTPUT_DIR"
 
-DEFAULTS = {
-    "horizons": {"orbit_n": 4096, "schedule_lengths": [64, 128, 256, 512, 1024, 2048, 4096],
-                 "proximality_horizon": 1024, "covering_horizon": 256},
-    "tolerances": {"tol": 1e-2, "eps": 1e-3, "support_threshold": 1e-12},
-    "banks": {"test_functions": 8, "grid_size": 256},
-    "options": {"max_period": 2, "proximality_points": 100,
-                "tameness_k_max": 6, "tameness_strategy": "fixed",
-                "covering_eps": [0.5, 0.2, 0.1, 0.05, 0.02],
-                "kernel_rounds": 64, "convergence_probe": 0.3,
-                "limit_probe_count": 16},
-    "seed": 0,
-    "output_dir": ".",
-}
-
 
 class ConfigError(Exception):
     """Config rejected; message names the field."""
@@ -72,33 +58,65 @@ def _is_number(obj):
     return isinstance(obj, (int, float)) and not isinstance(obj, bool)
 
 
-def _positive_int(obj, field):
-    _require(isinstance(obj, int) and not isinstance(obj, bool) and obj > 0,
-             field, "must be a positive integer")
-    return obj
+def _is_int(obj):
+    return isinstance(obj, int) and not isinstance(obj, bool)
 
 
-def _positive_number(obj, field):
-    _require(_is_number(obj) and math.isfinite(obj) and obj > 0,
-             field, "must be a positive number")
-    return float(obj)
-
-
-def _merged_section(config, name):
-    section = config.get(name, {})
-    _check_keys(section, name, set(DEFAULTS[name]))
-    merged = dict(DEFAULTS[name])
-    merged.update(section)
-    return merged
-
-
-#: what each config kind of a system parameter accepts, and the message if not
-_PARAM_KINDS = {
+#: kind -> (what it accepts, the message if not[, item kind]); a list kind
+#: then checks each item against its item kind, naming it field[i]
+KINDS = {
     "fraction": (lambda v: _is_number(v) or isinstance(v, str),
                  'must be a number or a "p/q" string'),
     "number": (_is_number, "must be a number"),
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "must be an integer"),
+    "int": (_is_int, "must be an integer"),
+    "positive_int": (lambda v: _is_int(v) and v > 0, "must be a positive integer"),
+    "positive_number": (lambda v: _is_number(v) and math.isfinite(v) and v > 0,
+                        "must be a positive number"),
+    "nonnegative_number": (lambda v: _is_number(v) and math.isfinite(v) and v >= 0,
+                           "must be a finite nonnegative number"),
+    "nonnegative_int": (lambda v: _is_int(v) and v >= 0, "must be a nonnegative integer"),
+    "cancellation_terms": (lambda v: _is_int(v) and 2 <= v <= tame.MAX_CANCELLATION_TERMS,
+                           "must be an integer from 2 to %d" % tame.MAX_CANCELLATION_TERMS),
+    "strategy": (lambda v: v in ("fixed", "adversarial"), "must be fixed or adversarial"),
+    "lengths": (lambda v: isinstance(v, list) and len(v) >= 2,
+                "must be a list of at least two lengths", "positive_int"),
+    "epsilons": (lambda v: isinstance(v, list) and v, "must be a nonempty list",
+                 "positive_number"),
+    "coordinate": (lambda v: _is_number(v) and 0.0 <= v < 1.0, "coordinates must lie in [0,1)"),
+    "path": (lambda v: isinstance(v, str) and v, "must be a nonempty string"),
 }
+
+#: section -> field -> (default, kind), and top-level field -> (default, kind);
+#: a default of None makes the field required. Checks run in this order.
+CONFIG_FIELDS = {
+    "partition": {"cells_per_axis": (None, "positive_int"),
+                  "samples_per_cell": (3, "positive_int")},
+    "horizons": {"orbit_n": (4096, "positive_int"),
+                 "schedule_lengths": ([64, 128, 256, 512, 1024, 2048, 4096], "lengths"),
+                 "proximality_horizon": (1024, "positive_int"),
+                 "covering_horizon": (256, "positive_int")},
+    "tolerances": {"tol": (1e-2, "positive_number"), "eps": (1e-3, "positive_number"),
+                   "support_threshold": (1e-12, "nonnegative_number")},
+    "banks": {"test_functions": (8, "positive_int"), "grid_size": (256, "positive_int")},
+    "options": {"max_period": (2, "positive_int"),
+                "proximality_points": (100, "positive_int"),
+                "tameness_k_max": (6, "cancellation_terms"),
+                "tameness_strategy": ("fixed", "strategy"),
+                "covering_eps": ([0.5, 0.2, 0.1, 0.05, 0.02], "epsilons"),
+                "kernel_rounds": (64, "positive_int"),  # accepted, read by nothing
+                "convergence_probe": (0.3, "coordinate"),
+                "limit_probe_count": (16, "positive_int")},
+    "seed": (0, "nonnegative_int"),
+    "output_dir": (".", "path"),
+}
+
+
+def _check(value, field, kind):
+    accepts, message, *item_kind = KINDS[kind]
+    _require(accepts(value), field, message)
+    for i, item in enumerate(value if item_kind else ()):
+        _check(item, "%s[%d]" % (field, i), item_kind[0])
+    return value
 
 
 def _build_system(section):
@@ -115,8 +133,7 @@ def _build_system(section):
     for key, kind, _ in row.params:
         field = "system.params.%s" % key
         _require(key in params, field, "is required")
-        accepts, message = _PARAM_KINDS[kind]
-        _require(accepts(params[key]), field, message)
+        _check(params[key], field, kind)
     try:
         return row.build(*(params[key] for key, _, _ in row.params))
     except InputError as exc:
@@ -138,98 +155,49 @@ def load_config(path):
 
 
 def validate_config(raw):
-    """Normalize a raw config dict; unknown keys anywhere are rejected."""
-    _check_keys(raw, "(top level)", {"schema", "system", "partition", "analyses",
-                                     "horizons", "tolerances", "banks", "options",
-                                     "seed", "output_dir"})
+    """Normalize a raw config dict; unknown keys anywhere are rejected.
+
+    The first fault found is the one reported: schema, system, then the
+    CONFIG_FIELDS rows in table order, with analyses after the partition.
+    """
+    _check_keys(raw, "(top level)", {"schema", "system", "analyses", *CONFIG_FIELDS})
     _require(raw.get("schema") == CONFIG_SCHEMA, "schema",
              "must equal %r" % CONFIG_SCHEMA)
-    _require("system" in raw, "system", "is required")
-    _require("partition" in raw, "partition", "is required")
-    _require("analyses" in raw, "analyses", "is required")
-
+    for key in ("system", "partition", "analyses"):
+        _require(key in raw, key, "is required")
     spec = _build_system(raw["system"])
-
-    part_sec = raw["partition"]
-    _check_keys(part_sec, "partition", {"cells_per_axis", "samples_per_cell"})
-    m = _positive_int(part_sec.get("cells_per_axis", 0), "partition.cells_per_axis")
-    s = _positive_int(part_sec.get("samples_per_cell", 3), "partition.samples_per_cell")
-
-    analyses = raw["analyses"]
-    _require(isinstance(analyses, list) and analyses, "analyses",
-             "must be a nonempty list")
-    for a in analyses:
-        _require(a in ANALYSES, "analyses",
-                 "contains unknown analysis %r (allowed: %s)" % (a, ", ".join(ANALYSES)))
-
-    horizons = _merged_section(raw, "horizons")
-    _positive_int(horizons["orbit_n"], "horizons.orbit_n")
-    _require(isinstance(horizons["schedule_lengths"], list) and
-             len(horizons["schedule_lengths"]) >= 2,
-             "horizons.schedule_lengths", "must be a list of at least two lengths")
-    for i, n in enumerate(horizons["schedule_lengths"]):
-        _positive_int(n, "horizons.schedule_lengths[%d]" % i)
-    _positive_int(horizons["proximality_horizon"], "horizons.proximality_horizon")
-    _positive_int(horizons["covering_horizon"], "horizons.covering_horizon")
-
-    tolerances = _merged_section(raw, "tolerances")
-    for key in ("tol", "eps"):
-        _positive_number(tolerances[key], "tolerances.%s" % key)
-    threshold = tolerances["support_threshold"]
-    _require(_is_number(threshold) and math.isfinite(threshold) and threshold >= 0,
-             "tolerances.support_threshold", "must be a finite nonnegative number")
-
-    banks = _merged_section(raw, "banks")
-    _positive_int(banks["test_functions"], "banks.test_functions")
-    _positive_int(banks["grid_size"], "banks.grid_size")
-
-    options = _merged_section(raw, "options")
-    _positive_int(options["max_period"], "options.max_period")
-    _positive_int(options["proximality_points"], "options.proximality_points")
-    k_max = options["tameness_k_max"]
-    _require(isinstance(k_max, int) and not isinstance(k_max, bool)
-             and 2 <= k_max <= tame.MAX_CANCELLATION_TERMS,
-             "options.tameness_k_max",
-             "must be an integer from 2 to %d" % tame.MAX_CANCELLATION_TERMS)
-    _require(options["tameness_strategy"] in ("fixed", "adversarial"),
-             "options.tameness_strategy", "must be fixed or adversarial")
-    _require(isinstance(options["covering_eps"], list) and options["covering_eps"],
-             "options.covering_eps", "must be a nonempty list")
-    for i, e in enumerate(options["covering_eps"]):
-        _positive_number(e, "options.covering_eps[%d]" % i)
-    _positive_int(options["kernel_rounds"], "options.kernel_rounds")
-    if spec.dimension > 1 and "convergence_probe" not in raw.get("options", {}):
-        ## the scalar default names the same coordinate on every axis
-        options["convergence_probe"] = [options["convergence_probe"]] * spec.dimension
-    probe = options["convergence_probe"]
-    probe_list = probe if isinstance(probe, list) else [probe]
-    _require(len(probe_list) == spec.dimension, "options.convergence_probe",
-             "must have one coordinate per dimension (%d)" % spec.dimension)
-    for c in probe_list:
-        _require(_is_number(c) and 0.0 <= c < 1.0,
-                 "options.convergence_probe", "coordinates must lie in [0,1)")
-    _positive_int(options["limit_probe_count"], "options.limit_probe_count")
-
-    seed = raw.get("seed", DEFAULTS["seed"])
-    _require(isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
-             "seed", "must be a nonnegative integer")
-    output_dir = raw.get("output_dir", DEFAULTS["output_dir"])
-    _require(isinstance(output_dir, str) and output_dir, "output_dir",
-             "must be a nonempty string")
-
-    return {
-        "schema": CONFIG_SCHEMA,
-        "system": raw["system"],
-        "spec": spec,
-        "partition": {"cells_per_axis": m, "samples_per_cell": s},
-        "analyses": list(analyses),
-        "horizons": horizons,
-        "tolerances": tolerances,
-        "banks": banks,
-        "options": options,
-        "seed": seed,
-        "output_dir": output_dir,
-    }
+    config = {"schema": CONFIG_SCHEMA, "system": raw["system"], "spec": spec}
+    for name, fields in CONFIG_FIELDS.items():
+        if name == "horizons":
+            analyses = raw["analyses"]
+            _require(isinstance(analyses, list) and analyses, "analyses",
+                     "must be a nonempty list")
+            for a in analyses:
+                _require(a in ANALYSES, "analyses", "contains unknown analysis %r "
+                         "(allowed: %s)" % (a, ", ".join(ANALYSES)))
+            config["analyses"] = list(analyses)
+        if not isinstance(fields, dict):  # a top-level field
+            config[name] = _check(raw.get(name, fields[0]), name, fields[1])
+            continue
+        given = raw.get(name, {})
+        _check_keys(given, name, set(fields))
+        section = config[name] = {}
+        for key, (default, kind) in fields.items():
+            field, value = "%s.%s" % (name, key), given.get(key, default)
+            if key == "convergence_probe":
+                ## one coordinate per axis; the scalar default names the same
+                ## coordinate on every axis
+                if spec.dimension > 1 and key not in given:
+                    value = [value] * spec.dimension
+                coords = value if isinstance(value, list) else [value]
+                _require(len(coords) == spec.dimension, field,
+                         "must have one coordinate per dimension (%d)" % spec.dimension)
+                for c in coords:
+                    _check(c, field, kind)
+            else:
+                _check(value, field, kind)
+            section[key] = value
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +252,7 @@ class SharedResults:
 
 def _convergence(run):
     lengths, tol = run.horizons["schedule_lengths"], run.tolerances["tol"]
-    schedules = [ergodic.cesaro_schedule(n) for n in lengths]
+    schedules = ergodic.cesaro_ladder(lengths)
     probe = run.options["convergence_probe"]
     coords = np.asarray(probe if isinstance(probe, list) else [probe])
     mu0 = np.zeros(run.transfer.n_cells)

@@ -27,6 +27,7 @@ c of the Kemeny-Snell projection Q = A Pi, kept factored in a KernelEstimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +35,15 @@ import scipy.sparse as sp
 from scipy.sparse import linalg as splinalg
 
 from . import measures, systems, topology, ulam
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, InputError, ResourceBudgetError
 
 DEFAULT_TOL = 1e-2
 ## schedules whose telescoping bound exceeds this are too far from ergodic
 ## for a Cauchy test to mean anything (a single power has bound 2)
 ERGODICITY_GATE = 0.25
+#: terms (schedules x longest length) of one Cesaro ladder: the schedules'
+#: power and weight tuples and the weight table its diagnostic walks
+SCHEDULE_TERM_BUDGET = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,8 @@ class ErgodicSchedule:
             raise InputError("powers must be strictly increasing")
         if any(w < 0 for w in self.weights):
             raise InputError("weights must be nonnegative")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
+        ## fsum: a plain sum of n copies of 1/n drifts past 1e-12 from n ~ 4e4
+        if abs(math.fsum(self.weights) - 1.0) > 1e-12:
             raise InputError("weights must sum to 1 within 1e-12")
 
     @property
@@ -79,6 +84,21 @@ def cesaro_schedule(n):
     if n < 1:
         raise InputError("cesaro length must be >= 1")
     return ErgodicSchedule(tuple(range(n)), (1.0 / n,) * n)
+
+
+def cesaro_ladder(lengths):
+    """cesaro_schedule(n) for each n, the schedules of one convergence diagnostic.
+
+    More than SCHEDULE_TERM_BUDGET terms, len(lengths) x max(lengths), raise
+    ResourceBudgetError before any schedule is made.
+    """
+    terms = len(lengths) * max(lengths)
+    if terms > SCHEDULE_TERM_BUDGET:
+        raise ResourceBudgetError(
+            "%d Cesaro schedules up to length %d make %d schedule terms, over the "
+            "budget of %d; shorten or drop schedule lengths"
+            % (len(lengths), max(lengths), terms, SCHEDULE_TERM_BUDGET))
+    return [cesaro_schedule(n) for n in lengths]
 
 
 def window_schedule(start, length):

@@ -33,6 +33,9 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: cap on the lattice points (L^p - I)x = k scanned over all p <= max_period
 PERIODIC_LATTICE_BUDGET = 1 << 16
+#: points of one equispaced grid: the tameness grid (which also sizes the
+#: simplex's 256 x points price buffer) and the proximality and limit probes
+GRID_POINT_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -423,7 +426,14 @@ def point_from_bits(bits):
 
 
 def equispaced_points(count, dimension):
-    """count^dimension grid points (cell-center free, starts at 0), first axis slowest."""
+    """count^dimension grid points (cell-center free, starts at 0), first axis slowest.
+
+    More than GRID_POINT_BUDGET points raise ResourceBudgetError.
+    """
+    if count**dimension > GRID_POINT_BUDGET:
+        raise ResourceBudgetError(
+            "a grid of %d^%d points is over the budget of %d points; lower the "
+            "point count" % (count, dimension, GRID_POINT_BUDGET))
     side = np.arange(count, dtype=np.float64) / count
     return np.column_stack([g.ravel() for g in np.meshgrid(*[side] * dimension, indexing="ij")])
 

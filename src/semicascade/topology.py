@@ -31,6 +31,8 @@ from . import systems, ulam
 from .errors import InputError, ResourceBudgetError
 
 PAIR_OP_BUDGET = 1 << 31
+#: entries of one (P, P) float64 plane; proximality_graph holds a few at once
+PAIR_PLANE_BUDGET = 1 << 22
 EXACT_TRIPLE_LIMIT = 200
 SAMPLED_TRIPLES = 100_000
 VIOLATION_SAMPLE_CAP = 10
@@ -240,6 +242,10 @@ def proximality_graph(spec, points, horizon, eps):
             "budget of %d; subsample the probes or shorten the horizon"
             % (n_pts * n_pts * (horizon + 1), PAIR_OP_BUDGET)
         )
+    if n_pts * n_pts > PAIR_PLANE_BUDGET:
+        raise ResourceBudgetError(
+            "%d probe points make %d-entry pair planes, over the budget of %d; "
+            "subsample the probes" % (n_pts, n_pts * n_pts, PAIR_PLANE_BUDGET))
     cur = pts
     dmin = systems.metric_pairwise(cur, cur)
     for _ in range(horizon):

@@ -43,6 +43,10 @@ from . import _kernels, systems
 from .errors import InputError, ResourceBudgetError
 
 DEFAULT_SAMPLE_BUDGET = 1 << 24
+#: entries (functions x cells) of one sampled test bank; each function also
+#: counts BANK_FUNCTION_ENTRIES for the closures and array header it carries
+BANK_ENTRY_BUDGET = 1 << 26
+BANK_FUNCTION_ENTRIES = 128
 #: cells whose samples build_transfer_matrix maps at once
 BUILD_BLOCK_CELLS = 1 << 13
 
@@ -67,8 +71,11 @@ class Partition:
     def width(self):
         return 1.0 / self.cells_per_axis
 
-    def lower_corners(self):
-        return systems.equispaced_points(self.cells_per_axis, self.dimension)
+    def lower_corners(self, lo=0, hi=None):
+        """Lower corners of cells lo..hi-1 (every cell by default), shape (hi - lo, d)."""
+        m = self.cells_per_axis
+        cells = np.arange(lo, self.n_cells if hi is None else hi)
+        return np.column_stack(np.unravel_index(cells, (m,) * self.dimension)) / m
 
     def centers(self):
         return self.lower_corners() + 0.5 * self.width
@@ -78,10 +85,7 @@ class Partition:
 
         Returns shape ((hi - lo) * s, d); row (c - lo) * s + k is sample k of cell c.
         """
-        m = self.cells_per_axis
-        ## k / m for integer k rounds exactly as lower_corners' grid does
-        corners = np.column_stack(np.unravel_index(np.arange(lo, hi), (m,) * self.dimension)) / m
-        pts = corners[:, None, :] + self.offsets[None, :, :]
+        pts = self.lower_corners(lo, hi)[:, None, :] + self.offsets[None, :, :]
         return _kernels._wrap01(pts.reshape(-1, self.dimension))
 
     def cell_of_points(self, pts):
@@ -268,7 +272,13 @@ def sample_test_bank(partition, count):
 
     These are the fixed test functions that render weak-star comparisons
     finitely; pairing a cell measure with each of them and taking the max
-    absolute difference is the package's weak-star distance.
+    absolute difference is the package's weak-star distance. More than
+    BANK_ENTRY_BUDGET entries raise ResourceBudgetError before any is made.
     """
+    entries = count * (partition.n_cells + BANK_FUNCTION_ENTRIES)
+    if entries > BANK_ENTRY_BUDGET:
+        raise ResourceBudgetError(
+            "%d test functions on %d cells make %d bank entries, over the budget of "
+            "%d; lower test_functions" % (count, partition.n_cells, entries, BANK_ENTRY_BUDGET))
     centers = partition.centers()
     return [fn(centers) for _, fn in trig_bank(count, partition.dimension)]

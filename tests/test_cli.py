@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -14,7 +15,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 import semicascade
 from semicascade import cli, ergodic, measures, systems, tame, topology
@@ -577,16 +578,16 @@ def test_catalog_params_are_the_config_keys():
             validate(dict(params, matrix=0))
 
 
-def _child(*argv, env=None):
+def _child(*argv, env=None, **kwargs):
     ## the child imports the same package as this process, installed or not
     package_root = os.path.dirname(os.path.dirname(semicascade.__file__))
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path, **(env or {})))
+                          env=dict(os.environ, PYTHONPATH=path, **(env or {})), **kwargs)
 
 
-def _module_entry(*args, env=None):
-    return _child("-m", "semicascade", *args, env=env)
+def _module_entry(*args, env=None, **kwargs):
+    return _child("-m", "semicascade", *args, env=env, **kwargs)
 
 
 def _without_timestamp(report_bytes):
@@ -853,3 +854,85 @@ def test_output_path_that_is_a_directory_exits_2_naming_it(finished_run, tmp_pat
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error:"), err
     assert "output file %s " % (tmp_path / blocked) in err, err
+
+
+# ---------------------------------------------------------------------------
+# the config table: coverage, the README reference, values over a budget
+
+
+def _table_rows():
+    ## (path, default) per CONFIG_FIELDS row; a top-level field's path has one key
+    for name, fields in cli.CONFIG_FIELDS.items():
+        if isinstance(fields, dict):
+            for key, (default, _) in fields.items():
+                yield (name, key), default
+        else:
+            yield (name,), fields[0]
+
+
+def _holds(cfg, path):
+    return path[-1] in (cfg.get(path[0], {}) if len(path) == 2 else cfg)
+
+
+def test_every_config_row_has_a_corruption_and_a_valid_draw():
+    ## a new CONFIG_FIELDS row cannot land without a case in both property tests
+    for family, dimension in (("circle_rotation", 1), ("toral_automorphism", 2)):
+        corrupted = {path for path, _ in _corruptions(family, dimension)}
+        drawn = {(section, key) for section, fields in _section_fields(dimension).items()
+                 for key in fields}
+        for path, default in _table_rows():
+            assert path in corrupted, path
+            assert path in drawn or len(path) == 1 or default is None, path
+    ## valid_configs draws the top-level fields and sets the required ones itself
+    for path, default in _table_rows():
+        if len(path) == 1 or default is None:
+            find(valid_configs(), lambda cfg: _holds(cfg, path),
+                 settings=settings(database=None, derandomize=True))
+
+
+def test_readme_config_reference_matches_the_table():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        table = fh.read().split("| field | default | accepted values |\n", 1)[1].split("\n\n")[0]
+    rows = re.findall(r"^\| `([a-z_.]+)` \| (required|`[^`]*`) \|", table, re.M)
+    documented = [(tuple(field.split(".")), None if default == "required"
+                   else json.loads(default.strip("`"))) for field, default in rows]
+    assert documented == list(_table_rows())
+
+
+def test_long_cesaro_schedule_runs(tmp_path, capsys):
+    ## 100000 weights of 1/100000 sum to 1 exactly only under a compensated sum
+    cfg = dict(_base_config(tmp_path / "out"), analyses=["convergence"])
+    cfg["horizons"]["schedule_lengths"] = [64, 100000]
+    assert cli.main(["run", _write_config(tmp_path, cfg)]) == 0, capsys.readouterr().err
+
+
+ADDRESS_SPACE = 1 << 30
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize("analysis,section,key,value", [
+    ("tameness", "banks", "grid_size", 1 << 40),
+    ("limit_measures", "options", "limit_probe_count", 1 << 40),
+    ("proximality", "options", "proximality_points", 20000),  # 3.2 GB planes
+    ("convergence", "horizons", "schedule_lengths", [64, 1 << 40]),
+    ("convergence", "banks", "test_functions", 1 << 40),
+], ids=["grid_size", "limit_probe_count", "proximality_points", "schedule_lengths",
+      "test_functions"])
+def test_over_budget_value_exits_3_in_capped_memory(tmp_path, analysis, section, key, value):
+    ## valid values too big to run are refused before anything that size is
+    ## made; in a 1 GiB address space a MemoryError would show as exit 1
+    cfg = {"schema": cli.CONFIG_SCHEMA,
+           "system": {"family": "circle_rotation", "params": {"alpha": "1/3"}},
+           "partition": {"cells_per_axis": 16}, "analyses": [analysis],
+           "horizons": {"proximality_horizon": 1}, "output_dir": str(tmp_path / "out")}
+    cfg.setdefault(section, {})[key] = value
+    threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    proc = _module_entry("run", _write_config(tmp_path, cfg), env=threads,
+                         preexec_fn=_cap_address_space)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr, proc.stderr
+    assert "over the budget" in proc.stderr, proc.stderr

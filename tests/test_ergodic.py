@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from semicascade import ergodic, measures, systems, topology, ulam
-from semicascade.errors import InputError
+from semicascade.errors import InputError, ResourceBudgetError
 from test_acceptance import BUNDLE
 from test_topology import _synthetic_two_sink_graph
 
@@ -79,6 +79,25 @@ def test_schedule_validation():
         ergodic.window_schedule(-1, 4)
     with pytest.raises(InputError):
         ergodic.mix_schedule(1.5, ergodic.cesaro_schedule(2), ergodic.cesaro_schedule(2))
+
+
+@pytest.mark.parametrize("n", [39500, 52000, 100000])
+def test_long_cesaro_schedule_weights_sum_to_one(n):
+    ## a plain float sum of n copies of 1/n drifts past 1e-12 at these n
+    sch = ergodic.cesaro_schedule(n)
+    assert len(sch.weights) == n and sch.label() == "cesaro_%d" % n
+
+
+def test_cesaro_ladder_refused_before_any_schedule_is_made(monkeypatch):
+    monkeypatch.setattr(ergodic, "SCHEDULE_TERM_BUDGET", 3 * 8)
+    ladder = ergodic.cesaro_ladder([2, 4, 8])
+    assert [sch.label() for sch in ladder] == ["cesaro_2", "cesaro_4", "cesaro_8"]
+    made = []
+    monkeypatch.setattr(ergodic, "cesaro_schedule", made.append)
+    with pytest.raises(ResourceBudgetError, match="3 Cesaro schedules up to length 9 make "
+                                                  "27 schedule terms, over the budget of 24"):
+        ergodic.cesaro_ladder([2, 4, 9])
+    assert made == []
 
 
 def test_schedule_labels():

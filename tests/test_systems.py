@@ -294,6 +294,15 @@ def test_point_sets():
                            systems.kronecker_points(5, 1, seed=3))
 
 
+def test_equispaced_points_budget():
+    ## the budget counts count^dimension points, the grid's rows
+    assert systems.equispaced_points(systems.GRID_POINT_BUDGET, 1).shape == (1 << 16, 1)
+    assert systems.equispaced_points(1 << 8, 2).shape == (1 << 16, 2)
+    for count, dimension in ((systems.GRID_POINT_BUDGET + 1, 1), (257, 2), (1 << 40, 1)):
+        with pytest.raises(ResourceBudgetError, match="over the budget of 65536 points"):
+            systems.equispaced_points(count, dimension)
+
+
 def test_systems_catalog():
     cat = systems.systems_catalog()
     assert [entry["family"] for entry in cat] == list(systems.FAMILIES)

@@ -245,6 +245,15 @@ def test_transitivity_sampled_route():
         assert off[a, b] and off[b, c] and not off[a, c]
 
 
+def test_proximality_plane_budget(monkeypatch):
+    ## P x P planes are refused by size even when the operation count fits
+    spec = systems.circle_rotation("1/3")
+    monkeypatch.setattr(topology, "PAIR_PLANE_BUDGET", 100)
+    assert topology.proximality_graph(spec, systems.equispaced_points(10, 1), 1, 0.1).edges.shape == (10, 10)
+    with pytest.raises(ResourceBudgetError, match="11 probe points make 121-entry pair planes"):
+        topology.proximality_graph(spec, systems.equispaced_points(11, 1), 1, 0.1)
+
+
 def test_proximality_validation_and_budget():
     spec = systems.doubling_map()
     pts = systems.equispaced_points(10, 1)

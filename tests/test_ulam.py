@@ -201,6 +201,17 @@ def test_trig_bank_names_and_bounds():
     assert np.all(bank[0] == 1.0)
 
 
+def test_test_bank_budget(monkeypatch):
+    ## each function counts its cells plus BANK_FUNCTION_ENTRIES; over the
+    ## budget nothing is evaluated
+    part = ulam.build_partition(systems.doubling_map(), 8, 1)
+    monkeypatch.setattr(ulam, "BANK_ENTRY_BUDGET", 4 * (8 + ulam.BANK_FUNCTION_ENTRIES))
+    assert len(ulam.sample_test_bank(part, 4)) == 4
+    monkeypatch.setattr(ulam, "trig_bank", None)
+    with pytest.raises(ResourceBudgetError, match="5 test functions on 8 cells make 680 bank entries"):
+        ulam.sample_test_bank(part, 5)
+
+
 def test_validation_and_budget():
     with pytest.raises(InputError):
         ulam.build_partition(systems.doubling_map(), 0, 3)
