@@ -13,9 +13,10 @@ whose `clone_module("numpy")` calls `hasattr` on every name in
 as an `importlib.util.LazyLoader` module first, so the `hasattr` finds an
 attribute and executes nothing; the first real attribute access loads the
 whole module as before. With numpy 2.4.6 and scipy 1.17.1 on a 2-core
-x86-64 host, a run loads 451 modules instead of 637, and on the three
-benchmark workloads peak RSS falls by 9.7-10.2 MB (64.3 to 54.6 MB on
-northsouth-projection) and run time by 35-76 ms.
+x86-64 host, a run loads 363 modules instead of 549 (451 instead of 637
+when its graph is large enough for topology to import
+scipy.sparse.csgraph), and peak RSS falls by about 10 MB: 52.8 to 42.5 MB
+on northsouth-projection.
 
 Freeze: the tens of thousands of objects the import leaves behind move to
 the permanent generation, so neither a full collection during the run nor

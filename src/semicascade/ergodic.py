@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import linalg as splinalg
 
 from . import measures, systems, topology, ulam
 from .errors import CapabilityError, InputError, ResourceBudgetError
@@ -412,10 +411,14 @@ def kernel_projection_estimate(mset):
     a = reach.toarray().astype(np.float64)
     multi = np.flatnonzero(np.diff(reach.indptr) > 1)
     if multi.size:
+        ## imported here: scipy.sparse.linalg loads scipy.linalg, which a
+        ## chain without such cells never needs
+        from scipy.sparse.linalg import splu
+
         a[multi] = 0.0  # so that P_S. A = P_SR A_R
         p_s = matrix[multi]
         lhs = sp.identity(multi.size, format="csc") - p_s[:, multi].tocsc()
-        a[multi] = splinalg.splu(lhs).solve(p_s @ a)
+        a[multi] = splu(lhs).solve(p_s @ a)
     residual_vq = _inf_norm(matrix @ a - a)
     residual_idem = _inf_norm(a @ (pi @ a) - a)
     return KernelEstimate(a, pi, residual_vq, residual_idem, "exact", graph)

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from . import systems, ulam
 from .errors import InputError, ResourceBudgetError
@@ -36,6 +35,12 @@ PAIR_PLANE_BUDGET = 1 << 22
 EXACT_TRIPLE_LIMIT = 200
 SAMPLED_TRIPLES = 100_000
 VIOLATION_SAMPLE_CAP = 10
+#: graphs with at most this many stored edges are decomposed in Python.
+#: Importing scipy.sparse.csgraph also loads scipy.sparse.linalg and
+#: scipy.linalg, 70-80 ms per process. The Python search costs about
+#: 0.7 us per edge, 20 ms at this size against csgraph's 2 ms, so far
+#: above it the search costs more than the import it saves
+SMALL_GRAPH_EDGES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -43,10 +48,11 @@ class TransitionGraph:
     """Directed cell graph of a transfer matrix, which it carries.
 
     adjacency is the 0/1 CSR support of transfer.matrix, held in float64:
-    scipy.sparse.csgraph copies a graph of any other dtype to float64 on
-    every call. A transfer matrix stores only positive entries, so the
-    adjacency shares its index arrays and owns only its data. The
-    partition and the system are transfer.partition and transfer.spec.
+    a graph of more than SMALL_GRAPH_EDGES edges goes to
+    scipy.sparse.csgraph, which copies any other dtype to float64 on every
+    call. A transfer matrix stores only positive entries, so the adjacency
+    shares its index arrays and owns only its data. The partition and the
+    system are transfer.partition and transfer.spec.
     """
 
     transfer: ulam.TransferMatrix
@@ -104,11 +110,19 @@ def minimal_invariant_sets(graph):
     A terminal component is strongly connected, so the cells that reach it
     are those one backward breadth-first search from any of its cells
     finds. A component without incoming cross edges is reached only by its
-    own cells and needs no search.
+    own cells and needs no search. A graph of at most SMALL_GRAPH_EDGES
+    edges is searched in Python, a larger one by scipy.sparse.csgraph; both
+    give the same labels and the same reach relation.
     """
     adjacency = graph.adjacency
-    n_sccs, labels = csgraph.connected_components(adjacency, directed=True,
-                                                  connection="strong")
+    small = adjacency.nnz <= SMALL_GRAPH_EDGES
+    if small:
+        n_sccs, labels = _strong_components(adjacency.indptr, adjacency.indices)
+    else:
+        from scipy.sparse import csgraph
+
+        n_sccs, labels = csgraph.connected_components(adjacency, directed=True,
+                                                      connection="strong")
     ## the classes of each edge's source and target
     a = np.repeat(labels, np.diff(adjacency.indptr))
     b = np.take(labels, adjacency.indices)
@@ -132,10 +146,16 @@ def minimal_invariant_sets(graph):
     fed_ids = np.flatnonzero(terminal & fed)
     if fed_ids.size:
         backward = adjacency.T.tocsr()
+        if small:
+            indptr, indices = backward.indptr.tolist(), backward.indices.tolist()
         for j in column[fed_ids]:
-            ## the order is a view into an n-sized buffer: copy, do not hold it
-            seen = csgraph.breadth_first_order(backward, int(terminal_cells[j][0]),
-                                               return_predecessors=False).copy()
+            start = int(terminal_cells[j][0])
+            if small:
+                seen = np.array(_reached(indptr, indices, start))
+            else:
+                ## the order is a view into an n-sized buffer: copy, do not hold it
+                seen = csgraph.breadth_first_order(backward, start,
+                                                   return_predecessors=False).copy()
             rows.append(seen)
             cols.append(np.full(seen.size, j))
     rows, cols = np.concatenate(rows), np.concatenate(cols)
@@ -143,6 +163,74 @@ def minimal_invariant_sets(graph):
                           shape=(graph.n_cells, terminal_ids.size))
     return MinimalSetReport(n_sccs, labels, tuple(int(t) for t in terminal_ids),
                             terminal_cells, reach)
+
+
+def _strong_components(indptr, indices):
+    """Strong components of the CSR graph (indptr, indices), labelled as csgraph labels them.
+
+    Pearce's iterative search (Inf. Process. Lett. 116, 2016), as
+    scipy.sparse.csgraph.connected_components(directed=True,
+    connection="strong") runs it: roots in cell order, each cell's
+    successors from its last stored edge back to its first, and components
+    numbered in the order they complete. Returns (n_sccs, int32 labels).
+    """
+    n = len(indptr) - 1
+    indptr, indices = indptr.tolist(), indices.tolist()
+    done = n + 1  # above every visit number, so a labelled cell lowers no link
+    ## 0 unvisited, then the visit number, then the low link, then done
+    rindex = [0] * n
+    labels = [0] * n
+    visits = n_sccs = 0
+    unlabelled = []  # finished cells whose component is still open
+    for root in range(n):
+        if rindex[root]:
+            continue
+        visits += 1
+        rindex[root] = visits
+        path, edge = [root], [indptr[root + 1]]
+        while path:
+            v, e = path[-1], edge[-1]
+            first = indptr[v]
+            while e > first and rindex[indices[e - 1]]:
+                e -= 1
+            if e > first:
+                e -= 1
+                edge[-1] = e
+                w = indices[e]
+                visits += 1
+                rindex[w] = visits
+                path.append(w)
+                edge.append(indptr[w + 1])
+                continue
+            path.pop()
+            edge.pop()
+            own = rindex[v]
+            low = min(map(rindex.__getitem__, indices[first:indptr[v + 1]]), default=done)
+            if low < own:
+                rindex[v] = low
+                unlabelled.append(v)
+                continue
+            ## v is its component's root; the cells finished since its visit
+            ## and still unlabelled are the rest of the component
+            rindex[v], labels[v] = done, n_sccs
+            while unlabelled and rindex[unlabelled[-1]] >= own:
+                w = unlabelled.pop()
+                rindex[w], labels[w] = done, n_sccs
+            n_sccs += 1
+    return n_sccs, np.array(labels, dtype=np.int32)
+
+
+def _reached(indptr, indices, start):
+    """Cells reachable from start in the CSR graph (indptr, indices), in breadth-first order."""
+    seen = bytearray(len(indptr) - 1)
+    seen[start] = 1
+    order = [start]
+    for v in order:
+        for w in indices[indptr[v]:indptr[v + 1]]:
+            if not seen[w]:
+                seen[w] = 1
+                order.append(w)
+    return order
 
 
 @dataclass(frozen=True)

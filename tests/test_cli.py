@@ -710,6 +710,40 @@ def test_process_entry_defers_unused_numpy_submodules(tmp_path):
     assert (tmp_path / "out" / "report.json").exists()
 
 
+_SCIPY_PROBE = """
+import json, runpy, sys
+sys.argv = ["semicascade", "run", sys.argv[1]]
+try:
+    runpy.run_module("semicascade", run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    loaded = [name for name in ("scipy.linalg", "scipy.sparse.csgraph", "scipy.sparse.linalg")
+              if name in sys.modules]
+    print(json.dumps({"code": exit.code, "loaded": loaded}))
+"""
+
+
+def test_process_entry_leaves_scipy_linear_algebra_to_large_graphs(tmp_path):
+    ## every analysis on the golden rotation at 16 cells: a graph of at most
+    ## topology.SMALL_GRAPH_EDGES edges without a cell that reaches two
+    ## classes imports no linear algebra; the cat map at 128 cells per axis
+    ## has 49152 edges and still decomposes through csgraph
+    small = _base_config(tmp_path / "small")
+    cat = {"schema": cli.CONFIG_SCHEMA,
+           "system": {"family": "toral_automorphism",
+                      "params": {"m11": 2, "m12": 1, "m21": 1, "m22": 1}},
+           "partition": {"cells_per_axis": 128, "samples_per_cell": 3},
+           "analyses": ["unique_minimal_set"], "output_dir": str(tmp_path / "cat")}
+    loaded = {}
+    for name, cfg in (("small", small), ("cat", cat)):
+        proc = _child("-c", _SCIPY_PROBE, _write_config(tmp_path, cfg, name + ".json"))
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["code"] == 0
+        loaded[name] = result["loaded"]
+    assert loaded["small"] == []
+    assert "scipy.sparse.csgraph" in loaded["cat"]
+
+
 # ---------------------------------------------------------------------------
 # plotdata
 

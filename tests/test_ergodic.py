@@ -45,14 +45,17 @@ def _estimate_graph(graph):
 
 def _spy_splu(monkeypatch):
     """Record the left-hand side of every sparse LU the projection runs."""
+    from scipy.sparse import linalg as splinalg
+
     systems_solved = []
-    splu = ergodic.splinalg.splu
+    splu = splinalg.splu
 
     def spy(lhs, *args, **kwargs):
         systems_solved.append(lhs.toarray())
         return splu(lhs, *args, **kwargs)
 
-    monkeypatch.setattr(ergodic.splinalg, "splu", spy)
+    ## the projection imports splu from scipy.sparse.linalg when it runs one
+    monkeypatch.setattr(splinalg, "splu", spy)
     return systems_solved
 
 

@@ -120,18 +120,77 @@ def test_rotation_single_class():
 def test_many_unfed_classes_need_no_search(monkeypatch):
     ## the half-turn with one sample per cell pairs cell i with i + m/2: 2048
     ## two-cell classes that nothing feeds, so each cell reaches only its own
-    ## class and no breadth-first search runs (k searches would cost O(k n))
+    ## class and no breadth-first search runs (k searches would cost O(k n)),
+    ## neither on the Python path its 4096 edges take nor on csgraph's
+    from scipy.sparse import csgraph
+
     def never(*_args, **_kwargs):
-        raise AssertionError("breadth_first_order called on an unfed class")
+        raise AssertionError("breadth-first search run from an unfed class")
 
     spec = systems.circle_rotation("1/2")
     part = ulam.build_partition(spec, 4096, 1)
-    graph = topology.graph_from_transfer(ulam.build_transfer_matrix(part, spec))
-    monkeypatch.setattr(topology.csgraph, "breadth_first_order", never)
-    rep = topology.minimal_invariant_sets(graph)
-    assert len(rep.terminal_cells) == 2048
-    assert np.array_equal(np.diff(rep.reach.indptr), np.ones(4096, dtype=int))
-    assert rep.as_jsonable()["max_terminals_seen_from_any_cell"] == 1
+    tm = ulam.build_transfer_matrix(part, spec)
+    monkeypatch.setattr(topology, "_reached", never)
+    monkeypatch.setattr(csgraph, "breadth_first_order", never)
+    for threshold in (topology.SMALL_GRAPH_EDGES, 0):
+        monkeypatch.setattr(topology, "SMALL_GRAPH_EDGES", threshold)
+        rep = topology.minimal_invariant_sets(topology.graph_from_transfer(tm))
+        assert len(rep.terminal_cells) == 2048
+        assert np.array_equal(np.diff(rep.reach.indptr), np.ones(4096, dtype=int))
+        assert rep.as_jsonable()["max_terminals_seen_from_any_cell"] == 1
+
+
+@st.composite
+def _directed_graphs(draw):
+    """Boolean adjacency of up to 200 cells: cycles, chains and self-loops
+    over spans of cells, random edges on top, then the cells shuffled."""
+    n = draw(st.integers(1, 200))
+    dense = np.zeros((n, n), dtype=bool)
+    cell = st.integers(0, n - 1)
+    for kind, a, b in draw(st.lists(st.tuples(st.sampled_from(["cycle", "chain", "loop"]),
+                                              cell, cell), max_size=12)):
+        span = np.arange(min(a, b), max(a, b) + 1)
+        if kind == "cycle":
+            dense[span, np.roll(span, -1)] = True
+        elif kind == "chain":
+            dense[span[:-1], span[1:]] = True
+        else:
+            dense[span, span] = True
+    for a, b in draw(st.lists(st.tuples(cell, cell), max_size=2 * n)):
+        dense[a, b] = True
+    order = np.array(draw(st.permutations(range(n))))
+    return dense[np.ix_(order, order)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense=_directed_graphs())
+def test_python_and_csgraph_paths_agree(dense):
+    ## csgraph is the reference: the Python search must reproduce its labels,
+    ## not just its partition, and the reach relation built on either path
+    from scipy.sparse import csgraph
+
+    graph = _graph_from_dense(dense)
+    adjacency = graph.adjacency
+    n_sccs, labels = topology._strong_components(adjacency.indptr, adjacency.indices)
+    ref_n_sccs, ref_labels = csgraph.connected_components(adjacency, directed=True,
+                                                          connection="strong")
+    assert n_sccs == ref_n_sccs
+    assert labels.dtype == ref_labels.dtype and np.array_equal(labels, ref_labels)
+
+    reports = []
+    for threshold in (0, 1 << 62):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(topology, "SMALL_GRAPH_EDGES", threshold)
+            reports.append(topology.minimal_invariant_sets(graph))
+    by_csgraph, by_python = reports
+    assert by_python.n_sccs == by_csgraph.n_sccs
+    assert np.array_equal(by_python.scc_of_cell, by_csgraph.scc_of_cell)
+    assert by_python.terminal_scc_ids == by_csgraph.terminal_scc_ids
+    assert len(by_python.terminal_cells) == len(by_csgraph.terminal_cells)
+    for ours, theirs in zip(by_python.terminal_cells, by_csgraph.terminal_cells):
+        assert np.array_equal(ours, theirs)
+    assert np.array_equal(by_python.reach.indptr, by_csgraph.reach.indptr)
+    assert np.array_equal(by_python.reach.indices, by_csgraph.reach.indices)
 
 
 def test_proximality_rotation_is_diagonal():
