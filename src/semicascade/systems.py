@@ -182,19 +182,6 @@ def metric(spec, p1, p2):
     return float(np.max(np.minimum(d, 1.0 - d)))
 
 
-def metric_pairwise(coords_a, coords_b):
-    """Wraparound max-metric between rows of (P,d) and (Q,d) arrays; returns (P,Q)."""
-    ## one (P,Q) plane per coordinate, folded with np.maximum: numpy's max
-    ## over a trailing axis of length 2 took 12x as long at P = Q = 100
-    ## (numpy 2.4 on an x86-64 Xeon)
-    out = None
-    for j in range(coords_a.shape[1]):
-        d = np.abs(coords_a[:, None, j] - coords_b[None, :, j])
-        np.minimum(d, 1.0 - d, out=d)
-        out = d if out is None else np.maximum(out, d, out=out)
-    return out
-
-
 def orbit(spec, p, n):
     """First n+1 orbit points of p under the map; returns shape (n+1, d)."""
     pt = as_point(p, spec.dimension)

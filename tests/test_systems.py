@@ -59,16 +59,6 @@ def test_metric_wraparound():
     assert systems.metric(cat, [0.05, 0.2], [0.95, 0.3]) == pytest.approx(0.1)
 
 
-def test_metric_pairwise_matches_scalar():
-    a = np.array([[0.1], [0.8]])
-    b = np.array([[0.05], [0.95], [0.5]])
-    spec = systems.doubling_map()
-    got = systems.metric_pairwise(a, b)
-    for i in range(2):
-        for j in range(3):
-            assert got[i, j] == pytest.approx(systems.metric(spec, a[i], b[j]))
-
-
 def test_orbit_shapes():
     spec = systems.north_south(0.5)
     orb = systems.orbit(spec, 0.3, 5)

@@ -253,6 +253,75 @@ def test_proximality_matches_bruteforce(spec, data):
     assert np.array_equal(pg.edges, expected)
 
 
+def _dense_edges(spec, pts, horizon, eps):
+    ## the comparison the sweep replaced: one P x P plane of systems.metric
+    ## per orbit step, folded into a running minimum
+    def plane(c):
+        far = None
+        for j in range(c.shape[1]):
+            d = np.abs(c[:, None, j] - c[None, :, j])
+            np.minimum(d, 1.0 - d, out=d)
+            far = d if far is None else np.maximum(far, d, out=far)
+        return far
+
+    cur = pts
+    dmin = plane(cur)
+    for _ in range(horizon):
+        cur = systems._step(spec, cur)
+        np.minimum(dmin, plane(cur), out=dmin)
+    edges = dmin < eps
+    np.fill_diagonal(edges, True)
+    return np.logical_or(edges, edges.T)
+
+
+_FAMILIES = [
+    systems.circle_rotation(systems.GOLDEN), systems.circle_rotation("1/2"),
+    systems.doubling_map(), systems.north_south(0.5), systems.tent_map(1.7),
+    systems.tent_map(2), systems.cat_map(), systems.toral_automorphism(1, 1, 0, 1),
+    systems.toral_automorphism(0, 1, -1, 0)]
+_SWEEP_EPS = [1e-6, 1e-3, 0.05, 0.3, 0.5, 0.7]
+
+
+@st.composite
+def _probe_sets(draw, dimension, eps):
+    ## every coordinate comes from a small pool, so exact duplicates and
+    ## equal first coordinates (the columns of an equispaced grid) are
+    ## common; the pool holds values within eps on both sides of the seam
+    near = st.floats(0.0, min(eps, 0.5), exclude_max=True)
+    pool = draw(st.lists(st.one_of(
+        st.floats(0.0, 1.0, exclude_max=True), near,
+        near.map(lambda u: 1.0 - u if 1.0 - u < 1.0 else 0.0)), min_size=1, max_size=8))
+    n_pts = draw(st.integers(1, 40))
+    coords = draw(st.lists(st.sampled_from(pool), min_size=n_pts * dimension,
+                           max_size=n_pts * dimension))
+    return np.array(coords).reshape(n_pts, dimension)
+
+
+@pytest.mark.parametrize("eps", _SWEEP_EPS)
+@pytest.mark.parametrize("spec", _FAMILIES, ids=lambda s: s.describe())
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_sweep_matches_dense_loop(spec, eps, data):
+    ## blocks of a few point-steps make the horizons cross several blocks
+    pts = data.draw(_probe_sets(spec.dimension, eps))
+    horizon = data.draw(st.integers(0, 60))
+    block = data.draw(st.sampled_from([1, 7, 64, topology.SWEEP_BLOCK_POINTS]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(topology, "SWEEP_BLOCK_POINTS", block)
+        pg = topology.proximality_graph(spec, pts, horizon, eps)
+    assert np.array_equal(pg.edges, _dense_edges(spec, pts, horizon, eps))
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-2])
+@pytest.mark.parametrize("spec, pts", [
+    (systems.cat_map(), systems.equispaced_points(10, 2)),
+    (systems.circle_rotation(systems.GOLDEN), systems.equispaced_points(100, 1))],
+    ids=["cat-10x10", "golden-100"])
+def test_sweep_matches_dense_loop_at_the_cli_horizon(spec, pts, eps):
+    pg = topology.proximality_graph(spec, pts, 1024, eps)
+    assert np.array_equal(pg.edges, _dense_edges(spec, pts, 1024, eps))
+
+
 def test_transitivity_exact_against_bruteforce():
     rng = np.random.default_rng(11)
     for trial in range(20):
@@ -325,6 +394,14 @@ def test_proximality_validation_and_budget():
     with pytest.raises(ResourceBudgetError):
         topology.proximality_graph(spec, systems.equispaced_points(1000, 1),
                                    1 << 22, 0.1)
+
+
+def test_proximality_refuses_points_off_the_circle():
+    ## the sweep's seam argument needs every coordinate in [0,1)
+    spec = systems.doubling_map()
+    for pts in ([[0.5], [1.0]], [[-0.25], [0.5]], [[np.nan], [0.5]]):
+        with pytest.raises(InputError, match=r"\[0,1\)"):
+            topology.proximality_graph(spec, pts, 10, 0.1)
 
 
 def test_proximality_2d_route():
