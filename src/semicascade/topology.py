@@ -42,10 +42,10 @@ SAMPLED_TRIPLES = 100_000
 VIOLATION_SAMPLE_CAP = 10
 #: graphs with at most this many stored edges are decomposed in Python.
 #: Importing scipy.sparse.csgraph also loads scipy.sparse.linalg and
-#: scipy.linalg, 70-80 ms per process. The Python search costs about
-#: 0.7 us per edge, 20 ms at this size against csgraph's 2 ms, so far
-#: above it the search costs more than the import it saves
-SMALL_GRAPH_EDGES = 1 << 15
+#: scipy.linalg, 50-60 ms and 10 MB per process. The search costs
+#: 0.16-0.38 us per edge: whole runs at up to 2^16 edges were 31-46 ms
+#: faster without csgraph, and a single cycle of 2^17 edges 8 ms slower
+SMALL_GRAPH_EDGES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -173,55 +173,55 @@ def minimal_invariant_sets(graph):
 def _strong_components(indptr, indices):
     """Strong components of the CSR graph (indptr, indices), labelled as csgraph labels them.
 
-    Pearce's iterative search (Inf. Process. Lett. 116, 2016), as
-    scipy.sparse.csgraph.connected_components(directed=True,
-    connection="strong") runs it: roots in cell order, each cell's
-    successors from its last stored edge back to its first, and components
-    numbered in the order they complete. Returns (n_sccs, int32 labels).
+    Pearce's iterative search (Inf. Process. Lett. 116, 2016) in the order
+    of scipy.sparse.csgraph.connected_components(connection="strong"):
+    roots in cell order, successors from a cell's last stored edge back to
+    its first, components numbered as they complete. Tarjan's one-pass low
+    link (SIAM J. Comput. 1(2), 1972) reads each edge once: the scan folds
+    each visited successor's rindex into the cell's low, and a finished
+    child its final rindex into its parent's. Returns (n_sccs, int32 labels).
     """
     n = len(indptr) - 1
     indptr, indices = indptr.tolist(), indices.tolist()
     done = n + 1  # above every visit number, so a labelled cell lowers no link
     ## 0 unvisited, then the visit number, then the low link, then done
-    rindex = [0] * n
-    labels = [0] * n
+    rindex, labels = [0] * n, [0] * n
     visits = n_sccs = 0
     unlabelled = []  # finished cells whose component is still open
     for root in range(n):
         if rindex[root]:
             continue
-        visits += 1
-        rindex[root] = visits
-        path, edge = [root], [indptr[root + 1]]
+        rindex[root] = visits = visits + 1
+        path = [[root, indptr[root + 1], done]]  # open cells: [cell, next edge, low]
         while path:
-            v, e = path[-1], edge[-1]
+            v, e, low = top = path[-1]
             first = indptr[v]
-            while e > first and rindex[indices[e - 1]]:
+            while e > first:
                 e -= 1
-            if e > first:
-                e -= 1
-                edge[-1] = e
                 w = indices[e]
-                visits += 1
-                rindex[w] = visits
-                path.append(w)
-                edge.append(indptr[w + 1])
-                continue
-            path.pop()
-            edge.pop()
-            own = rindex[v]
-            low = min(map(rindex.__getitem__, indices[first:indptr[v + 1]]), default=done)
-            if low < own:
-                rindex[v] = low
-                unlabelled.append(v)
-                continue
-            ## v is its component's root; the cells finished since its visit
-            ## and still unlabelled are the rest of the component
-            rindex[v], labels[v] = done, n_sccs
-            while unlabelled and rindex[unlabelled[-1]] >= own:
-                w = unlabelled.pop()
-                rindex[w], labels[w] = done, n_sccs
-            n_sccs += 1
+                r = rindex[w]
+                if not r:
+                    top[1], top[2] = e, low
+                    rindex[w] = visits = visits + 1
+                    path.append([w, indptr[w + 1], done])
+                    break
+                if r < low:
+                    low = r
+            else:
+                path.pop()
+                own = rindex[v]
+                if low < own:  # not at a search root: v has an open parent
+                    rindex[v] = low
+                    unlabelled.append(v)
+                    if low < path[-1][2]:
+                        path[-1][2] = low
+                    continue
+                ## v is its component's root; the rest are the unlabelled cells finished after it
+                rindex[v], labels[v] = done, n_sccs
+                while unlabelled and rindex[unlabelled[-1]] >= own:
+                    w = unlabelled.pop()
+                    rindex[w], labels[w] = done, n_sccs
+                n_sccs += 1
     return n_sccs, np.array(labels, dtype=np.int32)
 
 

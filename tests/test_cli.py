@@ -723,25 +723,30 @@ except SystemExit as exit:
 
 
 def test_process_entry_leaves_scipy_linear_algebra_to_large_graphs(tmp_path):
-    ## every analysis on the golden rotation at 16 cells: a graph of at most
+    ## every analysis on the golden rotation at 16 cells, and the cat map at
+    ## 128 cells per axis (49152 edges): graphs of at most
     ## topology.SMALL_GRAPH_EDGES edges without a cell that reaches two
-    ## classes imports no linear algebra; the cat map at 128 cells per axis
-    ## has 49152 edges and still decomposes through csgraph
-    small = _base_config(tmp_path / "small")
-    cat = {"schema": cli.CONFIG_SCHEMA,
-           "system": {"family": "toral_automorphism",
-                      "params": {"m11": 2, "m12": 1, "m21": 1, "m22": 1}},
-           "partition": {"cells_per_axis": 128, "samples_per_cell": 3},
-           "analyses": ["unique_minimal_set"], "output_dir": str(tmp_path / "cat")}
+    ## classes import no linear algebra; the cat map at 256 cells per axis
+    ## has 196608 edges and still decomposes through csgraph
+    def cat(cells):
+        return {"schema": cli.CONFIG_SCHEMA,
+                "system": {"family": "toral_automorphism",
+                           "params": {"m11": 2, "m12": 1, "m21": 1, "m22": 1}},
+                "partition": {"cells_per_axis": cells, "samples_per_cell": 3},
+                "analyses": ["unique_minimal_set"],
+                "output_dir": str(tmp_path / ("cat%d" % cells))}
+
     loaded = {}
-    for name, cfg in (("small", small), ("cat", cat)):
+    for name, cfg in (("small", _base_config(tmp_path / "small")),
+                      ("cat128", cat(128)), ("cat256", cat(256))):
         proc = _child("-c", _SCIPY_PROBE, _write_config(tmp_path, cfg, name + ".json"))
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["code"] == 0
         loaded[name] = result["loaded"]
     assert loaded["small"] == []
-    assert "scipy.sparse.csgraph" in loaded["cat"]
+    assert loaded["cat128"] == []
+    assert "scipy.sparse.csgraph" in loaded["cat256"]
 
 
 # ---------------------------------------------------------------------------

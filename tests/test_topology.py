@@ -193,6 +193,44 @@ def test_python_and_csgraph_paths_agree(dense):
     assert np.array_equal(by_python.reach.indices, by_csgraph.reach.indices)
 
 
+@pytest.mark.parametrize("spec, cells, samples, n_sccs", [
+    ## one cycle through every cell: the search runs 2^15 cells deep
+    (systems.circle_rotation(systems.GOLDEN), 1 << 15, 2, 1),
+    ## 32768 two-cell classes, each a search of its own
+    (systems.circle_rotation("1/2"), 1 << 16, 1, 1 << 15),
+    ## every cell a singleton component, all feeding the attractor's class
+    (systems.north_south(0.5), 1 << 15, 2, 1 << 15),
+    (systems.tent_map(1.7), 1 << 15, 3, 13271),
+], ids=["golden", "half_turn", "north_south", "tent"])
+def test_python_and_csgraph_paths_agree_on_large_graphs(spec, cells, samples, n_sccs):
+    from scipy.sparse import csgraph
+
+    graph = topology.graph_from_transfer(
+        ulam.build_transfer_matrix(ulam.build_partition(spec, cells, samples), spec))
+    adjacency = graph.adjacency
+    ours = topology._strong_components(adjacency.indptr, adjacency.indices)
+    theirs = csgraph.connected_components(adjacency, directed=True, connection="strong")
+    assert ours[0] == theirs[0] == n_sccs
+    assert ours[1].dtype == theirs[1].dtype and np.array_equal(ours[1], theirs[1])
+
+    reports = []
+    for threshold in (0, 1 << 62):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(topology, "SMALL_GRAPH_EDGES", threshold)
+            reports.append(topology.minimal_invariant_sets(graph))
+    by_csgraph, by_python = reports
+    assert by_python.backend == by_csgraph.backend
+    assert by_python.n_sccs == by_csgraph.n_sccs
+    assert by_python.scc_of_cell.dtype == by_csgraph.scc_of_cell.dtype
+    assert np.array_equal(by_python.scc_of_cell, by_csgraph.scc_of_cell)
+    assert by_python.terminal_scc_ids == by_csgraph.terminal_scc_ids
+    assert len(by_python.terminal_cells) == len(by_csgraph.terminal_cells)
+    for a, b in zip(by_python.terminal_cells, by_csgraph.terminal_cells):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert by_python.reach.shape == by_csgraph.reach.shape
+    assert (by_python.reach != by_csgraph.reach).nnz == 0
+
+
 def test_proximality_rotation_is_diagonal():
     ## an isometry preserves every pairwise distance, so points 0.01 apart
     ## never come within 1e-3 of each other
