@@ -1,7 +1,9 @@
 """Process entry of `python -m semicascade` and the `semicascade` script.
 
-`run` defers numpy's unused submodules, imports the CLI, which loads the
-package, numpy and scipy, and then freezes the heap with `gc.freeze`.
+`run` defers numpy's unused submodules, imports the CLI, which loads numpy,
+scipy.sparse and the modules every run reads (systems and ulam), and then
+freezes the heap with `gc.freeze`. The CLI imports each analysis module
+where it first runs, so a run loads only the analyses it was given.
 
 Deferral: `import scipy.sparse` reaches scipy's vendored array-api-compat,
 whose `clone_module("numpy")` calls `hasattr` on every name in
@@ -13,10 +15,11 @@ whose `clone_module("numpy")` calls `hasattr` on every name in
 as an `importlib.util.LazyLoader` module first, so the `hasattr` finds an
 attribute and executes nothing; the first real attribute access loads the
 whole module as before. With numpy 2.4.6 and scipy 1.17.1 on a 2-core
-x86-64 host, a run loads 363 modules instead of 549 (451 instead of 637
-when its graph is large enough for topology to import
-scipy.sparse.csgraph), and peak RSS falls by about 10 MB: 52.8 to 42.5 MB
-on northsouth-projection.
+x86-64 host, an all-analyses run loads 363 modules instead of 549, and
+northsouth-projection's three analyses 361 instead of 547 (447 instead of
+633 for the cat map at 256 x 256 cells, minimal sets only, whose graph is
+large enough for topology to import scipy.sparse.csgraph), and peak RSS
+falls by about 10 MB: 52.8 to 42.5 MB on northsouth-projection.
 
 Freeze: the tens of thousands of objects the import leaves behind move to
 the permanent generation, so neither a full collection during the run nor

@@ -29,7 +29,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import ergodic, measures, systems, tame, topology, ulam
+## topology, measures, ergodic and tame are imported in the function that
+## first calls them, so a run loads only the analysis modules it runs
+from . import systems, ulam
 from .errors import InputError, ResourceBudgetError
 
 CONFIG_SCHEMA = "semicascade-config-v1"
@@ -75,8 +77,8 @@ KINDS = {
     "nonnegative_number": (lambda v: _is_number(v) and math.isfinite(v) and v >= 0,
                            "must be a finite nonnegative number"),
     "nonnegative_int": (lambda v: _is_int(v) and v >= 0, "must be a nonnegative integer"),
-    "cancellation_terms": (lambda v: _is_int(v) and 2 <= v <= tame.MAX_CANCELLATION_TERMS,
-                           "must be an integer from 2 to %d" % tame.MAX_CANCELLATION_TERMS),
+    "cancellation_terms": (lambda v: _is_int(v) and 2 <= v <= systems.MAX_CANCELLATION_TERMS,
+                           "must be an integer from 2 to %d" % systems.MAX_CANCELLATION_TERMS),
     "strategy": (lambda v: v in ("fixed", "adversarial"), "must be fixed or adversarial"),
     "lengths": (lambda v: isinstance(v, list) and len(v) >= 2,
                 "must be a list of at least two lengths", "positive_int"),
@@ -235,6 +237,7 @@ class SharedResults:
 
     @functools.cached_property
     def graph(self):
+        from . import topology
         return topology.graph_from_transfer(self.transfer)
 
     @functools.cached_property
@@ -243,14 +246,17 @@ class SharedResults:
 
     @functools.cached_property
     def stationary(self):
+        from . import measures
         return measures.stationary_measures(self.graph)
 
     @functools.cached_property
     def projection(self):
+        from . import ergodic
         return ergodic.kernel_projection_estimate(self.stationary)
 
 
 def _convergence(run):
+    from . import ergodic
     lengths, tol = run.horizons["schedule_lengths"], run.tolerances["tol"]
     schedules = ergodic.cesaro_ladder(lengths)
     probe = run.options["convergence_probe"]
@@ -267,6 +273,7 @@ def _convergence(run):
 
 
 def _unique_minimal_set(run):
+    from . import topology
     check = topology.unique_minimal_set_check(run.graph, max_period=run.options["max_period"])
     return dict(check.as_jsonable(), context=run.context(None, None))
 
@@ -284,6 +291,7 @@ def _uniqueness_verdicts(entry, results):
 
 
 def _proximality(run):
+    from . import topology
     pts = _probe_grid(run.options["proximality_points"], run.spec.dimension)
     horizon, eps = run.horizons["proximality_horizon"], run.tolerances["eps"]
     pg = topology.proximality_graph(run.spec, pts, horizon, eps)
@@ -292,6 +300,7 @@ def _proximality(run):
 
 
 def _measures(run):
+    from . import measures
     threshold = run.tolerances["support_threshold"]
     minimality = measures.support_minimality_check(run.stationary, threshold=threshold)
     center = measures.attraction_center_vs_minimal_union(run.stationary, threshold=threshold)
@@ -302,6 +311,7 @@ def _measures(run):
 
 
 def _tameness(run):
+    from . import tame
     fn_entry = ulam.trig_bank(2, run.spec.dimension)[1]  # first nonconstant
     grid = _probe_grid(run.config["banks"]["grid_size"], run.spec.dimension)
     k_max = run.options["tameness_k_max"]
@@ -317,12 +327,14 @@ def _tameness_verdicts(entry, results):
 
 
 def _covering(run):
+    from . import tame
     horizon = run.horizons["covering_horizon"]
     profile = tame.covering_profile(run.spec, horizon, run.options["covering_eps"])
     return dict(profile.as_jsonable(), context=run.context(horizon, None))
 
 
 def _limit_measures(run):
+    from . import ergodic
     probes = _probe_grid(run.options["limit_probe_count"], run.spec.dimension)
     limits = ergodic.limit_measure_per_point(run.projection, probes, run.horizons["orbit_n"])
     rows = [{"probe": [float(c) for c in pt],

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -91,6 +92,8 @@ def cesaro_ladder(lengths):
     More than SCHEDULE_TERM_BUDGET terms, len(lengths) x max(lengths), raise
     ResourceBudgetError before any schedule is made.
     """
+    if not lengths:
+        raise InputError("cesaro ladder needs at least one length")
     terms = len(lengths) * max(lengths)
     if terms > SCHEDULE_TERM_BUDGET:
         raise ResourceBudgetError(
@@ -215,8 +218,7 @@ def cesaro_defect_curve(tm, mu, bank, n_max):
 # convergence diagnostics
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Cauchy test of schedule outputs in the weak-star pairing.
 
     verdict: converged (all tail pairs <= tol), not_converged (some tail
@@ -361,8 +363,7 @@ def exact_orbit_diagnostic(spec, point, schedules, functions, tol=DEFAULT_TOL,
 # kernel projection
 
 
-@dataclass(frozen=True)
-class KernelEstimate:
+class KernelEstimate(NamedTuple):
     """The Cesaro-limit projection Q = A Pi of the sampled chain, kept factored.
 
     Kemeny & Snell (Finite Markov Chains, 1960): stationary (Pi, k x n)
@@ -428,8 +429,7 @@ def kernel_projection_estimate(mset):
 # per-point limit measures
 
 
-@dataclass(frozen=True)
-class LimitMeasureResult:
+class LimitMeasureResult(NamedTuple):
     """Cesaro limit of a point mass, with an exact single-class flag.
 
     mass_in_class is the largest mass the limit puts on one terminal SCC, whose

@@ -15,7 +15,7 @@ the union of supports matches the union of terminal classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ STATIONARY_MAX_ITERS = 50_000
 MEASURE_ENTRY_BUDGET = 1 << 26
 
 
-@dataclass(frozen=True)
-class ErgodicMeasureSet:
+class ErgodicMeasureSet(NamedTuple):
     """One stationary measure per terminal SCC of graph, as full vectors.
 
     measures[i] belongs to the class graph.minimal_sets.terminal_scc_ids[i].
@@ -129,8 +128,7 @@ def support_minimality_check(measure_set, threshold=DEFAULT_SUPPORT_THRESHOLD):
             in zip(measure_set.measures, measure_set.graph.minimal_sets.terminal_cells)]
 
 
-@dataclass(frozen=True)
-class AttractionCenterReport:
+class AttractionCenterReport(NamedTuple):
     """Union of measure supports vs union of terminal classes, as cell sets."""
 
     support_union: np.ndarray

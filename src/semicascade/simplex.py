@@ -39,7 +39,7 @@ matmul's does), so a problem's result is the same bits in any stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +51,7 @@ REDCOST_TOL = 1e-11
 RATIO_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SimplexResult:
+class SimplexResult(NamedTuple):
     value: float  # certified max_s |(W^T b)_s| at the returned b
     weights: np.ndarray  # b on the probability simplex
     objective: float  # LP optimum z (equals value up to solver tolerance)

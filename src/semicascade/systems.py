@@ -22,6 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,10 +37,12 @@ PERIODIC_LATTICE_BUDGET = 1 << 16
 #: points of one equispaced grid: the tameness grid (which also sizes the
 #: simplex's 256 x points price buffer) and the proximality and limit probes
 GRID_POINT_BUDGET = 1 << 16
+#: most terms tame.cancellation_defect takes (2^(K-1) sign-pattern solves at
+#: K terms); defined here so that the CLI checks tameness_k_max without tame
+MAX_CANCELLATION_TERMS = 14
 
 
-@dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(NamedTuple):
     """Immutable description of one bundled system.
 
     `params` holds the constructor arguments: the four integer entries of
@@ -225,8 +228,7 @@ class RationalPoint:
         return np.array([float(c) for c in self.coords])
 
 
-@dataclass(frozen=True)
-class PeriodicOrbit:
+class PeriodicOrbit(NamedTuple):
     """One periodic orbit: its points in visiting order and its least period."""
 
     points: tuple
@@ -334,8 +336,7 @@ def _linear_periodic(spec, max_period):
     return orbits
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One bundled family: the only place that knows it by name.
 
     `params` lists (name, kind, catalog text) in the order `build` takes

@@ -27,15 +27,15 @@ centers as N grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import systems, ulam
 from .errors import InputError, ResourceBudgetError
 from .simplex import solve_minimax_signed
+from .systems import MAX_CANCELLATION_TERMS
 
-MAX_CANCELLATION_TERMS = 14
 SIGN_PATTERN_CHUNK = 256  # patterns per lock-step simplex stack; sized for peak memory
 COVERING_PAIR_BUDGET = 1 << 22
 ENVELOPE_BANK = 16
@@ -108,8 +108,7 @@ def cancellation_defect(values, pivot_budget=None):
     return float(best), best_coeffs, report
 
 
-@dataclass(frozen=True)
-class TamenessReport:
+class TamenessReport(NamedTuple):
     function_name: str
     strategy: str  # fixed | adversarial
     grid_size: int
@@ -218,8 +217,7 @@ def _envelope_features(spec, horizon, bank_count, point_count):
     return feats
 
 
-@dataclass(frozen=True)
-class CoveringProfile:
+class CoveringProfile(NamedTuple):
     horizon: int
     eps_list: tuple
     counts: tuple

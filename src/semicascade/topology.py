@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,8 +80,7 @@ def graph_from_transfer(tm):
                                              shape=mat.shape))
 
 
-@dataclass(frozen=True)
-class MinimalSetReport:
+class MinimalSetReport(NamedTuple):
     """Terminal-SCC decomposition of a transition graph.
 
     scc_of_cell maps each cell to its strongly connected component id;
@@ -238,8 +238,7 @@ def _reached(indptr, indices, start):
     return order
 
 
-@dataclass(frozen=True)
-class UniqueMinimalSetReport:
+class UniqueMinimalSetReport(NamedTuple):
     """Verdict of the unique-minimal-set-per-orbit-closure question.
 
     Graph route: true iff every cell's reachable closure contains exactly
@@ -307,8 +306,7 @@ def unique_minimal_set_check(graph, max_period=2):
 # proximality
 
 
-@dataclass(frozen=True)
-class ProximalityGraph:
+class ProximalityGraph(NamedTuple):
     """Symmetric reflexive pair relation at a horizon and threshold."""
 
     points: np.ndarray  # (P, d)
@@ -409,8 +407,7 @@ def _sweep(block, eps, cut, hit):
         hit[codes[far < eps]] = True
 
 
-@dataclass(frozen=True)
-class TransitivityReport:
+class TransitivityReport(NamedTuple):
     defect: float
     n_two_step_triples: int
     n_violations: int

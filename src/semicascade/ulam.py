@@ -35,6 +35,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,8 +54,7 @@ BUILD_BLOCK_CELLS = 1 << 13
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """Uniform grid partition of [0,1)^d with per-cell sample offsets."""
 
     dimension: int

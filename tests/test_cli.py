@@ -3,6 +3,7 @@
 import builtins
 import contextlib
 import gc
+import inspect
 import io
 import json
 import os
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import find, given, settings, strategies as st
 
 import semicascade
-from semicascade import cli, ergodic, measures, systems, tame, topology
+from semicascade import cli, ergodic, measures, simplex, systems, tame, topology, ulam
 
 
 def _base_config(out_dir):
@@ -710,16 +711,24 @@ def test_process_entry_defers_unused_numpy_submodules(tmp_path):
     assert (tmp_path / "out" / "report.json").exists()
 
 
-_SCIPY_PROBE = """
+_LOADED_PROBE = """
 import json, runpy, sys
-sys.argv = ["semicascade", "run", sys.argv[1]]
+config, names = sys.argv[1], sys.argv[2:]
+sys.argv = ["semicascade", "run", config]
 try:
     runpy.run_module("semicascade", run_name="__main__", alter_sys=True)
 except SystemExit as exit:
-    loaded = [name for name in ("scipy.linalg", "scipy.sparse.csgraph", "scipy.sparse.linalg")
-              if name in sys.modules]
-    print(json.dumps({"code": exit.code, "loaded": loaded}))
+    print(json.dumps({"code": exit.code, "loaded": [n for n in names if n in sys.modules]}))
 """
+
+
+def _loaded_by_entry(tmp_path, cfg, name, modules):
+    ## which of modules a run of cfg through the process entry has loaded at exit
+    proc = _child("-c", _LOADED_PROBE, _write_config(tmp_path, cfg, name + ".json"), *modules)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    return result["loaded"]
 
 
 def test_process_entry_leaves_scipy_linear_algebra_to_large_graphs(tmp_path):
@@ -736,17 +745,70 @@ def test_process_entry_leaves_scipy_linear_algebra_to_large_graphs(tmp_path):
                 "analyses": ["unique_minimal_set"],
                 "output_dir": str(tmp_path / ("cat%d" % cells))}
 
-    loaded = {}
-    for name, cfg in (("small", _base_config(tmp_path / "small")),
-                      ("cat128", cat(128)), ("cat256", cat(256))):
-        proc = _child("-c", _SCIPY_PROBE, _write_config(tmp_path, cfg, name + ".json"))
-        assert proc.returncode == 0, proc.stderr
-        result = json.loads(proc.stdout.splitlines()[-1])
-        assert result["code"] == 0
-        loaded[name] = result["loaded"]
+    linear_algebra = ("scipy.linalg", "scipy.sparse.csgraph", "scipy.sparse.linalg")
+    loaded = {name: _loaded_by_entry(tmp_path, cfg, name, linear_algebra)
+              for name, cfg in (("small", _base_config(tmp_path / "small")),
+                                ("cat128", cat(128)), ("cat256", cat(256)))}
     assert loaded["small"] == []
     assert loaded["cat128"] == []
     assert "scipy.sparse.csgraph" in loaded["cat256"]
+
+
+def test_process_entry_loads_only_the_analysis_modules_a_run_uses(tmp_path):
+    ## cli imports topology, measures, ergodic and tame in the function that
+    ## first calls them, and tame brings simplex: a run loads the analysis
+    ## modules of the analyses it runs and no others
+    modules = ["semicascade." + name
+               for name in ("ergodic", "measures", "simplex", "tame", "topology", "ulam")]
+
+    def loaded(name, analyses):
+        cfg = dict(_base_config(tmp_path / name), analyses=analyses)
+        return [m.split(".")[1] for m in _loaded_by_entry(tmp_path, cfg, name, modules)]
+
+    assert loaded("projection", ["unique_minimal_set", "measures", "kernel_projection"]) == \
+        ["ergodic", "measures", "topology", "ulam"]
+    assert loaded("wildness", ["unique_minimal_set", "measures", "proximality", "tameness",
+                               "covering"]) == ["measures", "simplex", "tame", "topology", "ulam"]
+    assert loaded("all", list(cli.ANALYSES)) == \
+        ["ergodic", "measures", "simplex", "tame", "topology", "ulam"]
+
+
+#: every frozen result record without validation or a cached property, and
+#: its fields in order
+RECORD_FIELDS = {
+    systems.SystemSpec: "family dimension params exact_params linear",
+    systems.PeriodicOrbit: "points period",
+    systems.Family: "dimension params build exact_backend description lift describe periodic",
+    ulam.Partition: "dimension cells_per_axis samples_per_cell seed offsets",
+    topology.MinimalSetReport: "n_sccs scc_of_cell terminal_scc_ids terminal_cells reach backend",
+    topology.UniqueMinimalSetReport: "verdict graph_verdict exact_verdict backend_used "
+                                     "witnesses max_period discrepancy minimal_sets",
+    topology.ProximalityGraph: "points horizon eps edges",
+    topology.TransitivityReport: "defect n_two_step_triples n_violations vacuous method "
+                                 "violating_sample",
+    measures.ErgodicMeasureSet: "measures residuals converged iterations graph",
+    measures.AttractionCenterReport: "support_union minimal_union only_in_support "
+                                     "only_in_minimal equal threshold",
+    ergodic.ConvergenceReport: "verdict tolerance schedule_labels tail_indices pairwise_defects "
+                               "limit cause max_tail_defect consecutive_defects",
+    ergodic.KernelEstimate: "absorption stationary residual_vq residual_idem stop_reason graph",
+    ergodic.LimitMeasureResult: "measure ergodic dominant_class mass_in_class route "
+                                "support_cells",
+    simplex.SimplexResult: "value weights objective iterations status suboptimal",
+    tame.TamenessReport: "function_name strategy grid_size subsequence defect_per_k "
+                         "coefficients suboptimal work",
+    tame.CoveringProfile: "horizon eps_list counts bank_count point_count truncation_bound",
+}
+
+
+@pytest.mark.parametrize("record", list(RECORD_FIELDS), ids=lambda record: record.__name__)
+def test_result_records_keep_their_fields_and_refuse_assignment(record):
+    fields = list(inspect.signature(record).parameters)
+    assert fields == RECORD_FIELDS[record].split()
+    instance = record(*[None] * len(fields))
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(instance, field, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,8 @@ def test_schedule_validation():
         ergodic.ErgodicSchedule((0, 1), (-0.5, 1.5))
     with pytest.raises(InputError):
         ergodic.cesaro_schedule(0)
+    with pytest.raises(InputError, match="at least one length"):
+        ergodic.cesaro_ladder([])
     with pytest.raises(InputError):
         ergodic.window_schedule(-1, 4)
     with pytest.raises(InputError):
