@@ -1,13 +1,14 @@
 """Ergodic averaging schedules and weak-star convergence diagnostics.
 
-A schedule is a finite convex combination of transfer-operator powers.
-Every sum sum_p w_p mu V^p here is a reduction over one ulam.walk: a list
-of schedules becomes a weight table (row = schedule, column = power), and
-each power mu V^p, computed once, is added into every row with its column
-of weights. Nothing materializes a matrix power. The ergodicity defect
-T(I - V) mu needs no second walk: it regroups as sum_p (w_p - w_{p-1})
-mu V^p, the telescoped table over the same walk, and for Cesaro length n
-it is (mu - mu V^n)/n.
+A schedule is a finite convex combination of transfer-operator powers,
+held as runs (start, stop, weight) of constant weight. Every sum
+sum_p w_p mu V^p here is a reduction over one ulam.walk that keeps one
+running sum of mu V^p per distinct run start (one for a whole Cesaro
+ladder); a run that stops adds weight x sum into its row, so each row is
+the sequential sum of its own powers. The ergodicity defect T(I - V) mu
+needs no second walk: it regroups as sum_p (w_p - w_{p-1}) mu V^p, one
+single-power run per weight change, and for Cesaro length n it is
+(mu - mu V^n)/n.
 
 Weak-star comparisons pair measures against a fixed finite bank of test
 functions sampled at cell centers, so "distance" always means: max
@@ -27,6 +28,7 @@ c of the Kemeny-Snell projection Q = A Pi, kept factored in a KernelEstimate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -41,65 +43,62 @@ DEFAULT_TOL = 1e-2
 ## schedules whose telescoping bound exceeds this are too far from ergodic
 ## for a Cauchy test to mean anything (a single power has bound 2)
 ERGODICITY_GATE = 0.25
-#: terms (schedules x longest length) of one Cesaro ladder: the schedules'
-#: power and weight tuples and the weight table its diagnostic walks
-SCHEDULE_TERM_BUDGET = 1 << 21
+#: operator steps x stored matrix entries of one schedule walk, about a
+#: minute of sparse products at 1 ns per stored entry
+WALK_ENTRY_BUDGET = 1 << 36
 
 
 @dataclass(frozen=True)
 class ErgodicSchedule:
-    """Convex combination of powers: sum_k weights[k] * V^powers[k]."""
+    """Convex combination of powers: weight * V^p for p = start..stop-1 of each run.
 
-    powers: tuple
-    weights: tuple
+    runs is a tuple of (start, stop, weight) triples, increasing and disjoint.
+    """
+
+    runs: tuple
 
     def __post_init__(self):
-        if len(self.powers) != len(self.weights) or not self.powers:
-            raise InputError("schedule needs matching nonempty powers and weights")
-        if any(p < 0 for p in self.powers):
-            raise InputError("powers must be nonnegative")
-        if any(b <= a for a, b in zip(self.powers, self.powers[1:])):
-            raise InputError("powers must be strictly increasing")
-        if any(w < 0 for w in self.weights):
+        if not self.runs or self.runs[0][0] < 0 or any(b <= a for a, b, _ in self.runs) \
+                or any(b > a for (_, b, _), (a, _, _) in zip(self.runs, self.runs[1:])):
+            raise InputError("schedule needs nonempty runs of powers >= 0, "
+                             "increasing and disjoint")
+        if any(w < 0 for _, _, w in self.runs):
             raise InputError("weights must be nonnegative")
-        ## fsum: a plain sum of n copies of 1/n drifts past 1e-12 from n ~ 4e4
-        if abs(math.fsum(self.weights) - 1.0) > 1e-12:
+        if abs(math.fsum((b - a) * w for a, b, w in self.runs) - 1.0) > 1e-12:
             raise InputError("weights must sum to 1 within 1e-12")
 
     @property
     def max_power(self):
-        return self.powers[-1]
+        return self.runs[-1][1] - 1
+
+    @property
+    def powers(self):
+        """Every power the schedule weights, in order (built from the runs)."""
+        return tuple(p for a, b, _ in self.runs for p in range(a, b))
+
+    @property
+    def weights(self):
+        """The weight of each power in powers (built from the runs)."""
+        return tuple(w for a, b, w in self.runs for _ in range(a, b))
 
     def label(self):
-        if self.weights.count(self.weights[0]) == len(self.weights) and \
-                self.powers == tuple(range(self.powers[0], self.powers[-1] + 1)):
-            if self.powers[0] == 0:
-                return "cesaro_%d" % len(self.powers)
-            return "window_%d_%d" % (self.powers[0], len(self.powers))
-        return "schedule_%d_terms" % len(self.powers)
+        if len(self.runs) == 1:
+            (a, b, _), = self.runs
+            return "cesaro_%d" % b if a == 0 else "window_%d_%d" % (a, b - a)
+        return "schedule_%d_terms" % sum(b - a for a, b, _ in self.runs)
 
 
 def cesaro_schedule(n):
     """Powers 0..n-1, each weight 1/n."""
     if n < 1:
         raise InputError("cesaro length must be >= 1")
-    return ErgodicSchedule(tuple(range(n)), (1.0 / n,) * n)
+    return ErgodicSchedule(((0, n, 1.0 / n),))
 
 
 def cesaro_ladder(lengths):
-    """cesaro_schedule(n) for each n, the schedules of one convergence diagnostic.
-
-    More than SCHEDULE_TERM_BUDGET terms, len(lengths) x max(lengths), raise
-    ResourceBudgetError before any schedule is made.
-    """
+    """cesaro_schedule(n) for each n, the schedules of one convergence diagnostic."""
     if not lengths:
         raise InputError("cesaro ladder needs at least one length")
-    terms = len(lengths) * max(lengths)
-    if terms > SCHEDULE_TERM_BUDGET:
-        raise ResourceBudgetError(
-            "%d Cesaro schedules up to length %d make %d schedule terms, over the "
-            "budget of %d; shorten or drop schedule lengths"
-            % (len(lengths), max(lengths), terms, SCHEDULE_TERM_BUDGET))
     return [cesaro_schedule(n) for n in lengths]
 
 
@@ -109,20 +108,16 @@ def window_schedule(start, length):
         raise InputError("window length must be >= 1")
     if start < 0:
         raise InputError("window start must be >= 0")
-    return ErgodicSchedule(tuple(range(start, start + length)), (1.0 / length,) * length)
+    return ErgodicSchedule(((start, start + length, 1.0 / length),))
 
 
-def mix_schedule(a, s1, s2):
-    """Convex mix a*s1 + (1-a)*s2 as a single schedule."""
-    if not 0.0 <= a <= 1.0:
-        raise InputError("mixing weight must lie in [0,1]")
-    acc = {}
-    for p, w in zip(s1.powers, s1.weights):
-        acc[p] = acc.get(p, 0.0) + a * w
-    for p, w in zip(s2.powers, s2.weights):
-        acc[p] = acc.get(p, 0.0) + (1.0 - a) * w
-    powers = tuple(sorted(acc))
-    return ErgodicSchedule(powers, tuple(acc[p] for p in powers))
+def _telescoped(runs):
+    """Runs of T(I-V) = sum_p (w(p) - w(p-1)) V^p: one single power per weight change."""
+    steps = {}
+    for a, b, w in runs:
+        steps[a] = steps.get(a, 0.0) + w
+        steps[b] = steps.get(b, 0.0) - w
+    return tuple((p, p + 1, c) for p, c in sorted(steps.items()) if c)
 
 
 def telescoping_bound(sch):
@@ -132,7 +127,7 @@ def telescoping_bound(sch):
     the weight-by-power map; the pairing against any |x| <= 1 test function
     and a probability vector is at most sum |c_p|. Cesaro length n gives 2/n.
     """
-    return float(np.abs(_telescoped(_weight_table([sch]))).sum())
+    return math.fsum(abs(c) for _, _, c in _telescoped(sch.runs))
 
 
 def _check_measure(tm, mu):
@@ -142,29 +137,45 @@ def _check_measure(tm, mu):
     return mu
 
 
-def _weight_table(schedules):
-    """Row i, column p: the weight schedule i puts on the power p."""
-    table = np.zeros((len(schedules), max(sch.max_power for sch in schedules) + 1))
-    for i, sch in enumerate(schedules):
-        table[i, list(sch.powers)] = sch.weights
-    return table
+def _run_sums(rows, terms):
+    """Per row of runs (a, b, w): the sum of w * (terms[a] + ... + terms[b-1]).
 
-
-def _telescoped(table):
-    """Rows of T(I-V) = sum_p (w(p) - w(p-1)) V^p: one column longer than table."""
-    return np.diff(table, axis=1, prepend=0.0, append=0.0)
-
-
-def _walk_sums(tm, table, start):
-    """sum_p table[:, p] * start V^p for every row of table, over one walk.
-
-    start is a measure vector or an (n_cells, k) block of measures; the
-    result has shape (rows,) + start.shape.
+    terms yields one float array per power 0, 1, ..., read up to the last
+    stop. Each row is the sequential sum of its own terms, whatever the other
+    rows: one running sum per distinct run start, scaled once per run.
     """
-    out = np.zeros((table.shape[0],) + np.shape(start))
-    for p, cur in enumerate(ulam.walk(tm, start, table.shape[1] - 1)):
-        out += np.multiply.outer(table[:, p], cur)
-    return out
+    closing, ends = {}, {}
+    for i, runs in enumerate(rows):
+        for a, b, w in runs:
+            closing.setdefault(b - 1, []).append((i, a, w))
+            ends[a] = max(ends.get(a, a), b - 1)
+    out = [0.0] * len(rows)
+    sums = {}
+    for p, cur in zip(range(max(closing) + 1), terms):
+        for total in sums.values():
+            total += cur
+        if p in ends:
+            sums[p] = cur.copy()
+        if p in closing:
+            for i, a, w in closing[p]:
+                out[i] = out[i] + w * sums[a]
+            sums = {a: total for a, total in sums.items() if ends[a] > p}
+    return np.array(out)
+
+
+def _walk_sums(tm, rows, start):
+    """_run_sums of rows over the powers start V^p of one ulam.walk.
+
+    More than WALK_ENTRY_BUDGET steps x stored entries raise before the first step.
+    """
+    steps = max(b for runs in rows for _, b, _ in runs) - 1
+    cost = steps * tm.matrix.nnz
+    if cost > WALK_ENTRY_BUDGET:
+        raise ResourceBudgetError(
+            "a schedule walk of %d operator steps over %d stored matrix entries "
+            "makes %d entry-steps, over the budget of %d; shorten schedule lengths"
+            % (steps, tm.matrix.nnz, cost, WALK_ENTRY_BUDGET))
+    return _run_sums(rows, ulam.walk(tm, start, steps))
 
 
 def apply_schedules_batch(tm, schedules, mu):
@@ -173,7 +184,7 @@ def apply_schedules_batch(tm, schedules, mu):
     mu is a measure vector or an (n_cells, k) block of measures; row i of
     the result is schedule i applied to it, shape (n_schedules,) + mu.shape.
     """
-    return _walk_sums(tm, _weight_table(schedules), mu)
+    return _walk_sums(tm, [sch.runs for sch in schedules], mu)
 
 
 def weakstar_distance(mu1, mu2, bank):
@@ -182,19 +193,6 @@ def weakstar_distance(mu1, mu2, bank):
     if not bank:
         raise InputError("bank must be nonempty")
     return max(abs(float(np.dot(x, d))) for x in bank)
-
-
-def ergodicity_defect(tm, sch, bank, probes):
-    """max over bank x probes of |<x, T mu - T V mu>| for T = the schedule.
-
-    T mu - T V mu = T(I-V) mu is the telescoped schedule applied to mu, so
-    all probes ride one block walk.
-    """
-    if not bank or not probes:
-        raise InputError("bank and probes must be nonempty")
-    block = np.column_stack([_check_measure(tm, mu) for mu in probes])
-    t_nu = _walk_sums(tm, _telescoped(_weight_table([sch])), block)[0]
-    return float(np.max(np.abs(np.asarray(bank, dtype=np.float64).dot(t_nu))))
 
 
 def cesaro_defect_curve(tm, mu, bank, n_max):
@@ -281,15 +279,12 @@ def convergence_diagnostic(tm, schedules, mu0, bank, tol=DEFAULT_TOL,
     for near-ergodic schedules). One walk to max_power + 1 gives both the
     outputs T mu0 and the gated defects T(I-V) mu0.
     """
-    if not schedules:
-        raise InputError("need at least one schedule")
     if len(schedules) < 2:
         raise InputError("a Cauchy test needs at least two schedules")
     mu0 = _check_measure(tm, mu0)
     labels = tuple(sch.label() for sch in schedules)
-    weights = _weight_table(schedules)
-    table = np.vstack([np.pad(weights, ((0, 0), (0, 1))), _telescoped(weights)])
-    outputs, gated = np.split(_walk_sums(tm, table, mu0), 2)
+    rows = [sch.runs for sch in schedules] + [_telescoped(sch.runs) for sch in schedules]
+    outputs, gated = np.split(_walk_sums(tm, rows, mu0), 2)
     distance = lambda a, b: weakstar_distance(a, b, bank)
     steps = tuple(distance(a, b) for a, b in zip(outputs, outputs[1:]))
     zero = np.zeros(tm.n_cells)
@@ -317,17 +312,18 @@ def exact_orbit_schedule_averages(spec, point, schedules, functions):
     """
     if not schedules:
         raise InputError("need at least one schedule")
-    table = _weight_table(schedules)
-    out = np.zeros((len(schedules), len(functions)))
-    cur = point
-    for p, column in enumerate(table.T):
-        if p:
+    first = min(sch.runs[0][0] for sch in schedules)
+
+    def values(cur):
+        for p in itertools.count():
+            if p < first:
+                yield None  # no run covers p: the orbit steps on unevaluated
+            else:
+                coords = np.asarray([float(c) for c in cur.coords])[None, :]
+                yield np.asarray([fn(coords)[0] for _, fn in functions])
             cur = systems.exact_step(spec, cur)
-        if column.any():
-            coords = np.asarray([float(c) for c in cur.coords])[None, :]
-            vals = np.asarray([fn(coords)[0] for _, fn in functions])
-            out += np.multiply.outer(column, vals)
-    return out
+
+    return _run_sums([sch.runs for sch in schedules], values(point))
 
 
 def exact_orbit_diagnostic(spec, point, schedules, functions, tol=DEFAULT_TOL,

@@ -1002,7 +1002,7 @@ def test_readme_config_reference_matches_the_table():
 
 
 def test_long_cesaro_schedule_runs(tmp_path, capsys):
-    ## 100000 weights of 1/100000 sum to 1 exactly only under a compensated sum
+    ## one run of 100000 powers: no per-power weight is stored or summed
     cfg = dict(_base_config(tmp_path / "out"), analyses=["convergence"])
     cfg["horizons"]["schedule_lengths"] = [64, 100000]
     assert cli.main(["run", _write_config(tmp_path, cfg)]) == 0, capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Schedules, convergence diagnostics, kernel projection, limit measures."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -65,25 +66,25 @@ def _spy_splu(monkeypatch):
 
 def test_schedule_validation():
     with pytest.raises(InputError):
-        ergodic.ErgodicSchedule((), ())
+        ergodic.ErgodicSchedule(())
     with pytest.raises(InputError):
-        ergodic.ErgodicSchedule((0, 1), (0.5,))
+        ergodic.ErgodicSchedule(((0, 0, 1.0),))  # empty run
     with pytest.raises(InputError):
-        ergodic.ErgodicSchedule((1, 0), (0.5, 0.5))  # not increasing
+        ergodic.ErgodicSchedule(((2, 3, 0.5), (0, 1, 0.5)))  # not increasing
     with pytest.raises(InputError):
-        ergodic.ErgodicSchedule((-1, 0), (0.5, 0.5))
+        ergodic.ErgodicSchedule(((0, 2, 0.25), (1, 3, 0.25)))  # overlapping
     with pytest.raises(InputError):
-        ergodic.ErgodicSchedule((0, 1), (0.7, 0.7))  # sum != 1
+        ergodic.ErgodicSchedule(((-1, 1, 0.5),))
     with pytest.raises(InputError):
-        ergodic.ErgodicSchedule((0, 1), (-0.5, 1.5))
+        ergodic.ErgodicSchedule(((0, 2, 0.7),))  # sum != 1
+    with pytest.raises(InputError):
+        ergodic.ErgodicSchedule(((0, 1, -0.5), (1, 2, 1.5)))
     with pytest.raises(InputError):
         ergodic.cesaro_schedule(0)
     with pytest.raises(InputError, match="at least one length"):
         ergodic.cesaro_ladder([])
     with pytest.raises(InputError):
         ergodic.window_schedule(-1, 4)
-    with pytest.raises(InputError):
-        ergodic.mix_schedule(1.5, ergodic.cesaro_schedule(2), ergodic.cesaro_schedule(2))
 
 
 @pytest.mark.parametrize("n", [39500, 52000, 100000])
@@ -93,29 +94,69 @@ def test_long_cesaro_schedule_weights_sum_to_one(n):
     assert len(sch.weights) == n and sch.label() == "cesaro_%d" % n
 
 
-def test_cesaro_ladder_refused_before_any_schedule_is_made(monkeypatch):
-    monkeypatch.setattr(ergodic, "SCHEDULE_TERM_BUDGET", 3 * 8)
-    ladder = ergodic.cesaro_ladder([2, 4, 8])
-    assert [sch.label() for sch in ladder] == ["cesaro_2", "cesaro_4", "cesaro_8"]
-    made = []
-    monkeypatch.setattr(ergodic, "cesaro_schedule", made.append)
-    with pytest.raises(ResourceBudgetError, match="3 Cesaro schedules up to length 9 make "
-                                                  "27 schedule terms, over the budget of 24"):
-        ergodic.cesaro_ladder([2, 4, 9])
-    assert made == []
+def test_schedules_are_built_in_constant_memory():
+    ## one run each, whatever the length: no tuple of 2^40 powers is made
+    n = 1 << 40
+    tracemalloc.start()
+    try:
+        cesaro = ergodic.cesaro_schedule(n)
+        window = ergodic.window_schedule(n, n)
+        ladder = ergodic.cesaro_ladder([64, n])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    assert cesaro.label() == "cesaro_1099511627776"
+    assert window.label() == "window_1099511627776_1099511627776"
+    assert [sch.label() for sch in ladder] == ["cesaro_64", "cesaro_1099511627776"]
+    assert (cesaro.max_power, window.max_power) == (n - 1, 2 * n - 1)
+    assert ergodic.telescoping_bound(cesaro) == 2.0 / n
+
+
+def _counting_walk(monkeypatch):
+    """Count the powers every ulam.walk yields."""
+    steps = []
+    walk = ulam.walk
+
+    def spy(tm, start, n):
+        for cur in walk(tm, start, n):
+            steps.append(1)
+            yield cur
+
+    monkeypatch.setattr(ulam, "walk", spy)
+    return steps
+
+
+def test_walk_budget_refused_before_the_first_step(monkeypatch):
+    tm = _tm_random(6, seed=5)  # 36 stored entries
+    mu = np.full(6, 1.0 / 6)
+    steps = _counting_walk(monkeypatch)
+    ## a ladder to length 2^40 is refused before the walk yields anything
+    with pytest.raises(ResourceBudgetError, match="over the budget of %d"
+                       % ergodic.WALK_ENTRY_BUDGET):
+        ergodic.apply_schedules_batch(tm, ergodic.cesaro_ladder([64, 1 << 40]), mu)
+    assert steps == []
+    ## the budget counts steps x stored entries: 8 steps of 36 entries
+    ## (9 powers) for the schedules, one more step for their defects
+    monkeypatch.setattr(ergodic, "WALK_ENTRY_BUDGET", 8 * 36)
+    ladder = ergodic.cesaro_ladder([4, 9])
+    assert ergodic.apply_schedules_batch(tm, ladder, mu).shape == (2, 6)
+    assert len(steps) == 9
+    bank = ulam.sample_test_bank(tm.partition, 4)
+    with pytest.raises(ResourceBudgetError, match="9 operator steps over 36 stored matrix "
+                                                  "entries makes 324 entry-steps"):
+        ergodic.convergence_diagnostic(tm, ladder, mu, bank)
+    assert len(steps) == 9
 
 
 def test_schedule_labels():
     assert ergodic.cesaro_schedule(8).label() == "cesaro_8"
     assert ergodic.window_schedule(3, 4).label() == "window_3_4"
-    mixed = ergodic.mix_schedule(0.3, ergodic.cesaro_schedule(2),
-                                 ergodic.window_schedule(4, 2))
-    assert mixed.label() == "schedule_4_terms"
-    assert mixed.max_power == 5
-    ## mixing a schedule with itself reproduces it
-    self_mix = ergodic.mix_schedule(0.5, ergodic.cesaro_schedule(4),
-                                    ergodic.cesaro_schedule(4))
-    assert self_mix.label() == "cesaro_4"
+    two_runs = ergodic.ErgodicSchedule(((0, 2, 0.15), (4, 6, 0.35)))
+    assert two_runs.label() == "schedule_4_terms"
+    assert two_runs.max_power == 5
+    assert two_runs.powers == (0, 1, 4, 5)
+    assert two_runs.weights == (0.15, 0.15, 0.35, 0.35)
 
 
 def test_telescoping_bound_oracle():
@@ -123,11 +164,11 @@ def test_telescoping_bound_oracle():
     for n in (1, 2, 7, 64):
         assert ergodic.telescoping_bound(ergodic.cesaro_schedule(n)) == pytest.approx(2.0 / n)
     assert ergodic.telescoping_bound(ergodic.window_schedule(5, 8)) == pytest.approx(2.0 / 8)
-    s1, s2 = ergodic.cesaro_schedule(4), ergodic.window_schedule(2, 8)
-    for a in (0.0, 0.3, 1.0):
-        mixed = ergodic.mix_schedule(a, s1, s2)
-        bound = a * ergodic.telescoping_bound(s1) + (1 - a) * ergodic.telescoping_bound(s2)
-        assert ergodic.telescoping_bound(mixed) <= bound + 1e-15
+    ## adjacent runs step by the weight difference, a gap steps down and up
+    adjacent = ergodic.ErgodicSchedule(((0, 2, 0.125), (2, 5, 0.25)))
+    assert ergodic.telescoping_bound(adjacent) == 0.125 + 0.125 + 0.25
+    gapped = ergodic.ErgodicSchedule(((0, 2, 0.25), (4, 6, 0.25)))
+    assert ergodic.telescoping_bound(gapped) == 4 * 0.25
 
 
 def test_apply_schedule_against_naive_powers():
@@ -137,7 +178,7 @@ def test_apply_schedule_against_naive_powers():
     mu = rng.random(6)
     mu /= mu.sum()
     schedules = [ergodic.cesaro_schedule(5), ergodic.window_schedule(2, 3),
-                 ergodic.ErgodicSchedule((0, 2, 7), (0.2, 0.3, 0.5))]
+                 ergodic.ErgodicSchedule(((0, 1, 0.2), (2, 3, 0.3), (7, 8, 0.5)))]
     outs = ergodic.apply_schedules_batch(tm, schedules, mu)
     for sch, got in zip(schedules, outs):
         naive = np.zeros(6)
@@ -189,14 +230,43 @@ def test_cesaro_defect_curve_against_direct_averages():
 
 
 def test_ergodicity_defect_matches_curve():
+    ## T_n(I-V) mu, as T_n mu - T_n(mu V) and as the telescoped row behind
+    ## the gate, equals (mu - mu V^n)/n
     tm = _tm_of(systems.north_south(0.5), 32)
     bank = ulam.sample_test_bank(tm.partition, 6)
     mu = np.zeros(tm.n_cells)
     mu[3] = 1.0
     curve = ergodic.cesaro_defect_curve(tm, mu, bank, 16)
+    block = np.column_stack([mu, ulam.apply_transfer(tm, mu)])
     for n in (1, 4, 16):
-        defect = ergodic.ergodicity_defect(tm, ergodic.cesaro_schedule(n), bank, [mu])
+        sch = ergodic.cesaro_schedule(n)
+        t_block = ergodic.apply_schedules_batch(tm, [sch], block)[0]
+        defect = np.max(np.abs(np.asarray(bank) @ (t_block[:, 0] - t_block[:, 1])))
         assert defect == pytest.approx(curve[n - 1], abs=1e-13)
+        passed = ergodic.convergence_diagnostic(tm, [sch, sch], mu, bank,
+                                                gate=curve[n - 1] + 1e-13)
+        assert "gate" not in passed.cause
+        gated = ergodic.convergence_diagnostic(tm, [sch, sch], mu, bank,
+                                               gate=curve[n - 1] - 1e-13)
+        assert "gate" in gated.cause
+
+
+def test_power_of_two_ladder_is_bit_exact():
+    ## weights 1/2^k scale exactly, so each row must equal the plain sequential
+    ## sum of w * mu V^p over its own powers, bit for bit; segment sums
+    ## restarted at other rows' stops would round differently
+    tm = _tm_random(48, seed=11)
+    rng = np.random.default_rng(4)
+    mu = rng.random(48)
+    mu /= mu.sum()
+    lengths = [1 << k for k in range(9)]
+    want = np.zeros((len(lengths), 48))
+    for p, cur in enumerate(ulam.walk(tm, mu, lengths[-1] - 1)):
+        for i, n in enumerate(lengths):
+            if p < n:
+                want[i] += (1.0 / n) * cur
+    got = ergodic.apply_schedules_batch(tm, ergodic.cesaro_ladder(lengths), mu)
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,20 @@ def chains(draw):
     return ulam.TransferMatrix(sp.csr_matrix(dense), part, spec), dense
 
 
-_basic = st.one_of(st.integers(1, 24).map(ergodic.cesaro_schedule),
-                   st.builds(ergodic.window_schedule, st.integers(0, 16),
-                             st.integers(1, 12)))
-schedules = st.one_of(_basic, st.builds(ergodic.mix_schedule,
-                                        st.floats(0.0, 1.0), _basic, _basic))
+@st.composite
+def _multi_run(draw):
+    """One to three disjoint runs, possibly with gaps, of random weights."""
+    cuts = sorted(draw(st.sets(st.integers(0, 30), min_size=2, max_size=7)))
+    spans = list(zip(cuts[::2], cuts[1::2]))
+    mass = [draw(st.floats(0.05, 1.0)) for _ in spans]
+    total = sum(m * (b - a) for m, (a, b) in zip(mass, spans))
+    return ergodic.ErgodicSchedule(tuple((a, b, m / total) for m, (a, b) in zip(mass, spans)))
+
+
+schedules = st.one_of(st.integers(1, 24).map(ergodic.cesaro_schedule),
+                      st.builds(ergodic.window_schedule, st.integers(0, 16),
+                                st.integers(1, 12)),
+                      _multi_run())
 
 
 def _measures(data, n, k):
@@ -69,17 +78,24 @@ def test_schedule_sums_match_dense_powers(chain, schs, k, data):
     assert got.shape == (len(schs),) + start.shape
     for sch, out in zip(schs, got):
         assert np.max(np.abs(out - _dense_apply(dense, sch, start))) <= 1e-12
+        ## a row is the sum of its own powers, whatever else rides the walk
+        assert np.array_equal(ergodic.apply_schedules_batch(tm, [sch], start)[0], out)
 
 
 @PROPERTY_SETTINGS
 @given(chains(), schedules, st.integers(1, 3), st.data())
 def test_gate_defects_match_explicit_telescoping(chain, sch, k, data):
+    ## T(I-V) mu = T mu - T(mu V): the schedule applied to the probes and to
+    ## their images, against dense powers
     tm, dense = chain
-    probes = list(_measures(data, tm.n_cells, k).T)
+    block = _measures(data, tm.n_cells, k)
+    probes = list(block.T)
     bank = np.asarray(ulam.sample_test_bank(tm.partition, 4))
     explicit = [np.max(np.abs(bank @ _dense_apply(dense, sch, mu - mu @ dense)))
                 for mu in probes]
-    defect = ergodic.ergodicity_defect(tm, sch, list(bank), probes)
+    t_mu, t_mu_v = ergodic.apply_schedules_batch(
+        tm, [sch], np.hstack([block, dense.T @ block]))[0].T.reshape(2, k, -1)
+    defect = np.max(np.abs(bank @ (t_mu - t_mu_v).T))
     assert abs(defect - max(explicit)) <= 1e-12
     ## the gate inside convergence_diagnostic sees the same defect: it lets
     ## the schedule through just above it and stops it just below
