@@ -26,11 +26,12 @@ the permanent generation, so neither a full collection during the run nor
 interpreter shutdown walks them again.
 
 Outputs do not change. `cli.main` called in-process (tests, library
-callers) defers nothing and does not touch the collector.
+callers) defers nothing and touches neither the collector nor fd 1.
 """
 
 import gc
 import importlib.util
+import os
 import sys
 
 # numpy's lazily loaded submodules that no run uses. numpy.random, fft,
@@ -64,7 +65,13 @@ def run():
     from .cli import main
 
     gc.freeze()
-    return main()
+    status = main()
+    try:
+        if sys.stdout is not None:  # None when the process started with fd 1 closed
+            sys.stdout.flush()
+    except OSError:  # cli.main has reported it; the exit flush must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return status
 
 
 if __name__ == "__main__":

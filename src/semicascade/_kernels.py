@@ -1,11 +1,11 @@
 """One map formula per family, run by both the float and the exact backend.
 
 Each formula is `(parameter, coords) -> unwrapped image coords`, with one
-entry of `coords` per axis. `systems._step` passes float64 columns and wraps
-the images with `_wrap01`, so every float orbit (`systems.orbit_batch`,
-`systems.evaluate_map_batch`, `topology.proximality_graph`) shares the same
-arithmetic bit for bit; `systems.exact_step` passes Fractions and reduces
-them mod 1.
+entry of `coords` per axis. `systems.orbit_batch`, the one float orbit loop,
+passes float64 columns and wraps each image with `_wrap01` into the next
+orbit row, so every float map step (the Ulam build's included) runs the
+same arithmetic bit for bit; `systems.exact_step` passes Fractions and
+reduces them mod 1.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
-def _wrap01(x):
+def _wrap01(x, out=None):
     ## float mod can round up to exactly 1.0; the circle identifies 1 with 0
-    r = np.mod(x, 1.0)
+    r = np.mod(x, 1.0, out=out)
     r[r >= 1.0] = 0.0
     return r
 

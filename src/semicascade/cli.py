@@ -7,9 +7,10 @@ Subcommands:
   plotdata <report> <analysis>
                          extract plot-ready CSV from an existing report
 
-Exit codes: 0 done, 2 config/usage/input-file error (message names the
-offending field or file), 3 resource budget exceeded. The report is
-deterministic for a fixed config and seed except for its timestamp field.
+Exit codes: 0 done (or stdout closed by its reader), 2 config/usage/
+input-file error (message names the offending field or file) or a failed
+write to stdout, 3 resource budget exceeded. The report is deterministic
+for a fixed config and seed except for its timestamp field.
 The environment variable SEMICASCADE_OUTPUT_DIR overrides the configured
 output directory.
 """
@@ -482,6 +483,15 @@ def _write_output(path, write):
         raise ConfigError("output file %s cannot be written: %s" % (path, exc))
 
 
+def _print_lines(lines):
+    ## stdout fails like an output file, with exit 2, but a closed pipe ends quietly
+    try:
+        print(*lines, sep="\n", flush=True)  # a failed write can first surface at the flush
+    except OSError as exc:
+        if not isinstance(exc, BrokenPipeError):
+            raise ConfigError("standard output cannot be written: %s" % exc)
+
+
 def cmd_run(args):
     config = load_config(args.config)
     out_dir = _output_dir(config["output_dir"], "output_dir")
@@ -492,14 +502,12 @@ def cmd_run(args):
     report_path = os.path.join(out_dir, "report.json")
     _write_output(report_path,
                   lambda fh: fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n"))
-    for line in report["verdict_lines"]:
-        print(line)
-    print("report written to %s" % report_path)
+    _print_lines([*report["verdict_lines"], "report written to %s" % report_path])
     return 0
 
 
 def cmd_systems(_args):
-    print(json.dumps(systems.systems_catalog(), indent=2, sort_keys=True))
+    _print_lines([json.dumps(systems.systems_catalog(), indent=2, sort_keys=True)])
     return 0
 
 
@@ -518,7 +526,7 @@ def cmd_plotdata(args):
     out_dir = _output_dir(args.output_dir, "--output-dir")
     path = os.path.join(out_dir, "plot_%s.csv" % args.analysis)
     _write_output(path, lambda fh: csv.writer(fh).writerows(rows))
-    print("plot data written to %s" % path)
+    _print_lines(["plot data written to %s" % path])
     return 0
 
 

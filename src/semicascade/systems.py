@@ -5,7 +5,7 @@ angle-doubling map, a north-south circle map with one repelling and one
 attracting fixed point, a tent map, and an integer toral automorphism.
 Each family is one row of `FAMILY_TABLE`: config schema, map formula,
 description and exact periodic-orbit solver. Every float orbit is built
-from one numpy map step (`_step`), and an exact-rational backend
+by one numpy loop (`orbit_batch`), and an exact-rational backend
 (fractions.Fraction) runs the same formula on the algebraic families so
 periodic orbits and crafted binary points can be followed without roundoff.
 
@@ -63,17 +63,15 @@ class SystemSpec(NamedTuple):
         return FAMILY_TABLE[self.family].describe % self.params
 
 
-def _as_fraction(value):
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise InputError("%r is not a fraction" % (value,))
-    return None
+def _float_and_exact(value):
+    ## an int, Fraction or "p/q" string is exact, (Fraction,); a float is not, None
+    if not isinstance(value, (Fraction, int, str)):
+        return float(value), None
+    try:
+        frac = Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise InputError("%r is not a fraction" % (value,))
+    return float(frac), (frac,)
 
 
 def circle_rotation(alpha) -> SystemSpec:
@@ -82,11 +80,9 @@ def circle_rotation(alpha) -> SystemSpec:
     Pass alpha as a Fraction (or "p/q" string) to enable the exact-rational
     backend; a plain float is treated as an irrational angle.
     """
-    frac = _as_fraction(alpha)
-    a = float(frac) if frac is not None else float(alpha)
+    a, exact = _float_and_exact(alpha)
     if not 0.0 < a < 1.0:
         raise InputError("rotation angle must lie in (0,1), got %r" % (alpha,))
-    exact = (frac,) if frac is not None else None
     return SystemSpec("circle_rotation", 1, (a,), exact)
 
 
@@ -110,11 +106,9 @@ def north_south(kappa) -> SystemSpec:
 
 def tent_map(slope) -> SystemSpec:
     """w -> slope * min(w, 1-w), slope in (1, 2]."""
-    frac = _as_fraction(slope)
-    a = float(frac) if frac is not None else float(slope)
+    a, exact = _float_and_exact(slope)
     if not 1.0 < a <= 2.0:
         raise InputError("tent slope must lie in (1,2], got %r" % (slope,))
-    exact = (frac,) if frac is not None else None
     return SystemSpec("tent", 1, (a,), exact)
 
 
@@ -156,27 +150,6 @@ def as_point(p, dimension):
     return arr
 
 
-def evaluate_map(spec, p):
-    """Apply the map once to a single point; returns a (d,) array."""
-    pt = as_point(p, spec.dimension)
-    return evaluate_map_batch(spec, pt[None, :])[0]
-
-
-def evaluate_map_batch(spec, pts):
-    """Apply the map once to points of shape (P, d); returns (P, d)."""
-    pts = np.asarray(pts, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != spec.dimension:
-        raise InputError("expected points of shape (P, %d)" % spec.dimension)
-    return _step(spec, pts)
-
-
-def _step(spec, pts):
-    ## one unvalidated map step on a (P, d) float array; the orbit and
-    ## proximality loops call this directly to skip per-step validation
-    lift = FAMILY_TABLE[spec.family].lift
-    return _kernels._wrap01(np.column_stack(lift(spec.linear or spec.params[0], tuple(pts.T))))
-
-
 def metric(spec, p1, p2):
     """Wraparound max-metric between two points of the system's space."""
     a = as_point(p1, spec.dimension)
@@ -194,12 +167,20 @@ def orbit(spec, p, n):
 
 
 def orbit_batch(spec, pts, n):
-    """Orbits of several starting points at once; returns shape (n+1, P, d)."""
+    """Orbits of points of shape (P, d) at once; returns shape (n+1, P, d).
+
+    The one float orbit loop: each step runs the family's `lift` on the
+    columns of row k and wraps every axis image into row k+1 in place.
+    """
     pts = np.asarray(pts, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != spec.dimension:
+        raise InputError("expected points of shape (P, %d)" % spec.dimension)
     out = np.empty((n + 1,) + pts.shape)
     out[0] = pts
+    lift, par = FAMILY_TABLE[spec.family].lift, spec.linear or spec.params[0]
     for k in range(n):
-        out[k + 1] = _step(spec, out[k])
+        for j, img in enumerate(lift(par, tuple(out[k].T))):
+            _kernels._wrap01(img, out=out[k + 1][:, j])
     return out
 
 
@@ -256,10 +237,8 @@ def exact_step(spec, rp):
 def exact_orbit(spec, rp, n):
     """First n+1 exact orbit points; list of RationalPoint."""
     out = [rp]
-    cur = rp
     for _ in range(n):
-        cur = exact_step(spec, cur)
-        out.append(cur)
+        out.append(exact_step(spec, out[-1]))
     return out
 
 

@@ -30,7 +30,11 @@ import scipy.sparse as sp
 from . import systems, ulam
 from .errors import InputError, ResourceBudgetError
 
-PAIR_OP_BUDGET = 1 << 31
+#: orbit point-steps, probes x (horizon + 1), of one proximality graph
+ORBIT_POINT_STEP_BUDGET = 1 << 31
+#: pair tests of one proximality sweep at worst, probes x P // 2 offsets x (horizon + 1):
+#: with eps >= 1/2, or orbits that crowd together, every offset is met at every step
+SWEEP_PAIR_TEST_BUDGET = 1 << 31
 #: entries of one (P, P) pair array; proximality_graph holds two, the bool
 #: hit mask and the edges
 PAIR_PLANE_BUDGET = 1 << 22
@@ -353,12 +357,15 @@ def proximality_graph(spec, points, horizon, eps):
     if eps <= 0:
         raise InputError("eps must be > 0")
     n_pts = pts.shape[0]
-    if n_pts * n_pts * (horizon + 1) > PAIR_OP_BUDGET:
-        raise ResourceBudgetError(
-            "pairwise orbit comparison needs %d point-step operations, over the "
-            "budget of %d; subsample the probes or shorten the horizon"
-            % (n_pts * n_pts * (horizon + 1), PAIR_OP_BUDGET)
-        )
+    for count, what, budget in (
+            (n_pts * (horizon + 1), "orbit point-steps", ORBIT_POINT_STEP_BUDGET),
+            (n_pts * (n_pts // 2) * (horizon + 1), "sweep pair tests at most",
+             SWEEP_PAIR_TEST_BUDGET)):
+        if count > budget:
+            raise ResourceBudgetError(
+                "%d probe points to horizon %d make %d %s, over the budget of %d; "
+                "subsample the probes or shorten the horizon"
+                % (n_pts, horizon, count, what, budget))
     if n_pts * n_pts > PAIR_PLANE_BUDGET:
         raise ResourceBudgetError(
             "%d probe points make %d-entry pair planes, over the budget of %d; "
@@ -371,7 +378,7 @@ def proximality_graph(spec, points, horizon, eps):
         block = systems.orbit_batch(spec, cur, min(steps, horizon + 1 - start) - 1)
         _sweep(block, eps, cut, hit)
         if start + steps <= horizon:
-            cur = systems._step(spec, block[-1])
+            cur = systems.orbit_batch(spec, block[-1], 1)[1]
     hit = hit.reshape(n_pts, n_pts)
     edges = np.logical_or(hit, hit.T)
     np.fill_diagonal(edges, True)

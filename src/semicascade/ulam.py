@@ -13,12 +13,12 @@ s > 1; the interval-exact oracle in the tests quantifies this.
 
 The transfer matrix M is row-stochastic with entry (i, j) equal to the
 fraction of cell i's samples that the map sends into cell j. It is built
-BUILD_BLOCK_CELLS cells at a time: Partition.cell_samples makes one block's
-samples, and the cells of their images go straight into the CSR column
-array, where row i owns the slots i*s .. i*s + s - 1. One sum_duplicates
-then merges the samples of a row that land in the same cell. No array of
-every sample, image or COO row index is made, so the transient memory of
-the build is one block, not a few copies of n_cells * s.
+BUILD_BLOCK_CELLS cells at a time: systems.orbit_batch maps one block's
+samples (Partition.cell_samples), and the cells of their images go into
+the CSR column array, where row i owns the slots i*s .. i*s + s - 1. One
+sum_duplicates then merges the samples of a row that land in the same
+cell. No array of every sample, image or COO row index is made, so the
+transient memory of the build is one block, not a few copies of n_cells * s.
 
 Measures on cells and cell functions are plain numpy vectors of length
 n_cells. A measure moves forward as mu -> mu M, a cell function is pulled
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -48,10 +47,9 @@ DEFAULT_SAMPLE_BUDGET = 1 << 24
 #: counts BANK_FUNCTION_ENTRIES for the closures and array header it carries
 BANK_ENTRY_BUDGET = 1 << 26
 BANK_FUNCTION_ENTRIES = 128
-#: cells whose samples build_transfer_matrix maps at once
-BUILD_BLOCK_CELLS = 1 << 13
-
-TWO_PI = 2.0 * math.pi
+#: cells whose samples build_transfer_matrix maps at once; its orbit buffer holds
+#: samples and images (cat map, 128 x 128 cells, s = 3: peak 0.88 MB over the CSR)
+BUILD_BLOCK_CELLS = 1 << 12
 
 
 class Partition(NamedTuple):
@@ -175,7 +173,7 @@ def build_transfer_matrix(partition, spec):
     indices = np.empty(n * s, dtype=np.int32)
     for lo in range(0, n, BUILD_BLOCK_CELLS):
         hi = min(lo + BUILD_BLOCK_CELLS, n)
-        images = systems.evaluate_map_batch(spec, partition.cell_samples(lo, hi))
+        images = systems.orbit_batch(spec, partition.cell_samples(lo, hi), 1)[1]
         indices[lo * s:hi * s] = partition.cell_of_points(images)
     indptr = np.arange(0, n * s + 1, s, dtype=np.int32)
     mat = sp.csr_matrix((np.full(n * s, 1.0 / s), indices, indptr), shape=(n, n))
@@ -225,8 +223,8 @@ def _bank_1d_terms():
     yield "one", lambda t: np.ones_like(t)
     k = 1
     while True:
-        yield "cos%d" % k, (lambda kk: lambda t: np.cos(TWO_PI * kk * t))(k)
-        yield "sin%d" % k, (lambda kk: lambda t: np.sin(TWO_PI * kk * t))(k)
+        yield "cos%d" % k, (lambda kk: lambda t: np.cos(_kernels.TWO_PI * kk * t))(k)
+        yield "sin%d" % k, (lambda kk: lambda t: np.sin(_kernels.TWO_PI * kk * t))(k)
         k += 1
 
 

@@ -583,7 +583,8 @@ def _child(*argv, env=None, **kwargs):
     ## the child imports the same package as this process, installed or not
     package_root = os.path.dirname(os.path.dirname(semicascade.__file__))
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, *argv], stderr=subprocess.PIPE, text=True,
                           env=dict(os.environ, PYTHONPATH=path, **(env or {})), **kwargs)
 
 
@@ -620,6 +621,80 @@ def test_module_entry_point(finished_run, tmp_path):
     assert proc.returncode == 2
     assert "seed" in proc.stderr
     assert not (tmp_path / "bad").exists()
+
+
+def _stdout_commands(finished_run, tmp_path):
+    ## each subcommand that prints to stdout, on a small input
+    _, out_dir, _, _ = finished_run
+    small = dict(_base_config(tmp_path / "out"), analyses=["measures"])
+    return {"systems": ["systems"],
+            "run": ["run", _write_config(tmp_path, small)],
+            "plotdata": ["plotdata", str(out_dir / "report.json"), "measures",
+                         "--output-dir", str(tmp_path / "plot")]}
+
+
+@pytest.mark.parametrize("command", ["systems", "run", "plotdata"])
+def test_closed_stdout_ends_quietly(finished_run, tmp_path, command):
+    ## the reader closed the pipe before the first write, as `| head -1` may
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _module_entry(*_stdout_commands(finished_run, tmp_path)[command], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_process_entry_with_stdout_closed_at_start():
+    ## started with fd 1 closed, the interpreter sets sys.stdout to None
+    proc = _module_entry("systems", stdout=None, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["systems", "run", "plotdata"])
+def test_unwritable_stdout_exits_2(finished_run, tmp_path, command):
+    ## every write to /dev/full fails with ENOSPC: one error line, no traceback
+    with open("/dev/full", "w") as full:
+        proc = _module_entry(*_stdout_commands(finished_run, tmp_path)[command], stdout=full)
+    assert proc.returncode == 2
+    assert re.fullmatch(r"error: standard output cannot be written: .*No space left on device.*\n",
+                        proc.stderr)
+
+
+class _FailingStdout(io.StringIO):
+    ## a stdout with no file descriptor, as a test harness or host may set
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def flush(self):
+        raise self.error
+
+    def fileno(self):
+        raise io.UnsupportedOperation("fileno")
+
+
+def test_stdout_errors_in_process(monkeypatch, capsys):
+    ## in-process, a failed stdout write is handled without touching fd 1
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(BrokenPipeError(32, "Broken pipe")))
+    assert cli.main(["systems"]) == 0
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(OSError(28, "No space left on device")))
+    assert cli.main(["systems"]) == 2
+    assert capsys.readouterr().err == (
+        "error: standard output cannot be written: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("error", [BrokenPipeError(32, "Broken pipe"), PermissionError(13, "denied")])
+def test_os_errors_off_stdout_propagate(monkeypatch, tmp_path, error):
+    ## only stdout's own writes are handled; any other OSError is not read as one
+    def fail(config):
+        raise error
+
+    monkeypatch.setattr(cli, "run_analyses", fail)
+    path = _write_config(tmp_path, dict(_base_config(tmp_path / "out"), analyses=["measures"]))
+    with pytest.raises(type(error)):
+        cli.main(["run", path])
 
 
 def test_process_entry_freezes_after_import_before_main(monkeypatch):

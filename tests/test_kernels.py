@@ -9,7 +9,7 @@ from semicascade import _kernels
 
 
 def _step(lift, par, pts):
-    ## the float step of systems._step: formula on columns, then wrap
+    ## one float map step: formula on columns, then wrap
     return _kernels._wrap01(np.column_stack(lift(par, tuple(pts.T))))
 
 

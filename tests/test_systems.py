@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semicascade import systems
+from semicascade import _kernels, systems
 from semicascade.errors import CapabilityError, InputError, ResourceBudgetError
 
 F = Fraction
@@ -33,20 +33,19 @@ def test_input_validation():
 def test_as_point_validation():
     spec = systems.doubling_map()
     with pytest.raises(InputError):
-        systems.evaluate_map(spec, 1.0)
+        systems.orbit(spec, 1.0, 1)
     with pytest.raises(InputError):
-        systems.evaluate_map(spec, -0.1)
+        systems.orbit(spec, -0.1, 1)
     with pytest.raises(InputError):
-        systems.evaluate_map(spec, [0.1, 0.2])  # wrong dimension
+        systems.orbit(spec, [0.1, 0.2], 1)  # wrong dimension
 
 
 def test_as_point_rejects_nan():
     ## NaN fails both range comparisons, so it must be refused explicitly
     spec = systems.doubling_map()
-    for call in (lambda: systems.evaluate_map(spec, float("nan")),
-                 lambda: systems.orbit(spec, float("nan"), 3),
+    for call in (lambda: systems.orbit(spec, float("nan"), 1),
                  lambda: systems.metric(spec, 0.5, float("nan")),
-                 lambda: systems.evaluate_map(systems.cat_map(), [0.5, float("nan")])):
+                 lambda: systems.orbit(systems.cat_map(), [0.5, float("nan")], 1)):
         with pytest.raises(InputError, match=r"\[0,1\)"):
             call()
 
@@ -68,6 +67,10 @@ def test_orbit_shapes():
     assert np.all(batch[0, 0] == [0.3])
     cat = systems.cat_map()
     assert systems.orbit_batch(cat, np.array([[0.1, 0.2]]), 3).shape == (4, 1, 2)
+    ## a point array not of shape (P, d) would leave orbit columns unwritten
+    for bad_spec, shape in ((cat, (4, 3)), (spec, (4, 2)), (spec, (4,))):
+        with pytest.raises(InputError, match=r"shape \(P, %d\)" % bad_spec.dimension):
+            systems.orbit_batch(bad_spec, np.zeros(shape), 2)
 
 
 ## every bundled family, plus the slope-2 tent whose images land on 1.0 and
@@ -76,6 +79,13 @@ def test_orbit_shapes():
 BUNDLE = [systems.circle_rotation(systems.GOLDEN), systems.doubling_map(),
           systems.north_south(0.5), systems.tent_map(1.7), systems.tent_map(2),
           systems.cat_map(), systems.toral_automorphism(0, 1, -1, 0)]
+
+
+def _reference_step(spec, pts):
+    ## one map step written apart from orbit_batch's in-place loop: the
+    ## formula on columns, stacked, then wrapped
+    lift = systems.FAMILY_TABLE[spec.family].lift
+    return _kernels._wrap01(np.column_stack(lift(spec.linear or spec.params[0], tuple(pts.T))))
 
 
 @pytest.mark.parametrize("spec", BUNDLE, ids=lambda s: s.describe())
@@ -92,7 +102,7 @@ def test_orbit_rows_are_map_steps(spec, data):
     assert orb.shape == (n + 1, n_pts, spec.dimension)
     assert orb[0].tobytes() == pts.tobytes()
     for k in range(n):
-        assert orb[k + 1].tobytes() == systems.evaluate_map_batch(spec, orb[k]).tobytes()
+        assert orb[k + 1].tobytes() == _reference_step(spec, orb[k]).tobytes()
     assert np.all(orb >= 0.0) and np.all(orb < 1.0)
 
 
@@ -152,10 +162,10 @@ def _rational_coords(draw):
 def test_exact_step_matches_float_step_on_random_parameters(spec, data):
     ## one step on each backend from the same rational point agrees to 1e-12
     ## in the circle metric: the exact image converted to floats, against
-    ## evaluate_map of the point converted to floats
+    ## the float orbit's first step from the point converted to floats
     rp = systems.RationalPoint(tuple(data.draw(_rational_coords()) for _ in range(spec.dimension)))
     exact = systems.exact_step(spec, rp).as_floats()
-    floats = systems.evaluate_map(spec, rp.as_floats())
+    floats = systems.orbit(spec, rp.as_floats(), 1)[1]
     d = np.abs(exact - floats)
     assert np.max(np.minimum(d, 1.0 - d)) <= 1e-12, (spec, rp, exact, floats)
 

@@ -302,10 +302,9 @@ def _dense_edges(spec, pts, horizon, eps):
             far = d if far is None else np.maximum(far, d, out=far)
         return far
 
-    cur = pts
-    dmin = plane(cur)
-    for _ in range(horizon):
-        cur = systems._step(spec, cur)
+    orbit = systems.orbit_batch(spec, pts, horizon)
+    dmin = plane(orbit[0])
+    for cur in orbit[1:]:
         np.minimum(dmin, plane(cur), out=dmin)
     edges = dmin < eps
     np.fill_diagonal(edges, True)
@@ -348,6 +347,25 @@ def test_sweep_matches_dense_loop(spec, eps, data):
         patch.setattr(topology, "SWEEP_BLOCK_POINTS", block)
         pg = topology.proximality_graph(spec, pts, horizon, eps)
     assert np.array_equal(pg.edges, _dense_edges(spec, pts, horizon, eps))
+
+
+def _seam_cases():
+    ## probe counts that put a block seam at every boundary: one probe, the
+    ## divisors of SWEEP_BLOCK_POINTS and one above a divisor; horizons at
+    ## and next to one block of steps = max(1, SWEEP_BLOCK_POINTS // P)
+    for n_pts in (1, 2, 64, 65, 512, 513, 1024, 1025):
+        steps = max(1, topology.SWEEP_BLOCK_POINTS // n_pts)
+        for horizon in sorted({0, 1, steps - 1, steps, steps + 1}):
+            yield n_pts, horizon
+
+
+@pytest.mark.parametrize("n_pts, horizon", list(_seam_cases()))
+@pytest.mark.parametrize("spec", [systems.circle_rotation(systems.GOLDEN), systems.doubling_map(),
+                                  systems.cat_map()], ids=lambda s: s.family)
+def test_sweep_matches_dense_loop_at_block_seams(spec, n_pts, horizon):
+    pts = systems.kronecker_points(n_pts, spec.dimension)
+    pg = topology.proximality_graph(spec, pts, horizon, 0.05)
+    assert np.array_equal(pg.edges, _dense_edges(spec, pts, horizon, 0.05))
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-2])
@@ -429,9 +447,46 @@ def test_proximality_validation_and_budget():
         topology.proximality_graph(spec, pts, 10, 0.0)
     with pytest.raises(InputError):
         topology.proximality_graph(systems.cat_map(), pts, 10, 0.1)
-    with pytest.raises(ResourceBudgetError):
+    with pytest.raises(ResourceBudgetError, match="4194305000 orbit point-steps, over the budget of"):
         topology.proximality_graph(spec, systems.equispaced_points(1000, 1),
                                    1 << 22, 0.1)
+
+
+def test_proximality_budget_counts_orbit_point_steps(monkeypatch):
+    ## P (H + 1) orbit point-steps, not the P^2 (H + 1) of a pair plane per step
+    spec = systems.doubling_map()
+    pts = systems.equispaced_points(10, 1)
+    monkeypatch.setattr(topology, "ORBIT_POINT_STEP_BUDGET", 100)
+    assert topology.proximality_graph(spec, pts, 9, 0.1).edges.shape == (10, 10)
+    with pytest.raises(ResourceBudgetError, match="110 orbit point-steps"):
+        topology.proximality_graph(spec, pts, 10, 0.1)
+
+
+def test_proximality_budget_counts_sweep_pair_tests(monkeypatch):
+    ## the sweep may meet all P // 2 offsets at every step: P (P // 2) (H + 1)
+    spec = systems.doubling_map()
+    pts = systems.equispaced_points(10, 1)
+    monkeypatch.setattr(topology, "SWEEP_PAIR_TEST_BUDGET", 500)
+    assert topology.proximality_graph(spec, pts, 9, 0.5).edges.all()
+    with pytest.raises(ResourceBudgetError, match="550 sweep pair tests at most, over the budget of 500"):
+        topology.proximality_graph(spec, pts, 10, 0.5)
+
+
+def test_dense_sweep_is_refused_up_front():
+    ## at eps 1/2 every offset is met at every step: 2025 cat-map probes fit
+    ## the orbit point-step budget to horizon 1060484, but their sweep would
+    ## run for hours, so it is refused before any work
+    spec = systems.cat_map()
+    pts = systems.equispaced_points(45, 2)
+    for horizon in (1060484, 1047):  # 2025 x 1012 x 1048 pair tests pass 2^31 first at 1047
+        with pytest.raises(ResourceBudgetError, match="sweep pair tests at most, over the budget of"):
+            topology.proximality_graph(spec, pts, horizon, 0.5)
+
+
+def test_2025_cat_map_probes_run_to_horizon_1024():
+    ## the default eps, as the CLI's proximality config gives it
+    pg = topology.proximality_graph(systems.cat_map(), systems.equispaced_points(45, 2), 1024, 1e-3)
+    assert pg.edges.shape == (2025, 2025)
 
 
 def test_proximality_refuses_points_off_the_circle():

@@ -135,7 +135,7 @@ def _coo_reference(part, spec):
     ## every sample at once, one COO entry per sample, then CSR
     pts = part.lower_corners()[:, None, :] + part.offsets[None, :, :]
     pts = _kernels._wrap01(pts.reshape(-1, part.dimension))
-    cols = part.cell_of_points(systems.evaluate_map_batch(spec, pts))
+    cols = part.cell_of_points(systems.orbit_batch(spec, pts, 1)[1])
     n, s = part.n_cells, part.samples_per_cell
     rows = np.repeat(np.arange(n, dtype=np.int64), s)
     mat = sp.coo_matrix((np.full(rows.shape, 1.0 / s), (rows, cols)), shape=(n, n)).tocsr()
