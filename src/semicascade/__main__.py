@@ -1,9 +1,13 @@
 """Process entry of `python -m semicascade` and the `semicascade` script.
 
-`run` defers numpy's unused submodules, imports the CLI, which loads numpy,
-scipy.sparse and the modules every run reads (systems and ulam), and then
-freezes the heap with `gc.freeze`. The CLI imports each analysis module
-where it first runs, so a run loads only the analyses it was given.
+`run` defers numpy's unused submodules, imports the CLI, which loads numpy
+and the modules every run reads (systems and ulam), and then freezes the
+heap with `gc.freeze`. The CLI imports each analysis module where it first
+runs, so a run loads only the analyses it was given. The transfer matrix is
+numpy CSR arrays, and scipy.sparse is imported only where a sparse product
+runs in a loop or a sparse solve runs: an operator walk, a stationary loop
+that must iterate, the LU of cells that reach two classes, or a graph too
+large for the Python search. A run that needs none of these loads no scipy.
 
 Deferral: `import scipy.sparse` reaches scipy's vendored array-api-compat,
 whose `clone_module("numpy")` calls `hasattr` on every name in
@@ -15,15 +19,18 @@ whose `clone_module("numpy")` calls `hasattr` on every name in
 as an `importlib.util.LazyLoader` module first, so the `hasattr` finds an
 attribute and executes nothing; the first real attribute access loads the
 whole module as before. With numpy 2.4.6 and scipy 1.17.1 on a 2-core
-x86-64 host, an all-analyses run loads 363 modules instead of 549, and
-northsouth-projection's three analyses 361 instead of 547 (447 instead of
-633 for the cat map at 256 x 256 cells, minimal sets only, whose graph is
-large enough for topology to import scipy.sparse.csgraph), and peak RSS
-falls by about 10 MB: 52.8 to 42.5 MB on northsouth-projection.
+x86-64 host, an all-analyses run, whose walk imports scipy.sparse, loads
+363 modules instead of 549 (447 instead of 633 for the cat map at
+256 x 256 cells, minimal sets only, whose graph is large enough for
+topology to import scipy.sparse.csgraph). Without scipy,
+northsouth-projection's three analyses load 244 modules and peak at
+32.1 MB, against 361 modules and 42.5 MB with scipy.sparse imported.
 
 Freeze: the tens of thousands of objects the import leaves behind move to
 the permanent generation, so neither a full collection during the run nor
-interpreter shutdown walks them again.
+interpreter shutdown walks them again. A run that walks imports
+scipy.sparse after the freeze; its objects stay collectable, and a second
+freeze after `main` did not make rotation-walk faster.
 
 Outputs do not change. `cli.main` called in-process (tests, library
 callers) defers nothing and touches neither the collector nor fd 1.

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import measures, systems, topology, ulam
 from .errors import CapabilityError, InputError, ResourceBudgetError
@@ -169,12 +168,12 @@ def _walk_sums(tm, rows, start):
     More than WALK_ENTRY_BUDGET steps x stored entries raise before the first step.
     """
     steps = max(b for runs in rows for _, b, _ in runs) - 1
-    cost = steps * tm.matrix.nnz
+    cost = steps * tm.indices.size
     if cost > WALK_ENTRY_BUDGET:
         raise ResourceBudgetError(
             "a schedule walk of %d operator steps over %d stored matrix entries "
             "makes %d entry-steps, over the budget of %d; shorten schedule lengths"
-            % (steps, tm.matrix.nnz, cost, WALK_ENTRY_BUDGET))
+            % (steps, tm.indices.size, cost, WALK_ENTRY_BUDGET))
     return _run_sums(rows, ulam.walk(tm, start, steps))
 
 
@@ -390,6 +389,29 @@ def _inf_norm(mat):
     return float(np.max(np.abs(mat).sum(axis=1)))
 
 
+def _times(tm, a):
+    """M @ a for a dense (n_cells, k) array a, each row summed in stored-entry order.
+
+    Step t adds the t-th stored entry of every row that has one, so each row
+    sums its products in turn, as scipy's CSR product does. Every row of a
+    transfer matrix stores an entry, so step 0 sets every row; scipy adds
+    that first product to 0.0, which can change only the sign of a zero.
+    """
+    counts = np.diff(tm.indptr)
+    for t in range(counts.max()):
+        rows = np.flatnonzero(counts > t)
+        slot = tm.indptr[rows] + t
+        term = a[tm.indices[slot]]
+        term *= tm.data[slot][:, None]
+        if t == 0:
+            out = term
+        elif rows.size == out.shape[0]:
+            out += term
+        else:
+            out[rows] += term
+    return out
+
+
 def kernel_projection_estimate(mset):
     """Exact Cesaro-limit projection Q = A Pi of the chain, factored.
 
@@ -402,21 +424,24 @@ def kernel_projection_estimate(mset):
     is not empty.
     """
     graph = mset.graph
-    matrix = graph.transfer.matrix
+    tm = graph.transfer
     pi = np.array(mset.measures)
     reach = graph.minimal_sets.reach
-    a = reach.toarray().astype(np.float64)
-    multi = np.flatnonzero(np.diff(reach.indptr) > 1)
+    counts = reach.counts()
+    a = np.zeros((graph.n_cells, pi.shape[0]))
+    a[np.repeat(np.arange(graph.n_cells), counts), reach.indices] = 1.0
+    multi = np.flatnonzero(counts > 1)
     if multi.size:
         ## imported here: scipy.sparse.linalg loads scipy.linalg, which a
         ## chain without such cells never needs
+        import scipy.sparse as sp
         from scipy.sparse.linalg import splu
 
         a[multi] = 0.0  # so that P_S. A = P_SR A_R
-        p_s = matrix[multi]
+        p_s = tm.matrix[multi]
         lhs = sp.identity(multi.size, format="csc") - p_s[:, multi].tocsc()
         a[multi] = splu(lhs).solve(p_s @ a)
-    residual_vq = _inf_norm(matrix @ a - a)
+    residual_vq = _inf_norm(_times(tm, a) - a)
     residual_idem = _inf_norm(a @ (pi @ a) - a)
     return KernelEstimate(a, pi, residual_vq, residual_idem, "exact", graph)
 
@@ -459,6 +484,7 @@ def limit_measure_per_point(est, omegas, n):
         raise InputError("need n >= 1")
     partition, spec = est.graph.transfer.partition, est.graph.transfer.spec
     report = est.graph.minimal_sets
+    n_reached = report.reach.counts()
     results = []
     for omega in omegas:
         cycle = None
@@ -483,7 +509,7 @@ def limit_measure_per_point(est, omegas, n):
             c = partition.cell_of_points(pt)[0]
             masses = est.absorption[c]
             measure = masses @ est.stationary
-            single = report.reach[c].nnz == 1
+            single = bool(n_reached[c] == 1)
             route = "matrix_cesaro"
         best = int(np.argmax(masses))
         results.append(LimitMeasureResult(

@@ -5,6 +5,9 @@ measure of the chain (the finite stand-in for an ergodic measure: every
 invariant cell set gets mass 0 or 1 from it). The damped power iteration
 v <- (v + vP)/2 kills the oscillation that plain iteration suffers on
 periodic classes (pure cycle blocks) while keeping the same fixed points.
+The first product vP of each class is a numpy bincount over the class's
+rows of the transfer matrix; scipy.sparse is imported only for a class
+that must iterate, whose loop runs scipy's sparse product.
 
 Supports use a strict threshold. On an irreducible closed class the
 stationary vector is strictly positive, so at sane thresholds the support
@@ -71,21 +74,26 @@ def stationary_measures(graph):
             "the budget of %d; lower cells_per_axis"
             % (len(classes), graph.n_cells, len(classes) * graph.n_cells,
                MEASURE_ENTRY_BUDGET))
-    matrix = graph.transfer.matrix
+    tm = graph.transfer
     measures, residuals, converged, iters = [], [], [], []
     for cells in classes:
-        block = matrix[cells][:, cells].tocsr()
+        ptr, cols, weights = _class_block(tm, cells)
         v = np.full(len(cells), 1.0 / len(cells))
         it = 0
         # w = vP serves the residual of v and then the step from v
-        w = block.T.dot(v)
+        w = _left_product(ptr, cols, weights, v)
         res = float(np.abs(w - v).sum())
-        while res > STATIONARY_RESIDUAL and it < STATIONARY_MAX_ITERS:
-            v = 0.5 * (v + w)
-            v /= v.sum()
-            w = block.T.dot(v)
-            res = float(np.abs(w - v).sum())
-            it += 1
+        if res > STATIONARY_RESIDUAL:
+            import scipy.sparse as sp
+
+            ## column j of P^T holds row j of P
+            p_t = sp.csc_matrix((weights, cols, ptr), shape=(len(cells), len(cells)))
+            while res > STATIONARY_RESIDUAL and it < STATIONARY_MAX_ITERS:
+                v = 0.5 * (v + w)
+                v /= v.sum()
+                w = p_t.dot(v)
+                res = float(np.abs(w - v).sum())
+                it += 1
         full = np.zeros(graph.n_cells)
         full[cells] = v
         measures.append(full)
@@ -94,6 +102,30 @@ def stationary_measures(graph):
         iters.append(it)
     return ErgodicMeasureSet(tuple(measures), tuple(residuals), tuple(converged),
                              tuple(iters), graph)
+
+
+def _class_block(tm, cells):
+    """The block P of a terminal class as CSR arrays (ptr, cols, weights).
+
+    A terminal class has no edge out, so the stored entries of its rows, in
+    order, are the block's, each column renumbered by its place in cells.
+    """
+    counts = tm.indptr[cells + 1] - tm.indptr[cells]
+    ptr = np.zeros(len(cells) + 1, dtype=tm.indptr.dtype)
+    np.cumsum(counts, out=ptr[1:])
+    entries = np.arange(ptr[-1]) + np.repeat(tm.indptr[cells] - ptr[:-1], counts)
+    place = np.empty(tm.n_cells, dtype=tm.indices.dtype)
+    place[cells] = np.arange(len(cells))
+    return ptr, place[tm.indices[entries]], tm.data[entries]
+
+
+def _left_product(ptr, cols, weights, v):
+    """vP for the CSR block (ptr, cols, weights).
+
+    bincount adds the terms in entry order, as scipy's product with P^T does.
+    """
+    rows = np.repeat(np.arange(v.size), np.diff(ptr))
+    return np.bincount(cols, weights=weights * v[rows], minlength=v.size)
 
 
 def birkhoff_measure(spec, point, n, partition):

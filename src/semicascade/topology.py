@@ -5,7 +5,11 @@ i maps into cell j, i.e. exactly the support of the transfer matrix) stands
 in for the topology of the map at the partition's resolution: reachable
 closures play the role of orbit closures, terminal strongly connected
 components play the role of minimal sets, and the uniqueness check asks
-whether every reachable closure sees exactly one terminal component.
+whether every reachable closure sees exactly one terminal component. The
+graph is the transfer matrix's own CSR arrays, with no copy; the reversed
+graph is a stable numpy transpose of them, and the reach relation is held
+as numpy CSR arrays too. scipy.sparse.csgraph, and with it scipy.sparse, is
+imported only for a graph of more than SMALL_GRAPH_EDGES edges.
 
 Terminal SCCs miss repelling invariant sets on purpose: a repelling fixed
 point's cell leaks samples outward, so its component acquires an out-edge
@@ -25,7 +29,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import systems, ulam
 from .errors import InputError, ResourceBudgetError
@@ -46,10 +49,11 @@ EXACT_TRIPLE_LIMIT = 200
 SAMPLED_TRIPLES = 100_000
 VIOLATION_SAMPLE_CAP = 10
 #: graphs with at most this many stored edges are decomposed in Python.
-#: Importing scipy.sparse.csgraph also loads scipy.sparse.linalg and
-#: scipy.linalg, 50-60 ms and 10 MB per process. The search costs
-#: 0.16-0.38 us per edge: whole runs at up to 2^16 edges were 31-46 ms
-#: faster without csgraph, and a single cycle of 2^17 edges 8 ms slower
+#: Importing scipy.sparse.csgraph also loads scipy.sparse, scipy.sparse.linalg
+#: and scipy.linalg, which a run without a walk otherwise never loads. With
+#: that import counted, whole runs at up to 2^16 edges were 0.05-0.16 s faster
+#: without csgraph. A single cycle, the slowest shape per edge, was 15 ms
+#: faster at 1.5 x 2^16 edges and 62 ms slower at 2^17, so 2^16 keeps a margin
 SMALL_GRAPH_EDGES = 1 << 16
 
 
@@ -57,16 +61,13 @@ SMALL_GRAPH_EDGES = 1 << 16
 class TransitionGraph:
     """Directed cell graph of a transfer matrix, which it carries.
 
-    adjacency is the 0/1 CSR support of transfer.matrix, held in float64:
-    a graph of more than SMALL_GRAPH_EDGES edges goes to
-    scipy.sparse.csgraph, which copies any other dtype to float64 on every
-    call. A transfer matrix stores only positive entries, so the adjacency
-    shares its index arrays and owns only its data. The partition and the
-    system are transfer.partition and transfer.spec.
+    The edges out of cell i are the stored columns of row i of transfer,
+    transfer.indices[transfer.indptr[i]:transfer.indptr[i + 1]]: a transfer
+    matrix stores only positive entries. The partition and the system are
+    transfer.partition and transfer.spec.
     """
 
     transfer: ulam.TransferMatrix
-    adjacency: sp.csr_matrix
 
     @property
     def n_cells(self):
@@ -79,9 +80,22 @@ class TransitionGraph:
 
 
 def graph_from_transfer(tm):
-    mat = tm.matrix
-    return TransitionGraph(tm, sp.csr_matrix((np.ones(mat.nnz), mat.indices, mat.indptr),
-                                             shape=mat.shape))
+    return TransitionGraph(tm)
+
+
+class Reach(NamedTuple):
+    """Cell-to-class reach relation as CSR arrays.
+
+    Cell c reaches the terminal classes indices[indptr[c]:indptr[c + 1]],
+    ascending; class j is MinimalSetReport.terminal_scc_ids[j].
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def counts(self):
+        """How many terminal classes each cell reaches."""
+        return np.diff(self.indptr)
 
 
 class MinimalSetReport(NamedTuple):
@@ -89,9 +103,9 @@ class MinimalSetReport(NamedTuple):
 
     scc_of_cell maps each cell to its strongly connected component id;
     terminal_scc_ids lists the components without out-edges, ascending, and
-    terminal_cells the sorted member cells of each. reach is the boolean
-    n_cells x n_terminal CSR relation whose row c marks the terminal
-    components that cell c reaches (column j is terminal_scc_ids[j]).
+    terminal_cells the sorted member cells of each. reach is the Reach
+    relation whose row c lists the terminal components that cell c reaches
+    (column j is terminal_scc_ids[j]).
     Repelling invariant sets appear as transient components here, never as
     terminal ones: their cells leak samples outward at any finite resolution.
     """
@@ -100,7 +114,7 @@ class MinimalSetReport(NamedTuple):
     scc_of_cell: np.ndarray
     terminal_scc_ids: tuple
     terminal_cells: tuple
-    reach: sp.csr_matrix
+    reach: Reach
     backend: str = "graph"
 
     def as_jsonable(self):
@@ -109,7 +123,7 @@ class MinimalSetReport(NamedTuple):
             "backend": self.backend,
             "terminal_scc_ids": [int(i) for i in self.terminal_scc_ids],
             "terminal_cells": [[int(c) for c in cells] for cells in self.terminal_cells],
-            "max_terminals_seen_from_any_cell": int(np.diff(self.reach.indptr).max()),
+            "max_terminals_seen_from_any_cell": int(self.reach.counts().max()),
         }
 
 
@@ -123,18 +137,20 @@ def minimal_invariant_sets(graph):
     edges is searched in Python, a larger one by scipy.sparse.csgraph; both
     give the same labels and the same reach relation.
     """
-    adjacency = graph.adjacency
-    small = adjacency.nnz <= SMALL_GRAPH_EDGES
+    tm = graph.transfer
+    indptr, indices = tm.indptr, tm.indices
+    small = indices.size <= SMALL_GRAPH_EDGES
     if small:
-        n_sccs, labels = _strong_components(adjacency.indptr, adjacency.indices)
+        n_sccs, labels = _strong_components(indptr, indices)
     else:
+        import scipy.sparse as sp
         from scipy.sparse import csgraph
 
-        n_sccs, labels = csgraph.connected_components(adjacency, directed=True,
+        n_sccs, labels = csgraph.connected_components(tm.matrix, directed=True,
                                                       connection="strong")
     ## the classes of each edge's source and target
-    a = np.repeat(labels, np.diff(adjacency.indptr))
-    b = np.take(labels, adjacency.indices)
+    a = np.repeat(labels, np.diff(indptr))
+    b = np.take(labels, indices)
     cross = a != b
     terminal = np.ones(n_sccs, dtype=bool)
     terminal[a[cross]] = False
@@ -154,13 +170,17 @@ def minimal_invariant_sets(graph):
     cols = [column[labels[rows[0]]]]
     fed_ids = np.flatnonzero(terminal & fed)
     if fed_ids.size:
-        backward = adjacency.T.tocsr()
+        back_indptr, back_indices = _reversed(indptr, indices)
         if small:
-            indptr, indices = backward.indptr.tolist(), backward.indices.tolist()
+            back_indptr, back_indices = back_indptr.tolist(), back_indices.tolist()
+        else:
+            ## csgraph reads only the pattern; float64 data spares it a conversion
+            backward = sp.csr_matrix((np.ones(back_indices.size), back_indices, back_indptr),
+                                     shape=(graph.n_cells, graph.n_cells))
         for j in column[fed_ids]:
             start = int(terminal_cells[j][0])
             if small:
-                seen = np.array(_reached(indptr, indices, start))
+                seen = np.array(_reached(back_indptr, back_indices, start))
             else:
                 ## the order is a view into an n-sized buffer: copy, do not hold it
                 seen = csgraph.breadth_first_order(backward, start,
@@ -168,10 +188,27 @@ def minimal_invariant_sets(graph):
             rows.append(seen)
             cols.append(np.full(seen.size, j))
     rows, cols = np.concatenate(rows), np.concatenate(cols)
-    reach = sp.csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)),
-                          shape=(graph.n_cells, terminal_ids.size))
+    ## each (cell, class) pair occurs once: sort by cell, then by class
+    by_cell = np.lexsort((cols, rows))
+    reach_indptr = np.zeros(graph.n_cells + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=graph.n_cells), out=reach_indptr[1:])
+    reach = Reach(reach_indptr, cols[by_cell].astype(np.int32))
     return MinimalSetReport(n_sccs, labels, tuple(int(t) for t in terminal_ids),
                             terminal_cells, reach)
+
+
+def _reversed(indptr, indices):
+    """The CSR graph (indptr, indices) with every edge reversed, as CSR arrays.
+
+    A stable sort by target keeps each cell's sources ascending: the arrays
+    equal those of scipy's .T.tocsr() of the same pattern.
+    """
+    n = len(indptr) - 1
+    by_target = np.argsort(indices, kind="stable")
+    sources = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))[by_target]
+    back_indptr = np.zeros(n + 1, dtype=indptr.dtype)
+    np.cumsum(np.bincount(indices, minlength=n), out=back_indptr[1:])
+    return back_indptr, sources
 
 
 def _strong_components(indptr, indices):
@@ -287,7 +324,7 @@ def unique_minimal_set_check(graph, max_period=2):
         raise InputError("max_period must be >= 1")
     spec = graph.transfer.spec
     report = graph.minimal_sets
-    graph_verdict = bool(np.all(np.diff(report.reach.indptr) == 1))
+    graph_verdict = bool(np.all(report.reach.counts() == 1))
 
     exact_verdict = None
     witnesses = ()

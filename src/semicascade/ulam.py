@@ -12,21 +12,23 @@ cell, so a map that permutes cells exactly acquires a 1/s echo entry for
 s > 1; the interval-exact oracle in the tests quantifies this.
 
 The transfer matrix M is row-stochastic with entry (i, j) equal to the
-fraction of cell i's samples that the map sends into cell j. It is built
+fraction of cell i's samples that the map sends into cell j. It is held
+as plain numpy CSR arrays (indptr, indices, data) and built
 BUILD_BLOCK_CELLS cells at a time: systems.orbit_batch maps one block's
-samples (Partition.cell_samples), and the cells of their images go into
-the CSR column array, where row i owns the slots i*s .. i*s + s - 1. One
-sum_duplicates then merges the samples of a row that land in the same
-cell. No array of every sample, image or COO row index is made, so the
-transient memory of the build is one block, not a few copies of n_cells * s.
+samples (Partition.cell_samples), each cell's s image cells are sorted,
+and a run of equal cells becomes one entry whose weight is the sequential
+sum of 1/s over the run, as scipy's sum_duplicates adds it. No array of
+every sample, image or COO row index is made, so the transient memory of
+the build is one block, not a few copies of n_cells * s.
 
 Measures on cells and cell functions are plain numpy vectors of length
 n_cells. A measure moves forward as mu -> mu M, a cell function is pulled
-back as x -> M x (the Koopman action). The forward operator M^T is built
-once per matrix, on first use. apply_transfer pushes a measure one step
-through it, and walk yields every power mu, mu M, mu M^2, ... in turn, for
-one measure or an (n_cells, k) block of measures at once; the averaging
-code goes through these two and never transposes M itself.
+back as x -> M x (the Koopman action). The forward operator M^T and the
+scipy view TransferMatrix.matrix are built once per matrix, on first use,
+and only they import scipy.sparse here. apply_transfer pushes a measure
+one step through M^T, and walk yields every power mu, mu M, mu M^2, ... in
+turn, for one measure or an (n_cells, k) block of measures at once; the
+averaging code goes through these two and never transposes M itself.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _kernels, systems
 from .errors import InputError, ResourceBudgetError
@@ -141,9 +142,15 @@ def build_partition(spec, cells_per_axis, samples_per_cell, seed=0):
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """Sampled transfer matrix (row-stochastic CSR) tied to its inputs."""
+    """Sampled transfer matrix, row-stochastic, as CSR arrays tied to its inputs.
 
-    matrix: sp.csr_matrix
+    Row i stores the columns indices[indptr[i]:indptr[i + 1]], ascending
+    and distinct, with the positive weights data[indptr[i]:indptr[i + 1]].
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     partition: Partition
     spec: systems.SystemSpec
 
@@ -152,8 +159,16 @@ class TransferMatrix:
         return self.partition.n_cells
 
     @functools.cached_property
+    def matrix(self):
+        """M as a scipy.sparse CSR matrix over the same arrays, made on first read."""
+        import scipy.sparse as sp
+
+        return sp.csr_matrix((self.data, self.indices, self.indptr),
+                             shape=(self.n_cells, self.n_cells))
+
+    @functools.cached_property
     def forward(self):
-        """The forward operator M^T as CSR, so that forward @ mu = mu M."""
+        """The forward operator M^T as scipy CSR, so that forward @ mu = mu M."""
         return self.matrix.T.tocsr()
 
 
@@ -163,22 +178,48 @@ def build_transfer_matrix(partition, spec):
     Entry (i, j) is the fraction of cell i's s samples whose image lies in
     cell j, so every row sums to 1 exactly up to float summation and
     entry (i, j) > 0 only if some sample of cell i maps into cell j. The
-    samples are mapped BUILD_BLOCK_CELLS cells at a time.
+    samples are mapped BUILD_BLOCK_CELLS cells at a time, and each cell's
+    equal image cells are merged in the same block.
     """
     if partition.dimension != spec.dimension:
         raise InputError("partition dimension %d does not match system dimension %d"
                          % (partition.dimension, spec.dimension))
     n, s = partition.n_cells, partition.samples_per_cell
     ## the sample budget keeps n * s, and so every index, below 2**24: int32 holds them
+    indptr = np.zeros(n + 1, dtype=np.int32)
     indices = np.empty(n * s, dtype=np.int32)
+    data = np.empty(n * s)
+    nnz = 0
     for lo in range(0, n, BUILD_BLOCK_CELLS):
         hi = min(lo + BUILD_BLOCK_CELLS, n)
         images = systems.orbit_batch(spec, partition.cell_samples(lo, hi), 1)[1]
-        indices[lo * s:hi * s] = partition.cell_of_points(images)
-    indptr = np.arange(0, n * s + 1, s, dtype=np.int32)
-    mat = sp.csr_matrix((np.full(n * s, 1.0 / s), indices, indptr), shape=(n, n))
-    mat.sum_duplicates()
-    return TransferMatrix(mat, partition, spec)
+        counts, cols, weights = _merge_rows(partition.cell_of_points(images).reshape(hi - lo, s))
+        indices[nnz:nnz + cols.size] = cols
+        data[nnz:nnz + cols.size] = weights
+        np.cumsum(counts, out=indptr[lo + 1:hi + 1])
+        indptr[lo + 1:hi + 1] += nnz
+        nnz += cols.size
+    indices, data = indices[:nnz], data[:nnz]
+    if nnz < n * s // 2:  # as scipy's prune does: a short view would hold the whole buffer
+        indices, data = indices.copy(), data.copy()
+    return TransferMatrix(indptr, indices, data, partition, spec)
+
+
+def _merge_rows(cells):
+    """CSR rows of the (b, s) image cells of b cells, s samples each, weight 1/s per sample.
+
+    Sorts cells in place. Returns each row's entry count, the distinct cells
+    of each row ascending, and their weights: a run of r equal cells weighs
+    1/s + 1/s + ... (r terms, added in turn), as scipy's sum_duplicates adds it.
+    """
+    s = cells.shape[1]
+    cells.sort(axis=1)
+    first = np.ones(cells.shape, dtype=bool)  # where a run of equal cells starts
+    np.not_equal(cells[:, 1:], cells[:, :-1], out=first[:, 1:])
+    starts = np.flatnonzero(first)
+    run_weight = np.cumsum(np.full(s, 1.0 / s))
+    return (first.sum(axis=1), cells.ravel()[starts],
+            run_weight[np.diff(starts, append=cells.size) - 1])
 
 
 def apply_transfer(tm, mu):

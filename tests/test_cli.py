@@ -698,8 +698,8 @@ def test_os_errors_off_stdout_propagate(monkeypatch, tmp_path, error):
 
 
 def test_process_entry_freezes_after_import_before_main(monkeypatch):
-    ## run() freezes the heap once, with the CLI, numpy and scipy loaded and
-    ## before main starts, and returns main's exit code
+    ## run() freezes the heap once, with the CLI and numpy loaded and before
+    ## main starts, and returns main's exit code
     from semicascade import __main__ as entry
 
     events = []
@@ -711,7 +711,7 @@ def test_process_entry_freezes_after_import_before_main(monkeypatch):
         return real_import(name, globals, locals, fromlist, level)
 
     def freeze():
-        loaded = ("semicascade.cli", "numpy", "scipy.sparse")
+        loaded = ("semicascade.cli", "numpy")
         events.append(("freeze", all(name in sys.modules for name in loaded)))
 
     def main():
@@ -763,23 +763,26 @@ def executed(name):
     return type(module) is types.ModuleType or bool(children)
 seen = {name: executed(name) for name in
         ("numpy.f2py", "numpy.testing", "numpy.ma", "charset_normalizer")}
+walked = "scipy.sparse" in sys.modules
 import numpy.testing
 numpy.testing.assert_array_equal(numpy.arange(3), [0, 1, 2])
-print(json.dumps({"code": code, "executed": seen,
+print(json.dumps({"code": code, "executed": seen, "walked": walked,
                   "testing_after": executed("numpy.testing")}))
 """
 
 
 def test_process_entry_defers_unused_numpy_submodules(tmp_path):
-    ## scipy's array-API shim touches every name in dir(numpy); through the
+    ## scipy's array-API shim touches every name in dir(numpy) when
+    ## scipy.sparse loads, as a convergence run's walk loads it; through the
     ## entry that runs none of numpy's unused submodules, and a later use of
     ## one in the same process loads it in full
-    cfg = dict(_base_config(tmp_path / "out"), analyses=["measures"],
+    cfg = dict(_base_config(tmp_path / "out"), analyses=["convergence"],
                partition={"cells_per_axis": 16, "samples_per_cell": 1})
     proc = _child("-c", _ENTRY_PROBE, _write_config(tmp_path, cfg))
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["code"] == 0
+    assert result["walked"] is True
     assert result["executed"] == {"numpy.f2py": False, "numpy.testing": False,
                                   "numpy.ma": False, "charset_normalizer": False}
     assert result["testing_after"] is True
@@ -829,6 +832,53 @@ def test_process_entry_leaves_scipy_linear_algebra_to_large_graphs(tmp_path):
     assert "scipy.sparse.csgraph" in loaded["cat256"]
 
 
+_LU_PROBE = """
+import json, sys
+import numpy as np
+from semicascade import ergodic, measures, systems, topology, ulam
+## cell 0 splits evenly between the absorbing cells 1 and 2
+spec = systems.doubling_map()
+tm = ulam.TransferMatrix(np.array([0, 2, 3, 4], dtype=np.int32),
+                         np.array([1, 2, 1, 2], dtype=np.int32), np.array([0.5, 0.5, 1.0, 1.0]),
+                         ulam.build_partition(spec, 3, 1), spec)
+mset = measures.stationary_measures(topology.graph_from_transfer(tm))
+before = "scipy" in sys.modules
+ergodic.kernel_projection_estimate(mset)
+print(json.dumps([before, "scipy.sparse" in sys.modules]))
+"""
+
+
+def test_process_entry_loads_scipy_only_where_a_sparse_product_runs(tmp_path):
+    ## the transfer matrix is numpy CSR arrays: north_south at 1024 cells with
+    ## northsouth-projection's analyses and a 32 x 32 cat map with
+    ## torus-wildness's neither walk, iterate a stationary loop nor solve an
+    ## LU, and load no scipy module (any one would load the scipy package);
+    ## a convergence run walks and a cell that reaches two classes is solved
+    ## by an LU, and both load scipy.sparse
+    def config(name, system, cells, analyses, probe=0.3):
+        cfg = dict(_base_config(tmp_path / name), system=system, analyses=analyses,
+                   partition={"cells_per_axis": cells, "samples_per_cell": 3})
+        cfg["options"] = dict(cfg["options"], convergence_probe=probe)
+        return cfg
+
+    north_south = {"family": "north_south", "params": {"kappa": 0.5}}
+    cat = {"family": "toral_automorphism",
+           "params": {"m11": 2, "m12": 1, "m21": 1, "m22": 1}}
+    runs = {"projection": config("projection", north_south, 1024,
+                                 ["unique_minimal_set", "measures", "kernel_projection"]),
+            "wildness": config("wildness", cat, 32, ["unique_minimal_set", "measures",
+                                                     "proximality", "tameness", "covering"],
+                               probe=[0.3, 0.7]),
+            "convergence": config("convergence", north_south, 64, ["convergence"])}
+    loaded = {name: _loaded_by_entry(tmp_path, cfg, name, ["scipy", "scipy.sparse"])
+              for name, cfg in runs.items()}
+    assert loaded == {"projection": [], "wildness": [],
+                      "convergence": ["scipy", "scipy.sparse"]}
+    proc = _child("-c", _LU_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, True]
+
+
 def test_process_entry_loads_only_the_analysis_modules_a_run_uses(tmp_path):
     ## cli imports topology, measures, ergodic and tame in the function that
     ## first calls them, and tame brings simplex: a run loads the analysis
@@ -855,6 +905,7 @@ RECORD_FIELDS = {
     systems.PeriodicOrbit: "points period",
     systems.Family: "dimension params build exact_backend description lift describe periodic",
     ulam.Partition: "dimension cells_per_axis samples_per_cell seed offsets",
+    topology.Reach: "indptr indices",
     topology.MinimalSetReport: "n_sccs scc_of_cell terminal_scc_ids terminal_cells reach backend",
     topology.UniqueMinimalSetReport: "verdict graph_verdict exact_verdict backend_used "
                                      "witnesses max_period discrepancy minimal_sets",

@@ -1,0 +1,105 @@
+"""The numpy CSR arrays against the scipy.sparse operations they replace.
+
+The transfer matrix is held as numpy arrays, and scipy.sparse is imported
+only where a sparse product runs in a loop. Each numpy step that stands in
+for a scipy call must give the same arrays bit for bit: the merge of each
+cell's sample images (scipy: csr_matrix then sum_duplicates), the reversed
+graph (.T.tocsr()), a class block's first product vP (block.T.dot(v)) and
+the kernel projection's residual product (matrix @ A).
+"""
+
+import numpy as np
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+
+from conftest import transfer_of_dense
+from semicascade import ergodic, measures, topology, ulam
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
+
+
+def _same(ours, theirs):
+    return ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+
+
+@st.composite
+def _image_cells(draw):
+    """(b, s) image cells over few distinct cells, so that runs are long."""
+    s = draw(st.integers(1, 24))
+    rows = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 2 * s + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ## a per-row spread: some rows land in one cell, some in up to n
+    spread = rng.integers(1, n + 1, size=(rows, 1))
+    cells = (rng.integers(0, n, size=(rows, s)) % spread + rng.integers(0, n, size=(rows, 1))) % n
+    return cells.astype(np.int64), n
+
+
+@PROPERTY_SETTINGS
+@given(_image_cells())
+def test_merged_rows_match_sum_duplicates(case):
+    cells, n = case
+    rows, s = cells.shape
+    ref = sp.csr_matrix((np.full(rows * s, 1.0 / s), cells.ravel(),
+                         np.arange(0, rows * s + 1, s)), shape=(rows, n))
+    ref.sum_duplicates()
+    counts, cols, weights = ulam._merge_rows(cells.copy())
+    assert np.array_equal(counts, np.diff(ref.indptr))
+    assert np.array_equal(cols, ref.indices)
+    assert _same(weights, ref.data)
+
+
+@st.composite
+def _chains(draw):
+    """Row-stochastic (n, n) chains with rows of 1 to n entries and random weights."""
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = np.zeros((n, n))
+    for i in range(n):
+        cols = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+        dense[i, cols] = rng.random(cols.size) + 1e-3
+        dense[i] /= dense[i].sum()
+    return transfer_of_dense(dense), rng
+
+
+@PROPERTY_SETTINGS
+@given(_chains())
+def test_reversed_graph_matches_scipy_transpose(chain):
+    tm, _ = chain
+    back_indptr, back_indices = topology._reversed(tm.indptr, tm.indices)
+    ref = tm.matrix.T.tocsr()
+    assert _same(back_indptr, ref.indptr)
+    assert _same(back_indices, ref.indices)
+
+
+@PROPERTY_SETTINGS
+@given(_chains())
+def test_class_block_product_matches_scipy(chain):
+    ## the rows of a random cell set keep only their entries inside it, so
+    ## that the set is closed, as a terminal class is (a row left empty
+    ## gets a loop: every row of a transfer matrix stores an entry)
+    tm, rng = chain
+    cells = np.flatnonzero(rng.random(tm.n_cells) < 0.5)
+    if cells.size == 0:
+        cells = np.arange(tm.n_cells)
+    dense = tm.matrix.toarray()
+    dense[np.ix_(cells, np.setdiff1d(np.arange(tm.n_cells), cells))] = 0.0
+    empty = cells[~dense[cells].any(axis=1)]
+    dense[empty, empty] = 1.0
+    tm = transfer_of_dense(dense)
+    ptr, cols, weights = measures._class_block(tm, cells)
+    block = tm.matrix[cells][:, cells].tocsr()
+    assert np.array_equal(ptr, block.indptr)
+    assert np.array_equal(cols, block.indices)
+    assert _same(weights, block.data)
+    for v in (np.full(cells.size, 1.0 / cells.size), rng.random(cells.size)):
+        assert _same(measures._left_product(ptr, cols, weights, v), block.T.dot(v))
+
+
+@PROPERTY_SETTINGS
+@given(_chains(), st.integers(1, 6))
+def test_row_sum_product_matches_scipy(chain, k):
+    tm, rng = chain
+    a = rng.standard_normal((tm.n_cells, k))
+    a[rng.random(a.shape) < 0.3] = 0.0
+    assert _same(ergodic._times(tm, a), tm.matrix @ a)

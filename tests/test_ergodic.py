@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
+from conftest import transfer_of_dense
 from semicascade import ergodic, measures, systems, topology, ulam
 from semicascade.errors import InputError, ResourceBudgetError
 from test_acceptance import BUNDLE
@@ -20,14 +20,11 @@ def _tm_random(n, seed):
     rng = np.random.default_rng(seed)
     dense = rng.random((n, n)) + 0.05
     dense /= dense.sum(axis=1, keepdims=True)
-    part = ulam.build_partition(systems.doubling_map(), n, 1)
-    return ulam.TransferMatrix(sp.csr_matrix(dense), part, systems.doubling_map())
+    return transfer_of_dense(dense)
 
 
 def _tm_swap():
-    part = ulam.build_partition(systems.doubling_map(), 2, 1)
-    mat = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    return ulam.TransferMatrix(mat, part, systems.doubling_map())
+    return transfer_of_dense([[0.0, 1.0], [1.0, 0.0]])
 
 
 def _tm_of(spec, m, s=3):
@@ -381,8 +378,7 @@ def test_kernel_projection_swap_oracle():
 
 
 def test_kernel_projection_identity_chain():
-    part = ulam.build_partition(systems.doubling_map(), 3, 1)
-    tm = ulam.TransferMatrix(sp.csr_matrix(np.eye(3)), part, systems.doubling_map())
+    tm = transfer_of_dense(np.eye(3))
     est = _estimate(tm)
     assert np.array_equal(est.q, np.eye(3))
     assert est.residual_vq == 0.0 and est.residual_idem == 0.0
@@ -411,7 +407,9 @@ def test_kernel_projection_lu_only_over_multi_class_cells(monkeypatch):
     est = _estimate_graph(graph)
     lhs, = lu_systems
     assert np.array_equal(lhs, [[1, -1, 0], [0, 1, -1], [0, 0, 1]])
-    reach = graph.minimal_sets.reach.toarray()
+    reach = np.zeros((8, 3))
+    counts = graph.minimal_sets.reach.counts()
+    reach[np.repeat(np.arange(8), counts), graph.minimal_sets.reach.indices] = 1.0
     assert np.array_equal(est.absorption[3:], reach[3:])
     assert np.allclose(est.absorption[:3], 0.5 * reach[:3], atol=1e-15)
     assert est.residual_vq <= 1e-15 and est.residual_idem <= 1e-15
@@ -493,10 +491,7 @@ def test_limit_measure_flag_has_no_slack():
     ## cell 0 ends in absorbing cell 1 with probability 0.995 and in absorbing
     ## cell 2 otherwise: almost all of its limit is in one class, yet it
     ## reaches two, so it is not single-class
-    part = ulam.build_partition(systems.doubling_map(), 3, 1)
-    mat = sp.csr_matrix(np.array([[0.0, 0.995, 0.005], [0.0, 1.0, 0.0],
-                                  [0.0, 0.0, 1.0]]))
-    tm = ulam.TransferMatrix(mat, part, systems.doubling_map())
+    tm = transfer_of_dense([[0.0, 0.995, 0.005], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     split, absorbed = ergodic.limit_measure_per_point(
         _estimate(tm), [np.array([0.1]), np.array([0.5])], 1)
     assert split.ergodic is False

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
+from conftest import transfer_of_dense
 from semicascade import measures, systems, topology, ulam
 from semicascade.errors import InputError
 
@@ -15,12 +15,6 @@ F = Fraction
 def _tm_of(spec, m, s=3):
     part = ulam.build_partition(spec, m, s)
     return ulam.build_transfer_matrix(part, spec)
-
-
-def _synthetic_tm(dense, m):
-    part = ulam.build_partition(systems.doubling_map(), m, 1)
-    return ulam.TransferMatrix(sp.csr_matrix(np.asarray(dense, dtype=np.float64)),
-                               part, systems.doubling_map())
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +52,7 @@ def test_two_swap_blocks_give_two_half_half_measures():
     dense = np.zeros((4, 4))
     dense[0, 1] = dense[1, 0] = 1.0
     dense[2, 3] = dense[3, 2] = 1.0
-    tm = _synthetic_tm(dense, 4)
+    tm = transfer_of_dense(dense)
     graph = topology.graph_from_transfer(tm)
     ms = measures.stationary_measures(graph)
     assert len(ms.measures) == 2
@@ -81,7 +75,7 @@ def test_crafted_deficient_support_is_caught():
     dense = np.zeros((4, 4))
     dense[0, 1] = dense[1, 0] = 1.0
     dense[2, 3] = dense[3, 2] = 1.0
-    tm = _synthetic_tm(dense, 4)
+    tm = transfer_of_dense(dense)
     honest = measures.stationary_measures(topology.graph_from_transfer(tm))
     idx_01 = [i for i, mu in enumerate(honest.measures)
               if tuple(measures.support(mu)) == (0, 1)][0]

@@ -4,21 +4,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from conftest import transfer_of_dense
 from semicascade import systems, topology, ulam
 from semicascade.errors import InputError, ResourceBudgetError
 
 F = Fraction
 
 
-def _graph_from_dense(dense, spec=None, m=None):
-    spec = spec or systems.north_south(0.5)
-    m = m or dense.shape[0]
-    part = ulam.build_partition(spec, m, 1)
-    mat = sp.csr_matrix(np.asarray(dense, dtype=np.float64))
-    return topology.graph_from_transfer(ulam.TransferMatrix(mat, part, spec))
+def _graph_from_dense(dense, spec=None):
+    return topology.graph_from_transfer(
+        transfer_of_dense(dense, spec or systems.north_south(0.5)))
+
+
+def _classes_reached(rep, cell):
+    return rep.reach.indices[rep.reach.indptr[cell]:rep.reach.indptr[cell + 1]].tolist()
 
 
 ## hand-built 8-cell chain: transient chain 0 -> 1 -> 2 branching evenly into
@@ -40,10 +41,10 @@ def test_minimal_sets_synthetic_oracle():
     terminal_sets = {frozenset(int(c) for c in cells) for cells in rep.terminal_cells}
     assert terminal_sets == {frozenset({3, 4}), frozenset({5, 6}), frozenset({7})}
     ## cells 0,1,2 see both cycle sinks; sink cells see only themselves
-    assert rep.reach[0].nnz == 2
-    assert rep.reach[3].nnz == 1
-    assert list(rep.reach[3].indices) == list(rep.reach[4].indices)
-    assert rep.reach[7].nnz == 1
+    assert len(_classes_reached(rep, 0)) == 2
+    assert len(_classes_reached(rep, 3)) == 1
+    assert _classes_reached(rep, 3) == _classes_reached(rep, 4)
+    assert len(_classes_reached(rep, 7)) == 1
     js = rep.as_jsonable()
     assert js["max_terminals_seen_from_any_cell"] == 2
     assert js["backend"] == "graph"
@@ -54,7 +55,7 @@ def test_reachable_closure():
     rep = _synthetic_two_sink_graph().minimal_sets
 
     def closure_sinks(cell):
-        return sorted(int(c) for k in rep.reach[cell].indices for c in rep.terminal_cells[k])
+        return sorted(int(c) for k in _classes_reached(rep, cell) for c in rep.terminal_cells[k])
 
     assert closure_sinks(0) == [3, 4, 5, 6]
     assert closure_sinks(3) == closure_sinks(4) == [3, 4]
@@ -76,7 +77,7 @@ def test_exact_route_needs_one_scc(monkeypatch):
         raise AssertionError("periodic_orbits called on a graph with several SCCs")
 
     monkeypatch.setattr(systems, "periodic_orbits", never)
-    dense = _synthetic_two_sink_graph().adjacency.toarray()
+    dense = _synthetic_two_sink_graph().transfer.matrix.toarray()
     chk = topology.unique_minimal_set_check(_graph_from_dense(dense, systems.doubling_map()))
     assert chk.verdict is False and chk.backend_used == "graph"
 
@@ -170,9 +171,9 @@ def test_python_and_csgraph_paths_agree(dense):
     from scipy.sparse import csgraph
 
     graph = _graph_from_dense(dense)
-    adjacency = graph.adjacency
-    n_sccs, labels = topology._strong_components(adjacency.indptr, adjacency.indices)
-    ref_n_sccs, ref_labels = csgraph.connected_components(adjacency, directed=True,
+    tm = graph.transfer
+    n_sccs, labels = topology._strong_components(tm.indptr, tm.indices)
+    ref_n_sccs, ref_labels = csgraph.connected_components(tm.matrix, directed=True,
                                                           connection="strong")
     assert n_sccs == ref_n_sccs
     assert labels.dtype == ref_labels.dtype and np.array_equal(labels, ref_labels)
@@ -207,9 +208,9 @@ def test_python_and_csgraph_paths_agree_on_large_graphs(spec, cells, samples, n_
 
     graph = topology.graph_from_transfer(
         ulam.build_transfer_matrix(ulam.build_partition(spec, cells, samples), spec))
-    adjacency = graph.adjacency
-    ours = topology._strong_components(adjacency.indptr, adjacency.indices)
-    theirs = csgraph.connected_components(adjacency, directed=True, connection="strong")
+    tm = graph.transfer
+    ours = topology._strong_components(tm.indptr, tm.indices)
+    theirs = csgraph.connected_components(tm.matrix, directed=True, connection="strong")
     assert ours[0] == theirs[0] == n_sccs
     assert ours[1].dtype == theirs[1].dtype and np.array_equal(ours[1], theirs[1])
 
@@ -227,8 +228,8 @@ def test_python_and_csgraph_paths_agree_on_large_graphs(spec, cells, samples, n_
     assert len(by_python.terminal_cells) == len(by_csgraph.terminal_cells)
     for a, b in zip(by_python.terminal_cells, by_csgraph.terminal_cells):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert by_python.reach.shape == by_csgraph.reach.shape
-    assert (by_python.reach != by_csgraph.reach).nnz == 0
+    for a, b in zip(by_python.reach, by_csgraph.reach):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_proximality_rotation_is_diagonal():

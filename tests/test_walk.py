@@ -12,9 +12,9 @@ the per-point limit measures against a dense Kemeny-Snell projection.
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from conftest import transfer_of_dense
 from semicascade import ergodic, measures, systems, topology, ulam
 
 F = Fraction
@@ -33,9 +33,7 @@ def chains(draw):
         cols = rng.choice(n, size=rng.integers(1, min(3, n) + 1), replace=False)
         dense[i, cols] = rng.random(cols.size) + 0.05
         dense[i] /= dense[i].sum()
-    spec = systems.doubling_map()
-    part = ulam.build_partition(spec, n, 1)
-    return ulam.TransferMatrix(sp.csr_matrix(dense), part, spec), dense
+    return transfer_of_dense(dense), dense
 
 
 @st.composite
@@ -202,8 +200,9 @@ def test_reach_relation_matches_dense_closure(chain):
     classes = _kemeny_snell(dense)[2]
     reach = _reach(dense)
     report = topology.graph_from_transfer(tm).minimal_sets
-    assert report.reach.shape == (tm.n_cells, len(report.terminal_cells))
-    got = {frozenset(cells.tolist()): frozenset(report.reach[:, [j]].nonzero()[0].tolist())
+    assert report.reach.indptr.size == tm.n_cells + 1
+    cell_of_pair = np.repeat(np.arange(tm.n_cells), report.reach.counts())
+    got = {frozenset(cells.tolist()): frozenset(cell_of_pair[report.reach.indices == j].tolist())
            for j, cells in enumerate(report.terminal_cells)}
     want = {frozenset(np.flatnonzero(cells).tolist()):
             frozenset(np.flatnonzero(reach[:, cells].any(axis=1)).tolist())
