@@ -33,7 +33,7 @@ import numpy as np
 ## topology, measures, ergodic and tame are imported in the function that
 ## first calls them, so a run loads only the analysis modules it runs
 from . import systems, ulam
-from .errors import InputError, ResourceBudgetError
+from .errors import BUDGETS, InputError, ResourceBudgetError
 
 CONFIG_SCHEMA = "semicascade-config-v1"
 REPORT_SCHEMA = "semicascade-report-v1"
@@ -78,8 +78,8 @@ KINDS = {
     "nonnegative_number": (lambda v: _is_number(v) and math.isfinite(v) and v >= 0,
                            "must be a finite nonnegative number"),
     "nonnegative_int": (lambda v: _is_int(v) and v >= 0, "must be a nonnegative integer"),
-    "cancellation_terms": (lambda v: _is_int(v) and 2 <= v <= systems.MAX_CANCELLATION_TERMS,
-                           "must be an integer from 2 to %d" % systems.MAX_CANCELLATION_TERMS),
+    "cancellation_terms": (lambda v: _is_int(v) and 2 <= v <= BUDGETS["cancellation"].cap,
+                           "must be an integer from 2 to %d" % BUDGETS["cancellation"].cap),
     "strategy": (lambda v: v in ("fixed", "adversarial"), "must be fixed or adversarial"),
     "lengths": (lambda v: isinstance(v, list) and len(v) >= 2,
                 "must be a list of at least two lengths", "positive_int"),

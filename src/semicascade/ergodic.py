@@ -36,15 +36,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import measures, systems, topology, ulam
-from .errors import CapabilityError, InputError, ResourceBudgetError
+from .errors import CapabilityError, InputError, check_budget
 
 DEFAULT_TOL = 1e-2
 ## schedules whose telescoping bound exceeds this are too far from ergodic
 ## for a Cauchy test to mean anything (a single power has bound 2)
 ERGODICITY_GATE = 0.25
-#: operator steps x stored matrix entries of one schedule walk, about a
-#: minute of sparse products at 1 ns per stored entry
-WALK_ENTRY_BUDGET = 1 << 36
 
 
 @dataclass(frozen=True)
@@ -165,15 +162,11 @@ def _run_sums(rows, terms):
 def _walk_sums(tm, rows, start):
     """_run_sums of rows over the powers start V^p of one ulam.walk.
 
-    More than WALK_ENTRY_BUDGET steps x stored entries raise before the first step.
+    A walk over errors.BUDGETS["walk"] (steps x stored entries) raises before its first step.
     """
     steps = max(b for runs in rows for _, b, _ in runs) - 1
     cost = steps * tm.indices.size
-    if cost > WALK_ENTRY_BUDGET:
-        raise ResourceBudgetError(
-            "a schedule walk of %d operator steps over %d stored matrix entries "
-            "makes %d entry-steps, over the budget of %d; shorten schedule lengths"
-            % (steps, tm.indices.size, cost, WALK_ENTRY_BUDGET))
+    check_budget("walk", cost, steps, tm.indices.size, cost)
     return _run_sums(rows, ulam.walk(tm, start, steps))
 
 

@@ -23,15 +23,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import systems, topology
-from .errors import InputError, ResourceBudgetError
+from .errors import InputError, check_budget
 
 DEFAULT_SUPPORT_THRESHOLD = 1e-12
 # the stop bounds how closely Q = A Pi meets a direct solve (worst gap
 # 7.4e-12 over 15,000 random chains)
 STATIONARY_RESIDUAL = 1e-12
 STATIONARY_MAX_ITERS = 50_000
-#: most terminal classes x cells that the dense measure vectors may hold
-MEASURE_ENTRY_BUDGET = 1 << 26
 
 
 class ErgodicMeasureSet(NamedTuple):
@@ -63,17 +61,13 @@ def stationary_measures(graph):
     blocks) and iterates v <- (v + vP)/2 on the class block of
     graph.transfer until the embedded l1 residual ||mu V - mu||_1 drops
     below STATIONARY_RESIDUAL. A class that exhausts STATIONARY_MAX_ITERS
-    is returned anyway, flagged not converged. More than
-    MEASURE_ENTRY_BUDGET entries (terminal classes x cells) raise
+    is returned anyway, flagged not converged. More entries (terminal
+    classes x cells) than errors.BUDGETS["measures"] allows raise
     ResourceBudgetError before any vector is made.
     """
     classes = graph.minimal_sets.terminal_cells
-    if len(classes) * graph.n_cells > MEASURE_ENTRY_BUDGET:
-        raise ResourceBudgetError(
-            "%d terminal classes x %d cells need %d stationary-measure entries, over "
-            "the budget of %d; lower cells_per_axis"
-            % (len(classes), graph.n_cells, len(classes) * graph.n_cells,
-               MEASURE_ENTRY_BUDGET))
+    entries = len(classes) * graph.n_cells
+    check_budget("measures", entries, len(classes), graph.n_cells, entries)
     tm = graph.transfer
     measures, residuals, converged, iters = [], [], [], []
     for cells in classes:

@@ -27,19 +27,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .errors import CapabilityError, InputError, ResourceBudgetError
+from .errors import CapabilityError, InputError, check_budget
 
 #: (sqrt(5)-1)/2, the canonical irrational rotation angle used in tests
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-#: cap on the lattice points (L^p - I)x = k scanned over all p <= max_period
-PERIODIC_LATTICE_BUDGET = 1 << 16
-#: points of one equispaced grid: the tameness grid (which also sizes the
-#: simplex's 256 x points price buffer) and the proximality and limit probes
-GRID_POINT_BUDGET = 1 << 16
-#: most terms tame.cancellation_defect takes (2^(K-1) sign-pattern solves at
-#: K terms); defined here so that the CLI checks tameness_k_max without tame
-MAX_CANCELLATION_TERMS = 14
 
 
 class SystemSpec(NamedTuple):
@@ -263,6 +254,7 @@ def _rotation_periodic(spec, max_period):
     q = spec.exact_params[0].denominator
     if q > max_period:
         return []
+    check_budget("periodic", q, max_period, q, q)
     ## every point is periodic with period q; report the canonical lattice
     ## orbit through 0, of which every other orbit is a translate
     start = RationalPoint((Fraction(0),))
@@ -290,11 +282,7 @@ def _linear_periodic(spec, max_period):
                                   "use the transition-graph route" % p)
         box = [(sum(min(c, 0) for c in row), sum(max(c, 0) for c in row)) for row in m]
         scanned += math.prod(hi - lo + 1 for lo, hi in box)
-        if scanned > PERIODIC_LATTICE_BUDGET:
-            raise ResourceBudgetError(
-                "periodic-point search up to period %d scans %d lattice points by period "
-                "%d, over the budget of %d; lower options.max_period"
-                % (max_period, scanned, p, PERIODIC_LATTICE_BUDGET))
+        check_budget("periodic", scanned, max_period, scanned, p)
         plan.append((p, det, adj, [range(lo, hi + 1) for lo, hi in box]))
     seen = set()
     orbits = []
@@ -367,8 +355,8 @@ def periodic_orbits(spec, max_period):
     period-p points are k/(2^p - 1)), and rotations by an exact rational
     p/q (for which every point has period q; the canonical lattice orbit
     through 0 is reported, every other orbit being a translate of it).
-    Other maps raise CapabilityError naming the graph fallback, and a
-    lattice search over PERIODIC_LATTICE_BUDGET points ResourceBudgetError.
+    Other maps raise CapabilityError naming the graph fallback, and a search
+    over errors.BUDGETS["periodic"] points ResourceBudgetError before any step.
     """
     if max_period < 1:
         raise InputError("max_period must be >= 1")
@@ -395,12 +383,9 @@ def point_from_bits(bits):
 def equispaced_points(count, dimension):
     """count^dimension grid points (cell-center free, starts at 0), first axis slowest.
 
-    More than GRID_POINT_BUDGET points raise ResourceBudgetError.
+    More points than errors.BUDGETS["grid"] allows raise ResourceBudgetError.
     """
-    if count**dimension > GRID_POINT_BUDGET:
-        raise ResourceBudgetError(
-            "a grid of %d^%d points is over the budget of %d points; lower the "
-            "point count" % (count, dimension, GRID_POINT_BUDGET))
+    check_budget("grid", count**dimension, count, dimension)
     side = np.arange(count, dtype=np.float64) / count
     return np.column_stack([g.ravel() for g in np.meshgrid(*[side] * dimension, indexing="ij")])
 

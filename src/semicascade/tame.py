@@ -32,12 +32,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import systems, ulam
-from .errors import InputError, ResourceBudgetError
+from .errors import InputError, check_budget
 from .simplex import solve_minimax_signed
-from .systems import MAX_CANCELLATION_TERMS
 
 SIGN_PATTERN_CHUNK = 256  # patterns per lock-step simplex stack; sized for peak memory
-COVERING_PAIR_BUDGET = 1 << 22
 ENVELOPE_BANK = 16
 ENVELOPE_POINTS = 16
 NET_HEAD_COLUMNS = 16  # columns in the covering scan's partial-distance bound
@@ -83,10 +81,7 @@ def cancellation_defect(values, pivot_budget=None):
     if values.ndim != 2 or min(values.shape) < 1:
         raise InputError("values must be a (K, S) matrix with K, S >= 1")
     n_terms = values.shape[0]
-    if n_terms > MAX_CANCELLATION_TERMS:
-        raise ResourceBudgetError(
-            "%d terms would take %d sign-pattern solves; cap is %d terms"
-            % (n_terms, 1 << (n_terms - 1), MAX_CANCELLATION_TERMS))
+    check_budget("cancellation", n_terms, n_terms, 1 << (n_terms - 1))
     kwargs = {} if pivot_budget is None else {"pivot_budget": pivot_budget}
     signs = sign_patterns(n_terms)
     n_patterns = signs.shape[0]
@@ -246,18 +241,14 @@ def covering_profile(spec, horizon, eps_list):
     t is compared with all earlier iterates on NET_HEAD_COLUMNS head
     columns, a lower bound on the distance, and measured in full only
     against the centers that bound leaves within eps (see
-    _greedy_net_sizes). COVERING_PAIR_BUDGET still caps (horizon+1)^2.
+    _greedy_net_sizes). errors.BUDGETS["covering"] still caps (horizon+1)^2.
     The features are ENVELOPE_BANK test functions at ENVELOPE_POINTS points.
     """
     if horizon < 1:
         raise InputError("horizon must be >= 1")
     if any(e <= 0 for e in eps_list):
         raise InputError("eps values must be positive")
-    if (horizon + 1) ** 2 > COVERING_PAIR_BUDGET:
-        raise ResourceBudgetError(
-            "covering at horizon %d may need %d pairwise distances, over the "
-            "budget of %d; lower the horizon"
-            % (horizon, (horizon + 1) ** 2, COVERING_PAIR_BUDGET))
+    check_budget("covering", (horizon + 1) ** 2, horizon, (horizon + 1) ** 2)
     feats = _envelope_features(spec, horizon, ENVELOPE_BANK, ENVELOPE_POINTS)
     counts = _greedy_net_sizes(feats, eps_list)
     truncation = 2.0 * (0.5 ** ENVELOPE_BANK + 0.5 ** ENVELOPE_POINTS)

@@ -31,16 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import systems, ulam
-from .errors import InputError, ResourceBudgetError
+from .errors import InputError, check_budget
 
-#: orbit point-steps, probes x (horizon + 1), of one proximality graph
-ORBIT_POINT_STEP_BUDGET = 1 << 31
-#: pair tests of one proximality sweep at worst, probes x P // 2 offsets x (horizon + 1):
-#: with eps >= 1/2, or orbits that crowd together, every offset is met at every step
-SWEEP_PAIR_TEST_BUDGET = 1 << 31
-#: entries of one (P, P) pair array; proximality_graph holds two, the bool
-#: hit mask and the edges
-PAIR_PLANE_BUDGET = 1 << 22
 #: orbit point-steps per proximality sweep block, max(1, this // P) steps.
 #: On 100 cat-map probes at horizon 1024, 2^10 and 2^15 both ran slower,
 #: and 2^15 held 4 MB more at its peak
@@ -394,19 +386,11 @@ def proximality_graph(spec, points, horizon, eps):
     if eps <= 0:
         raise InputError("eps must be > 0")
     n_pts = pts.shape[0]
-    for count, what, budget in (
-            (n_pts * (horizon + 1), "orbit point-steps", ORBIT_POINT_STEP_BUDGET),
-            (n_pts * (n_pts // 2) * (horizon + 1), "sweep pair tests at most",
-             SWEEP_PAIR_TEST_BUDGET)):
-        if count > budget:
-            raise ResourceBudgetError(
-                "%d probe points to horizon %d make %d %s, over the budget of %d; "
-                "subsample the probes or shorten the horizon"
-                % (n_pts, horizon, count, what, budget))
-    if n_pts * n_pts > PAIR_PLANE_BUDGET:
-        raise ResourceBudgetError(
-            "%d probe points make %d-entry pair planes, over the budget of %d; "
-            "subsample the probes" % (n_pts, n_pts * n_pts, PAIR_PLANE_BUDGET))
+    if n_pts < 2:  # no pair to meet, so no orbit to step
+        return ProximalityGraph(pts, int(horizon), float(eps), np.ones((n_pts, n_pts), bool))
+    tests = n_pts * (n_pts // 2) * (horizon + 1)
+    check_budget("sweep", tests, n_pts, horizon, tests)
+    check_budget("pair_plane", n_pts * n_pts, n_pts, n_pts * n_pts)
     hit = np.zeros(n_pts * n_pts, dtype=bool)
     cut = min(eps, 0.5) * (1.0 + 1e-9) + 1e-15
     steps = max(1, SWEEP_BLOCK_POINTS // n_pts)

@@ -41,12 +41,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels, systems
-from .errors import InputError, ResourceBudgetError
+from .errors import InputError, check_budget
 
-DEFAULT_SAMPLE_BUDGET = 1 << 24
-#: entries (functions x cells) of one sampled test bank; each function also
-#: counts BANK_FUNCTION_ENTRIES for the closures and array header it carries
-BANK_ENTRY_BUDGET = 1 << 26
+#: bank entries that each test function counts beyond its cells, for the
+#: closures and array header it carries
 BANK_FUNCTION_ENTRIES = 128
 #: cells whose samples build_transfer_matrix maps at once; its orbit buffer holds
 #: samples and images (cat map, 128 x 128 cells, s = 3: peak 0.88 MB over the CSR)
@@ -124,18 +122,14 @@ def build_partition(spec, cells_per_axis, samples_per_cell, seed=0):
     seed : int
         Shifts the Kronecker fill; everything else is seed-independent.
 
-    More than DEFAULT_SAMPLE_BUDGET samples (m**d * s) raise
+    More samples (m**d * s) than errors.BUDGETS["samples"] allows raise
     ResourceBudgetError.
     """
     m, s = int(cells_per_axis), int(samples_per_cell)
     if m < 1 or s < 1:
         raise InputError("need cells_per_axis >= 1 and samples_per_cell >= 1")
     total = (m**spec.dimension) * s
-    if total > DEFAULT_SAMPLE_BUDGET:
-        raise ResourceBudgetError(
-            "partition would carry %d sample points, over the budget of %d; "
-            "lower cells_per_axis or samples_per_cell" % (total, DEFAULT_SAMPLE_BUDGET)
-        )
+    check_budget("samples", total, total)
     offsets = _sample_offsets(spec.dimension, s, 1.0 / m, seed)
     return Partition(spec.dimension, m, s, int(seed), offsets)
 
@@ -311,13 +305,10 @@ def sample_test_bank(partition, count):
 
     These are the fixed test functions that render weak-star comparisons
     finitely; pairing a cell measure with each of them and taking the max
-    absolute difference is the package's weak-star distance. More than
-    BANK_ENTRY_BUDGET entries raise ResourceBudgetError before any is made.
+    absolute difference is the package's weak-star distance. A bank over
+    errors.BUDGETS["bank"] raises ResourceBudgetError before any entry is made.
     """
     entries = count * (partition.n_cells + BANK_FUNCTION_ENTRIES)
-    if entries > BANK_ENTRY_BUDGET:
-        raise ResourceBudgetError(
-            "%d test functions on %d cells make %d bank entries, over the budget of "
-            "%d; lower test_functions" % (count, partition.n_cells, entries, BANK_ENTRY_BUDGET))
+    check_budget("bank", entries, count, partition.n_cells, entries)
     centers = partition.centers()
     return [fn(centers) for _, fn in trig_bank(count, partition.dimension)]

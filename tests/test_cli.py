@@ -19,7 +19,7 @@ import pytest
 from hypothesis import find, given, settings, strategies as st
 
 import semicascade
-from semicascade import cli, ergodic, measures, simplex, systems, tame, topology, ulam
+from semicascade import cli, ergodic, errors, measures, simplex, systems, tame, topology, ulam
 
 
 def _base_config(out_dir):
@@ -304,9 +304,9 @@ def test_rejects_tameness_k_max_above_cap(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "run_analyses", never)
     cfg = _base_config(tmp_path / "out")
-    cfg["options"]["tameness_k_max"] = tame.MAX_CANCELLATION_TERMS + 1
+    cfg["options"]["tameness_k_max"] = errors.BUDGETS["cancellation"].cap + 1
     _expect_config_error(tmp_path, capsys, cfg, "config field options.tameness_k_max")
-    cfg["options"]["tameness_k_max"] = tame.MAX_CANCELLATION_TERMS
+    cfg["options"]["tameness_k_max"] = errors.BUDGETS["cancellation"].cap
     assert cli.validate_config(cfg)["options"]["tameness_k_max"] == 14
 
 
@@ -481,7 +481,7 @@ def test_measure_budget_exits_3_naming_both_counts(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "32768 terminal classes x 65536 cells" in err, err
-    assert "over the budget of %d" % measures.MEASURE_ENTRY_BUDGET in err, err
+    assert "over the budget of %d" % errors.BUDGETS["measures"].cap in err, err
     assert not (tmp_path / "out" / "report.json").exists()
 
 
@@ -517,7 +517,7 @@ def test_periodic_search_over_budget_exits_3_promptly(tmp_path, capsys):
     code = cli.main(["run", _write_config(tmp_path, cfg)])
     elapsed = time.perf_counter() - start
     assert code == 3
-    assert "over the budget of %d" % systems.PERIODIC_LATTICE_BUDGET in capsys.readouterr().err
+    assert "over the budget of %d" % errors.BUDGETS["periodic"].cap in capsys.readouterr().err
     assert elapsed < 10.0
 
 
@@ -1127,6 +1127,32 @@ def test_readme_config_reference_matches_the_table():
     assert documented == list(_table_rows())
 
 
+def _remedy_fields(row):
+    return re.findall(r"\b([a-z_]+)\.([a-z_]+)\b", row.lowers)
+
+
+def test_every_budget_remedy_names_config_fields():
+    for name, row in errors.BUDGETS.items():
+        assert _remedy_fields(row), name
+        for section, key in _remedy_fields(row):
+            assert key in cli.CONFIG_FIELDS.get(section, {}), (name, section, key)
+
+
+def test_readme_budget_table_matches_the_table():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        table = fh.read().split("| budget | cap | counts | lowered by |\n", 1)[1].split("\n\n")[0]
+    ## a cap is written 2²⁴ or as a plain number
+    rows = re.findall(r"^\| `([a-z_]+)` \| (?:2([⁰¹²³⁴⁵⁶⁷⁸⁹]+)|([0-9]+)) \| [^|]+ \| ([^|]+) \|$",
+                      table, re.M)
+    superscripts = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
+    documented = [(name, 2 ** int(power.translate(superscripts)) if power else int(plain),
+                   re.findall(r"`([a-z_]+)\.([a-z_]+)`", fields))
+                  for name, power, plain, fields in rows]
+    assert documented == [(name, row.cap, _remedy_fields(row))
+                          for name, row in errors.BUDGETS.items()]
+
+
 def test_long_cesaro_schedule_runs(tmp_path, capsys):
     ## one run of 100000 powers: no per-power weight is stored or summed
     cfg = dict(_base_config(tmp_path / "out"), analyses=["convergence"])
@@ -1147,13 +1173,20 @@ def _cap_address_space():
     ("proximality", "options", "proximality_points", 20000),  # 3.2 GB planes
     ("convergence", "horizons", "schedule_lengths", [64, 1 << 40]),
     ("convergence", "banks", "test_functions", 1 << 40),
+    ("measures", "partition", "cells_per_axis", 1 << 40),
+    ("covering", "horizons", "covering_horizon", 1 << 40),
+    ("unique_minimal_set", "options", "max_period", 1 << 40),
+    ("proximality", "horizons", "proximality_horizon", 1 << 40),
 ], ids=["grid_size", "limit_probe_count", "proximality_points", "schedule_lengths",
-      "test_functions"])
+      "test_functions", "cells_per_axis", "covering_horizon", "max_period",
+      "proximality_horizon"])
 def test_over_budget_value_exits_3_in_capped_memory(tmp_path, analysis, section, key, value):
     ## valid values too big to run are refused before anything that size is
-    ## made; in a 1 GiB address space a MemoryError would show as exit 1
-    cfg = {"schema": cli.CONFIG_SCHEMA,
-           "system": {"family": "circle_rotation", "params": {"alpha": "1/3"}},
+    ## made; in a 1 GiB address space a MemoryError would show as exit 1.
+    ## The periodic search runs on doubling: the rotation's q = 3 fits any max_period
+    system = {"family": "doubling"} if key == "max_period" else \
+        {"family": "circle_rotation", "params": {"alpha": "1/3"}}
+    cfg = {"schema": cli.CONFIG_SCHEMA, "system": system,
            "partition": {"cells_per_axis": 16}, "analyses": [analysis],
            "horizons": {"proximality_horizon": 1}, "output_dir": str(tmp_path / "out")}
     cfg.setdefault(section, {})[key] = value
@@ -1162,4 +1195,4 @@ def test_over_budget_value_exits_3_in_capped_memory(tmp_path, analysis, section,
                          preexec_fn=_cap_address_space)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr, proc.stderr
-    assert "over the budget" in proc.stderr, proc.stderr
+    assert "over the budget of" in proc.stderr, proc.stderr

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import transfer_of_dense
-from semicascade import ergodic, measures, systems, topology, ulam
+from semicascade import ergodic, errors, measures, systems, topology, ulam
 from semicascade.errors import InputError, ResourceBudgetError
 from test_acceptance import BUNDLE
 from test_topology import _synthetic_two_sink_graph
@@ -130,12 +130,12 @@ def test_walk_budget_refused_before_the_first_step(monkeypatch):
     steps = _counting_walk(monkeypatch)
     ## a ladder to length 2^40 is refused before the walk yields anything
     with pytest.raises(ResourceBudgetError, match="over the budget of %d"
-                       % ergodic.WALK_ENTRY_BUDGET):
+                       % errors.BUDGETS["walk"].cap):
         ergodic.apply_schedules_batch(tm, ergodic.cesaro_ladder([64, 1 << 40]), mu)
     assert steps == []
     ## the budget counts steps x stored entries: 8 steps of 36 entries
     ## (9 powers) for the schedules, one more step for their defects
-    monkeypatch.setattr(ergodic, "WALK_ENTRY_BUDGET", 8 * 36)
+    monkeypatch.setitem(errors.BUDGETS, "walk", errors.BUDGETS["walk"]._replace(cap=8 * 36))
     ladder = ergodic.cesaro_ladder([4, 9])
     assert ergodic.apply_schedules_batch(tm, ladder, mu).shape == (2, 6)
     assert len(steps) == 9

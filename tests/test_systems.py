@@ -1,13 +1,14 @@
 """Map families: float/exact agreement, periodic-orbit oracles, validation."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semicascade import _kernels, systems
+from semicascade import _kernels, errors, systems
 from semicascade.errors import CapabilityError, InputError, ResourceBudgetError
 
 F = Fraction
@@ -266,8 +267,23 @@ def test_periodic_search_refused_over_the_lattice_budget():
     ## checked period by period before any point is enumerated, so a huge
     ## max_period costs only the periods up to the one that crosses the cap
     for spec in (systems.doubling_map(), systems.cat_map()):
-        with pytest.raises(ResourceBudgetError, match="budget of %d" % systems.PERIODIC_LATTICE_BUDGET):
+        with pytest.raises(ResourceBudgetError, match="budget of %d" % errors.BUDGETS["periodic"].cap):
             systems.periodic_orbits(spec, 1 << 20)
+
+
+def test_rotation_periodic_search_refused_over_the_lattice_budget(monkeypatch):
+    ## the orbit of a rotation by p/q takes q exact steps; q is counted first
+    start = time.perf_counter()
+    with pytest.raises(ResourceBudgetError, match="scans 65537 lattice points by period 65537, "
+                                                  "over the budget of 65536; lower options.max_period"):
+        systems.periodic_orbits(systems.circle_rotation("1/65537"), 1 << 20)
+    assert time.perf_counter() - start < 0.5
+    ## q at the cap still runs: the orbit through 0, in visiting order
+    monkeypatch.setitem(errors.BUDGETS, "periodic", errors.BUDGETS["periodic"]._replace(cap=7))
+    (orbit,) = systems.periodic_orbits(systems.circle_rotation("3/7"), 7)
+    assert orbit.period == 7 and [pt.coords[0] for pt in orbit.points] == [F(3 * k % 7, 7) for k in range(7)]
+    with pytest.raises(ResourceBudgetError, match="over the budget of 7"):
+        systems.periodic_orbits(systems.circle_rotation("1/8"), 8)
 
 
 def test_point_from_bits():
@@ -296,10 +312,11 @@ def test_point_sets():
 
 def test_equispaced_points_budget():
     ## the budget counts count^dimension points, the grid's rows
-    assert systems.equispaced_points(systems.GRID_POINT_BUDGET, 1).shape == (1 << 16, 1)
+    cap = errors.BUDGETS["grid"].cap
+    assert systems.equispaced_points(cap, 1).shape == (1 << 16, 1)
     assert systems.equispaced_points(1 << 8, 2).shape == (1 << 16, 2)
-    for count, dimension in ((systems.GRID_POINT_BUDGET + 1, 1), (257, 2), (1 << 40, 1)):
-        with pytest.raises(ResourceBudgetError, match="over the budget of 65536 points"):
+    for count, dimension in ((cap + 1, 1), (257, 2), (1 << 40, 1)):
+        with pytest.raises(ResourceBudgetError, match="points, over the budget of 65536; lower"):
             systems.equispaced_points(count, dimension)
 
 

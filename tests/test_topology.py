@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import transfer_of_dense
-from semicascade import systems, topology, ulam
+from semicascade import errors, systems, topology, ulam
 from semicascade.errors import InputError, ResourceBudgetError
 
 F = Fraction
@@ -433,7 +433,7 @@ def test_transitivity_sampled_route():
 def test_proximality_plane_budget(monkeypatch):
     ## P x P planes are refused by size even when the operation count fits
     spec = systems.circle_rotation("1/3")
-    monkeypatch.setattr(topology, "PAIR_PLANE_BUDGET", 100)
+    monkeypatch.setitem(errors.BUDGETS, "pair_plane", errors.BUDGETS["pair_plane"]._replace(cap=100))
     assert topology.proximality_graph(spec, systems.equispaced_points(10, 1), 1, 0.1).edges.shape == (10, 10)
     with pytest.raises(ResourceBudgetError, match="11 probe points make 121-entry pair planes"):
         topology.proximality_graph(spec, systems.equispaced_points(11, 1), 1, 0.1)
@@ -448,35 +448,34 @@ def test_proximality_validation_and_budget():
         topology.proximality_graph(spec, pts, 10, 0.0)
     with pytest.raises(InputError):
         topology.proximality_graph(systems.cat_map(), pts, 10, 0.1)
-    with pytest.raises(ResourceBudgetError, match="4194305000 orbit point-steps, over the budget of"):
+    with pytest.raises(ResourceBudgetError, match="2097152500000 sweep pair tests at most, over the budget of"):
         topology.proximality_graph(spec, systems.equispaced_points(1000, 1),
                                    1 << 22, 0.1)
 
 
-def test_proximality_budget_counts_orbit_point_steps(monkeypatch):
-    ## P (H + 1) orbit point-steps, not the P^2 (H + 1) of a pair plane per step
-    spec = systems.doubling_map()
-    pts = systems.equispaced_points(10, 1)
-    monkeypatch.setattr(topology, "ORBIT_POINT_STEP_BUDGET", 100)
-    assert topology.proximality_graph(spec, pts, 9, 0.1).edges.shape == (10, 10)
-    with pytest.raises(ResourceBudgetError, match="110 orbit point-steps"):
-        topology.proximality_graph(spec, pts, 10, 0.1)
+def test_single_probe_is_its_own_pair_without_a_step(monkeypatch):
+    ## one probe, or none, has no pair to sweep, so no orbit step is taken at
+    ## any horizon
+    monkeypatch.setattr(systems, "orbit_batch", None)
+    pg = topology.proximality_graph(systems.doubling_map(), np.array([[0.3]]), 1 << 40, 0.1)
+    assert pg.edges.tolist() == [[True]] and pg.horizon == 1 << 40
+    assert topology.proximality_graph(systems.doubling_map(), np.zeros((0, 1)), 4, 0.1).edges.shape == (0, 0)
 
 
 def test_proximality_budget_counts_sweep_pair_tests(monkeypatch):
     ## the sweep may meet all P // 2 offsets at every step: P (P // 2) (H + 1)
     spec = systems.doubling_map()
     pts = systems.equispaced_points(10, 1)
-    monkeypatch.setattr(topology, "SWEEP_PAIR_TEST_BUDGET", 500)
+    monkeypatch.setitem(errors.BUDGETS, "sweep", errors.BUDGETS["sweep"]._replace(cap=500))
     assert topology.proximality_graph(spec, pts, 9, 0.5).edges.all()
     with pytest.raises(ResourceBudgetError, match="550 sweep pair tests at most, over the budget of 500"):
         topology.proximality_graph(spec, pts, 10, 0.5)
 
 
 def test_dense_sweep_is_refused_up_front():
-    ## at eps 1/2 every offset is met at every step: 2025 cat-map probes fit
-    ## the orbit point-step budget to horizon 1060484, but their sweep would
-    ## run for hours, so it is refused before any work
+    ## at eps 1/2 every offset is met at every step: the sweep of 2025
+    ## cat-map probes to horizon 1060484 would run for hours, so it is
+    ## refused before any work
     spec = systems.cat_map()
     pts = systems.equispaced_points(45, 2)
     for horizon in (1060484, 1047):  # 2025 x 1012 x 1048 pair tests pass 2^31 first at 1047

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from semicascade import _kernels, systems, ulam
+from semicascade import _kernels, errors, systems, ulam
 from semicascade.errors import InputError, ResourceBudgetError
 
 F = Fraction
@@ -205,7 +205,8 @@ def test_test_bank_budget(monkeypatch):
     ## each function counts its cells plus BANK_FUNCTION_ENTRIES; over the
     ## budget nothing is evaluated
     part = ulam.build_partition(systems.doubling_map(), 8, 1)
-    monkeypatch.setattr(ulam, "BANK_ENTRY_BUDGET", 4 * (8 + ulam.BANK_FUNCTION_ENTRIES))
+    monkeypatch.setitem(errors.BUDGETS, "bank",
+                        errors.BUDGETS["bank"]._replace(cap=4 * (8 + ulam.BANK_FUNCTION_ENTRIES)))
     assert len(ulam.sample_test_bank(part, 4)) == 4
     monkeypatch.setattr(ulam, "trig_bank", None)
     with pytest.raises(ResourceBudgetError, match="5 test functions on 8 cells make 680 bank entries"):
