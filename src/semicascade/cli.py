@@ -256,6 +256,23 @@ class SharedResults:
         return ergodic.kernel_projection_estimate(self.stationary)
 
 
+def _plain(value):
+    """A record field as a JSON value: numpy to Python, tuples to lists, keys to str."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _entry(record, drop=(), **extra):
+    """A result record's fields as a report entry, less those in drop, plus extra."""
+    fields = {k: v for k, v in record._asdict().items() if k not in drop}
+    return _plain(dict(fields, **extra))
+
+
 def _convergence(run):
     from . import ergodic
     lengths, tol = run.horizons["schedule_lengths"], run.tolerances["tol"]
@@ -265,18 +282,19 @@ def _convergence(run):
     mu0 = np.zeros(run.transfer.n_cells)
     mu0[int(run.partition.cell_of_points(coords[None, :])[0])] = 1.0
     report = ergodic.convergence_diagnostic(run.transfer, schedules, mu0, run.bank, tol=tol)
-    entry = report.as_jsonable()
-    entry.pop("limit")  # vectors live in CSV side files, not the report
-    entry["defect_vs_n"] = [[int(sch.max_power + 1), float(d)] for sch, d
-                            in zip(schedules[1:], report.consecutive_defects)]
-    entry["context"] = run.context(max(lengths), tol)
-    return entry
+    return _entry(report, drop=("limit", "consecutive_defects"),
+                  defect_vs_n=[[sch.max_power + 1, d] for sch, d
+                               in zip(schedules[1:], report.consecutive_defects)],
+                  context=run.context(max(lengths), tol))
 
 
 def _unique_minimal_set(run):
     from . import topology
     check = topology.unique_minimal_set_check(run.graph, max_period=run.options["max_period"])
-    return dict(check.as_jsonable(), context=run.context(None, None))
+    witnesses = [{"period": orb.period, "points": [[str(c) for c in pt.coords] for pt in orb.points]}
+                 for orb in check.witnesses]
+    return _entry(check, drop=("minimal_sets", "witnesses"), witnesses=witnesses,
+                  context=run.context(None, None))
 
 
 def _uniqueness_verdicts(entry, results):
@@ -296,8 +314,8 @@ def _proximality(run):
     pts = _probe_grid(run.options["proximality_points"], run.spec.dimension)
     horizon, eps = run.horizons["proximality_horizon"], run.tolerances["eps"]
     pg = topology.proximality_graph(run.spec, pts, horizon, eps)
-    return dict(topology.transitivity_defect(pg).as_jsonable(), n_points=int(pts.shape[0]),
-                context=run.context(horizon, eps))
+    return _entry(topology.transitivity_defect(pg), n_points=pts.shape[0],
+                  context=run.context(horizon, eps))
 
 
 def _measures(run):
@@ -305,10 +323,14 @@ def _measures(run):
     threshold = run.tolerances["support_threshold"]
     minimality = measures.support_minimality_check(run.stationary, threshold=threshold)
     center = measures.attraction_center_vs_minimal_union(run.stationary, threshold=threshold)
-    return dict(run.stationary.as_jsonable(),
-                support_minimality=[bool(v) for v in minimality],
-                attraction_center=center.as_jsonable(),
-                context=run.context(None, threshold))
+    return _entry(run.stationary, drop=("measures", "graph"),
+                  n_measures=len(run.stationary.measures),
+                  class_ids=run.graph.minimal_sets.terminal_scc_ids,
+                  support_minimality=minimality,
+                  attraction_center=_entry(center, drop=("support_union", "minimal_union"),
+                                           n_support_union=len(center.support_union),
+                                           n_minimal_union=len(center.minimal_union)),
+                  context=run.context(None, threshold))
 
 
 def _tameness(run):
@@ -318,7 +340,7 @@ def _tameness(run):
     k_max = run.options["tameness_k_max"]
     profile = tame.tameness_profile(run.spec, fn_entry, k_max, grid,
                                     strategy=run.options["tameness_strategy"])
-    return dict(profile.as_jsonable(), context=run.context(k_max, None))
+    return _entry(profile, drop=("coefficients",), context=run.context(k_max, None))
 
 
 def _tameness_verdicts(entry, results):
@@ -331,18 +353,15 @@ def _covering(run):
     from . import tame
     horizon = run.horizons["covering_horizon"]
     profile = tame.covering_profile(run.spec, horizon, run.options["covering_eps"])
-    return dict(profile.as_jsonable(), context=run.context(horizon, None))
+    return _entry(profile, context=run.context(horizon, None))
 
 
 def _limit_measures(run):
     from . import ergodic
     probes = _probe_grid(run.options["limit_probe_count"], run.spec.dimension)
     limits = ergodic.limit_measure_per_point(run.projection, probes, run.horizons["orbit_n"])
-    rows = [{"probe": [float(c) for c in pt],
-             "ergodic": res.ergodic,
-             "dominant_class": res.dominant_class,
-             "mass_in_class": res.mass_in_class,
-             "route": res.route} for pt, res in zip(probes, limits)]
+    rows = [_entry(res, drop=("measure", "support_cells"), probe=pt)
+            for pt, res in zip(probes, limits)]
     return {"probes": rows, "context": run.context(run.horizons["orbit_n"], None)}
 
 
@@ -408,10 +427,8 @@ ANALYSIS_TABLE = {
                        for e, c in zip(entry["eps_list"], entry["counts"])],
         lambda run, rows: [("covering.csv", rows)]),
     "kernel_projection": Analysis(
-        lambda run: {"residual_vq": run.projection.residual_vq,
-                     "residual_idem": run.projection.residual_idem,
-                     "stop_reason": run.projection.stop_reason,
-                     "context": run.context(None, None)},
+        lambda run: _entry(run.projection, drop=("absorption", "stationary", "graph"),
+                           context=run.context(None, None)),
         lambda entry, results: ["projection residuals: vq=%.3g idem=%.3g (%s)"
                                 % (entry["residual_vq"], entry["residual_idem"],
                                    entry["stop_reason"])],
@@ -452,16 +469,6 @@ def run_analyses(config):
         "verdict_lines": verdicts,
     }
     return report, itertools.chain.from_iterable(side_tables)
-
-
-def table_rows(analysis, entry):
-    """CSV rows, header first, for one analysis entry of a report.
-
-    A lookup into ANALYSIS_TABLE. `run` writes its convergence, tameness
-    and covering side tables from the entry it puts in the report, and
-    `plotdata` from the entry it reads back, so both emit the same bytes.
-    """
-    return ANALYSIS_TABLE[analysis].plot_rows(entry)
 
 
 def _output_dir(path, field):
@@ -519,9 +526,9 @@ def cmd_plotdata(args):
     if args.analysis not in results:
         raise ConfigError("analysis %r is not present in the report (has: %s)"
                           % (args.analysis, ", ".join(sorted(results)) or "none"))
-    try:
-        rows = table_rows(args.analysis, results[args.analysis])
-    except (LookupError, TypeError, AttributeError) as exc:
+    try:  # the rows `run` wrote its side tables from, made from the entry read back
+        rows = ANALYSIS_TABLE[args.analysis].plot_rows(results[args.analysis])
+    except (LookupError, TypeError, AttributeError, ValueError) as exc:
         raise ConfigError("analysis %r in report file %s is malformed: %r" % (args.analysis, args.report, exc))
     out_dir = _output_dir(args.output_dir, "--output-dir")
     path = os.path.join(out_dir, "plot_%s.csv" % args.analysis)

@@ -217,7 +217,7 @@ class ConvergenceReport(NamedTuple):
     resolution. Every report carries the tolerance it was computed under.
     consecutive_defects[i] is the distance between the outputs of
     schedules i and i+1, which convergence_diagnostic fills for the CLI's
-    defect series (empty otherwise); it is not part of as_jsonable.
+    defect series (empty otherwise).
     """
 
     verdict: str
@@ -229,18 +229,6 @@ class ConvergenceReport(NamedTuple):
     cause: str
     max_tail_defect: float
     consecutive_defects: tuple = ()
-
-    def as_jsonable(self):
-        return {
-            "verdict": self.verdict,
-            "tolerance": self.tolerance,
-            "schedule_labels": list(self.schedule_labels),
-            "tail_indices": [int(i) for i in self.tail_indices],
-            "pairwise_defects": [[float(v) for v in row] for row in self.pairwise_defects],
-            "max_tail_defect": self.max_tail_defect,
-            "cause": self.cause,
-            "limit": None if self.limit is None else [float(v) for v in self.limit],
-        }
 
 
 def _tail_verdict(outputs, schedules, tol, distance):
@@ -486,7 +474,6 @@ def limit_measure_per_point(est, omegas, n):
                 cycle = systems.exact_cycle(spec, omega, n)
             except CapabilityError:
                 pass  # no exact backend: the matrix route
-            omega = omega.as_floats()
         if cycle is not None:
             cells = [partition.cell_of_rational(rp) for rp in cycle]
             measure = np.zeros(partition.n_cells)
@@ -496,10 +483,8 @@ def limit_measure_per_point(est, omegas, n):
             single = len(sccs) == 1 and sccs <= set(report.terminal_scc_ids)
             route = "exact_cycle"
         else:
-            pt = np.asarray(omega, dtype=np.float64).reshape(1, -1)
-            if pt.shape[1] != partition.dimension:
-                raise InputError("points must have %d coordinates" % partition.dimension)
-            c = partition.cell_of_points(pt)[0]
+            c = (partition.cell_of_rational(omega) if isinstance(omega, systems.RationalPoint)
+                 else partition.cell_of_points(systems.as_point(omega, partition.dimension)[None])[0])
             masses = est.absorption[c]
             measure = masses @ est.stationary
             single = bool(n_reached[c] == 1)

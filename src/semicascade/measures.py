@@ -44,15 +44,6 @@ class ErgodicMeasureSet(NamedTuple):
     iterations: tuple
     graph: topology.TransitionGraph
 
-    def as_jsonable(self):
-        return {
-            "n_measures": len(self.measures),
-            "class_ids": [int(c) for c in self.graph.minimal_sets.terminal_scc_ids],
-            "residuals": [float(r) for r in self.residuals],
-            "converged": [bool(c) for c in self.converged],
-            "iterations": [int(i) for i in self.iterations],
-        }
-
 
 def stationary_measures(graph):
     """Stationary measure of each terminal SCC by damped power iteration.
@@ -163,16 +154,6 @@ class AttractionCenterReport(NamedTuple):
     only_in_minimal: np.ndarray
     equal: bool
     threshold: float
-
-    def as_jsonable(self):
-        return {
-            "equal": bool(self.equal),
-            "threshold": self.threshold,
-            "n_support_union": int(len(self.support_union)),
-            "n_minimal_union": int(len(self.minimal_union)),
-            "only_in_support": [int(c) for c in self.only_in_support],
-            "only_in_minimal": [int(c) for c in self.only_in_minimal],
-        }
 
 
 def attraction_center_vs_minimal_union(measure_set,

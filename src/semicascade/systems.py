@@ -151,10 +151,7 @@ def metric(spec, p1, p2):
 
 def orbit(spec, p, n):
     """First n+1 orbit points of p under the map; returns shape (n+1, d)."""
-    pt = as_point(p, spec.dimension)
-    if n < 0:
-        raise InputError("orbit length must be nonnegative")
-    return orbit_batch(spec, pt[None, :], n)[:, 0, :]
+    return orbit_batch(spec, as_point(p, spec.dimension)[None, :], n)[:, 0, :]
 
 
 def orbit_batch(spec, pts, n):
@@ -166,6 +163,8 @@ def orbit_batch(spec, pts, n):
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != spec.dimension:
         raise InputError("expected points of shape (P, %d)" % spec.dimension)
+    if n < 0:
+        raise InputError("orbit length must be nonnegative")
     out = np.empty((n + 1,) + pts.shape)
     out[0] = pts
     lift, par = FAMILY_TABLE[spec.family].lift, spec.linear or spec.params[0]

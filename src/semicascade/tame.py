@@ -47,8 +47,8 @@ def koopman_value_matrix(spec, fn, powers, grid):
     powers = [int(p) for p in powers]
     if any(b <= a for a, b in zip(powers, powers[1:])):
         raise InputError("powers must be strictly increasing")
-    if any(p < 0 for p in powers):
-        raise InputError("powers must be nonnegative")
+    if not powers or powers[0] < 0:
+        raise InputError("powers must be nonempty and nonnegative")
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim == 1:
         grid = grid[:, None]
@@ -112,17 +112,6 @@ class TamenessReport(NamedTuple):
     coefficients: np.ndarray  # optimal coefficients at the largest K
     suboptimal: bool
     work: dict  # K -> {"sign_patterns": ..., "pivots": ...} over every solve at K
-
-    def as_jsonable(self):
-        return {
-            "function_name": self.function_name,
-            "strategy": self.strategy,
-            "grid_size": self.grid_size,
-            "subsequence": [int(p) for p in self.subsequence],
-            "defect_per_k": {str(k): float(v) for k, v in self.defect_per_k.items()},
-            "suboptimal": self.suboptimal,
-            "work": {str(k): dict(v) for k, v in self.work.items()},
-        }
 
 
 def tameness_profile(spec, fn_entry, k_max, grid, strategy="fixed",
@@ -219,16 +208,6 @@ class CoveringProfile(NamedTuple):
     bank_count: int
     point_count: int
     truncation_bound: float
-
-    def as_jsonable(self):
-        return {
-            "horizon": self.horizon,
-            "eps_list": [float(e) for e in self.eps_list],
-            "counts": [int(c) for c in self.counts],
-            "bank_count": self.bank_count,
-            "point_count": self.point_count,
-            "truncation_bound": self.truncation_bound,
-        }
 
 
 def covering_profile(spec, horizon, eps_list):

@@ -109,15 +109,6 @@ class MinimalSetReport(NamedTuple):
     reach: Reach
     backend: str = "graph"
 
-    def as_jsonable(self):
-        return {
-            "n_sccs": int(self.n_sccs),
-            "backend": self.backend,
-            "terminal_scc_ids": [int(i) for i in self.terminal_scc_ids],
-            "terminal_cells": [[int(c) for c in cells] for cells in self.terminal_cells],
-            "max_terminals_seen_from_any_cell": int(self.reach.counts().max()),
-        }
-
 
 def minimal_invariant_sets(graph):
     """Terminal SCCs as minimal-set stand-ins, with the cell-to-class reach relation.
@@ -294,21 +285,6 @@ class UniqueMinimalSetReport(NamedTuple):
     discrepancy: bool
     minimal_sets: MinimalSetReport
 
-    def as_jsonable(self):
-        return {
-            "verdict": bool(self.verdict),
-            "graph_verdict": bool(self.graph_verdict),
-            "exact_verdict": None if self.exact_verdict is None else bool(self.exact_verdict),
-            "backend_used": self.backend_used,
-            "max_period": int(self.max_period),
-            "discrepancy": bool(self.discrepancy),
-            "witnesses": [
-                {"period": orb.period,
-                 "points": [[str(c) for c in pt.coords] for pt in orb.points]}
-                for orb in self.witnesses
-            ],
-        }
-
 
 def unique_minimal_set_check(graph, max_period=2):
     """Does every reachable closure contain exactly one terminal component?"""
@@ -442,16 +418,6 @@ class TransitivityReport(NamedTuple):
     vacuous: bool
     method: str
     violating_sample: tuple
-
-    def as_jsonable(self):
-        return {
-            "defect": self.defect,
-            "n_two_step_triples": self.n_two_step_triples,
-            "n_violations": self.n_violations,
-            "vacuous": self.vacuous,
-            "method": self.method,
-            "violating_sample": [list(t) for t in self.violating_sample],
-        }
 
 
 def transitivity_defect(pg):

@@ -95,6 +95,21 @@ def test_run_prints_verdict_lines(tmp_path, capsys):
     assert "report written to" in out
 
 
+def test_gate_refused_convergence_entry_is_pinned(tmp_path):
+    ## Cesaro averages of length 1 are too far from invariant for the tail
+    ## test, so the entry has no tail, no pairwise defects and a NaN worst
+    ## defect; no golden run reaches this entry, so it is pinned here
+    cfg = dict(_base_config(tmp_path / "out"), analyses=["convergence"])
+    cfg["horizons"] = dict(cfg["horizons"], schedule_lengths=[1, 2])
+    report, _ = cli.run_analyses(cli.validate_config(cfg))
+    assert json.dumps(report["results"]["convergence"], sort_keys=True) == (
+        '{"cause": "schedule cesaro_1 has ergodicity defect 1.63 above the gate 0.25", '
+        '"context": {"horizon": 2, "resolution": 16, "tolerance": 0.01}, '
+        '"defect_vs_n": [[2, 0.8141609865919068]], "max_tail_defect": NaN, '
+        '"pairwise_defects": [], "schedule_labels": ["cesaro_1", "cesaro_2"], '
+        '"tail_indices": [], "tolerance": 0.01, "verdict": "inconclusive"}')
+
+
 def test_run_deterministic_except_timestamp(finished_run, tmp_path):
     _, _, cfg, report = finished_run
     out2 = tmp_path / "out2"
@@ -1017,12 +1032,21 @@ def test_plotdata_missing_report(tmp_path, capsys):
     (["plotdata", "{d}/latin1.json", "covering"], "report file {d}/latin1.json"),
     (["plotdata", "{d}/list.json", "covering"], "report file {d}/list.json"),
     (["plotdata", "{d}/empty_entry.json", "covering"], "'covering' in report file {d}/empty_entry.json"),
+    (["plotdata", "{d}/k_key.json", "tameness"], "'tameness' in report file {d}/k_key.json"),
+    (["plotdata", "{d}/maybe.json", "limit_measures"],
+     "'limit_measures' in report file {d}/maybe.json"),
 ], ids=["run-directory", "run-not-utf8", "run-output-dir-is-a-file", "plotdata-directory",
-        "plotdata-not-utf8", "plotdata-list-report", "plotdata-empty-entry"])
+        "plotdata-not-utf8", "plotdata-list-report", "plotdata-empty-entry",
+        "plotdata-non-integer-k", "plotdata-non-boolean-ergodic"])
 def test_malformed_file_input_exits_2_naming_it(tmp_path, capsys, monkeypatch, argv, fragment):
     (tmp_path / "latin1.json").write_bytes(b'{"schema": "caf\xe9"}')
     (tmp_path / "list.json").write_text("[]")
     (tmp_path / "empty_entry.json").write_text('{"results": {"covering": {}}}')
+    (tmp_path / "k_key.json").write_text(
+        '{"results": {"tameness": {"defect_per_k": {"x": 0.5}}}}')
+    (tmp_path / "maybe.json").write_text(
+        '{"results": {"limit_measures": {"probes": '
+        '[{"probe": [0.5], "ergodic": "maybe", "mass_in_class": 1.0}]}}}')
     (tmp_path / "taken").write_text("")
     _write_config(tmp_path, dict(_base_config(tmp_path / "taken"), analyses=["measures"]), "to_file.json")
     ## an unusable output_dir is refused before any analysis runs

@@ -282,8 +282,7 @@ def test_convergence_rotation_converged():
     assert rep.limit is not None and rep.limit.sum() == pytest.approx(1.0)
     assert rep.max_tail_defect <= 1e-2
     assert rep.tail_indices == (2, 3)
-    js = rep.as_jsonable()
-    assert js["verdict"] == "converged" and len(js["limit"]) == 16
+    assert len(rep.limit) == 16
 
 
 def test_convergence_hysteresis_three_verdicts():
@@ -485,6 +484,14 @@ def test_limit_measure_float_route_north_south():
     assert res0.mass_in_class == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(InputError):
         ergodic.limit_measure_per_point(est, [np.array([0.25])], 0)
+
+
+@pytest.mark.parametrize("probe", [1.5, float("nan"), -0.25])
+def test_limit_measure_refuses_float_probes_outside_the_space(probe):
+    ## cell lookup clips, so such a probe would be read as a point of cell 15 or 0
+    est = _estimate(_tm_of(systems.north_south(0.5), 16))
+    with pytest.raises(InputError, match=r"\[0,1\)"):
+        ergodic.limit_measure_per_point(est, [np.array([probe])], 64)
 
 
 def test_limit_measure_flag_has_no_slack():

@@ -72,6 +72,10 @@ def test_orbit_shapes():
     for bad_spec, shape in ((cat, (4, 3)), (spec, (4, 2)), (spec, (4,))):
         with pytest.raises(InputError, match=r"shape \(P, %d\)" % bad_spec.dimension):
             systems.orbit_batch(bad_spec, np.zeros(shape), 2)
+    for run in (lambda: systems.orbit(spec, 0.3, -1),
+                lambda: systems.orbit_batch(spec, np.array([[0.3]]), -1)):
+        with pytest.raises(InputError, match="nonnegative"):
+            run()
 
 
 ## every bundled family, plus the slope-2 tent whose images land on 1.0 and
