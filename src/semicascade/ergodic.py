@@ -370,29 +370,6 @@ def _inf_norm(mat):
     return float(np.max(np.abs(mat).sum(axis=1)))
 
 
-def _times(tm, a):
-    """M @ a for a dense (n_cells, k) array a, each row summed in stored-entry order.
-
-    Step t adds the t-th stored entry of every row that has one, so each row
-    sums its products in turn, as scipy's CSR product does. Every row of a
-    transfer matrix stores an entry, so step 0 sets every row; scipy adds
-    that first product to 0.0, which can change only the sign of a zero.
-    """
-    counts = np.diff(tm.indptr)
-    for t in range(counts.max()):
-        rows = np.flatnonzero(counts > t)
-        slot = tm.indptr[rows] + t
-        term = a[tm.indices[slot]]
-        term *= tm.data[slot][:, None]
-        if t == 0:
-            out = term
-        elif rows.size == out.shape[0]:
-            out += term
-        else:
-            out[rows] += term
-    return out
-
-
 def kernel_projection_estimate(mset):
     """Exact Cesaro-limit projection Q = A Pi of the chain, factored.
 
@@ -410,7 +387,14 @@ def kernel_projection_estimate(mset):
     reach = graph.minimal_sets.reach
     counts = reach.counts()
     a = np.zeros((graph.n_cells, pi.shape[0]))
-    a[np.repeat(np.arange(graph.n_cells), counts), reach.indices] = 1.0
+    rows = np.arange(graph.n_cells)
+    a[np.repeat(rows, counts), reach.indices] = 1.0
+    ## the successors of a cell that reaches one class reach only that class,
+    ## so its row of M A - A is (row sum - 1) in that class's column and 0
+    ## elsewhere; bincount adds each row's stored entries in order from 0.0,
+    ## as scipy's product does
+    row_sums = np.bincount(np.repeat(rows, np.diff(tm.indptr)), tm.data, graph.n_cells)
+    residual_vq = float(np.max(np.abs(row_sums[counts == 1] - 1.0), initial=0.0))
     multi = np.flatnonzero(counts > 1)
     if multi.size:
         ## imported here: scipy.sparse.linalg loads scipy.linalg, which a
@@ -422,7 +406,7 @@ def kernel_projection_estimate(mset):
         p_s = tm.matrix[multi]
         lhs = sp.identity(multi.size, format="csc") - p_s[:, multi].tocsc()
         a[multi] = splu(lhs).solve(p_s @ a)
-    residual_vq = _inf_norm(_times(tm, a) - a)
+        residual_vq = max(residual_vq, _inf_norm(p_s @ a - a[multi]))
     residual_idem = _inf_norm(a @ (pi @ a) - a)
     return KernelEstimate(a, pi, residual_vq, residual_idem, "exact", graph)
 

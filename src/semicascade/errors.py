@@ -55,8 +55,9 @@ BUDGETS = {
     #: with eps >= 1/2, or orbits that crowd together, every offset is met at every step
     "sweep": Budget(1 << 31, "%d probe points to horizon %d make %d sweep pair tests at most",
                     "options.proximality_points or horizons.proximality_horizon"),
-    #: entries of one (P, P) pair array; proximality_graph holds two, the bool
-    #: hit mask and the edges
+    #: entries of one (P, P) pair array: proximality_graph holds two, the bool
+    #: hit mask and the edges, and transitivity_defect a float32 copy of the
+    #: relation. The cap keeps P below 2^24, so its float32 counts are exact
     "pair_plane": Budget(1 << 22, "%d probe points make %d-entry pair planes",
                          "options.proximality_points"),
     #: operator steps x stored matrix entries of one schedule walk, about a

@@ -141,6 +141,20 @@ def as_point(p, dimension):
     return arr
 
 
+def as_points(pts, dimension):
+    """A (P, d) array, or a (P,) one when d = 1, as a validated (P, d) float array in [0,1)."""
+    arr = np.asarray(pts, dtype=np.float64)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    if arr.ndim != 2 or arr.shape[1] != dimension:
+        raise InputError("expected points of shape (P, %d), got shape %r" % (dimension, arr.shape))
+    ## NaN propagates through min and max and fails both comparisons; they
+    ## make no array the size of the points
+    if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < 1.0):
+        raise InputError("coordinates must lie in [0,1)")
+    return arr
+
+
 def metric(spec, p1, p2):
     """Wraparound max-metric between two points of the system's space."""
     a = as_point(p1, spec.dimension)

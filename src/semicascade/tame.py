@@ -49,11 +49,9 @@ def koopman_value_matrix(spec, fn, powers, grid):
         raise InputError("powers must be strictly increasing")
     if not powers or powers[0] < 0:
         raise InputError("powers must be nonempty and nonnegative")
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim == 1:
-        grid = grid[:, None]
-    if grid.shape[0] < 1 or grid.shape[1] != spec.dimension:
-        raise InputError("grid must be a nonempty (S, %d) array" % spec.dimension)
+    grid = systems.as_points(grid, spec.dimension)
+    if grid.shape[0] < 1:
+        raise InputError("grid must be nonempty")
     orbit = systems.orbit_batch(spec, grid, powers[-1])
     return np.stack([fn(orbit[p]) for p in powers])
 
@@ -133,9 +131,7 @@ def tameness_profile(spec, fn_entry, k_max, grid, strategy="fixed",
         raise InputError("k_max must be >= 2")
     if strategy not in ("fixed", "adversarial"):
         raise InputError("strategy must be fixed or adversarial")
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim == 1:
-        grid = grid[:, None]
+    grid = systems.as_points(grid, spec.dimension)
     defects = {}
     work = {}
     suboptimal = False

@@ -37,8 +37,9 @@ from .errors import InputError, check_budget
 #: On 100 cat-map probes at horizon 1024, 2^10 and 2^15 both ran slower,
 #: and 2^15 held 4 MB more at its peak
 SWEEP_BLOCK_POINTS = 1 << 12
-EXACT_TRIPLE_LIMIT = 200
-SAMPLED_TRIPLES = 100_000
+#: rows of the two-step count product made at a time: each block is a
+#: (rows, P) float32 array, 2 MB at 2025 probes
+TRIPLE_ROW_BLOCK = 256
 VIOLATION_SAMPLE_CAP = 10
 #: graphs with at most this many stored edges are decomposed in Python.
 #: Importing scipy.sparse.csgraph also loads scipy.sparse, scipy.sparse.linalg
@@ -350,13 +351,7 @@ def proximality_graph(spec, points, horizon, eps):
     dense comparison at every step, bit for bit, for O(H P log P + pairs
     met) work in place of O(H P^2).
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[1] != spec.dimension:
-        raise InputError("expected probe points of shape (P, %d)" % spec.dimension)
-    if not np.all((pts >= 0.0) & (pts < 1.0)):  # NaN fails both
-        raise InputError("probe coordinates must lie in [0,1)")
+    pts = systems.as_points(points, spec.dimension)
     if horizon < 0:
         raise InputError("horizon must be >= 0")
     if eps <= 0:
@@ -416,7 +411,6 @@ class TransitivityReport(NamedTuple):
     n_two_step_triples: int
     n_violations: int
     vacuous: bool
-    method: str
     violating_sample: tuple
 
 
@@ -424,38 +418,34 @@ def transitivity_defect(pg):
     """Fraction of distinct ordered triples (a,b,c) with edges ab, bc but not ac.
 
     The denominator counts distinct ordered triples carrying both edges ab
-    and bc; with no such triples (e.g. a diagonal-only graph) the defect
-    is 0 vacuously. Self-pairs never enter since a, b, c are distinct.
-    Above 200 points the count switches to 1e5 seeded triple samples.
+    and bc, sum_b d_b (d_b - 1) over the degrees d_b of the symmetric
+    relation without its diagonal; with no such triples (e.g. a diagonal-only graph)
+    the defect is 0 vacuously, and no product is made. Self-pairs never
+    enter since a, b, c are distinct. Otherwise the two-step counts
+    (off @ off)[a, c], off the relation without its diagonal, are made
+    TRIPLE_ROW_BLOCK rows at a time in float32. They are exact: each is at
+    most P, and the pair_plane budget keeps P below 2^24. The violations
+    are the counts at the pairs without an edge, and violating_sample holds
+    the first VIOLATION_SAMPLE_CAP of those pairs in row-major order, each
+    with its smallest middle point.
     """
-    n_pts = pg.edges.shape[0]
-    off = pg.edges.copy()
-    np.fill_diagonal(off, False)
-    if n_pts <= EXACT_TRIPLE_LIMIT:
-        a0 = off.astype(np.int64)
-        two_step = a0 @ a0
-        mask_offdiag = ~np.eye(n_pts, dtype=bool)
-        total = int(two_step[mask_offdiag].sum())
-        viol_mask = (two_step > 0) & ~off & mask_offdiag
-        violations = int(two_step[viol_mask].sum())
-        method = "exact"
-        sample = []
-        for a, c in np.argwhere(viol_mask)[:VIOLATION_SAMPLE_CAP]:
-            mid = int(np.flatnonzero(off[a] & off[:, c])[0])
-            sample.append((int(a), mid, int(c)))
-    else:
-        rng = np.random.default_rng(0)
-        trip = rng.integers(0, n_pts, size=(SAMPLED_TRIPLES, 3))
-        a, b, c = trip[:, 0], trip[:, 1], trip[:, 2]
-        distinct = (a != b) & (b != c) & (a != c)
-        has_path = off[a, b] & off[b, c] & distinct
-        total = int(has_path.sum())
-        bad = has_path & ~off[a, c]
-        violations = int(bad.sum())
-        method = "sampled"
-        idx = np.flatnonzero(bad)[:VIOLATION_SAMPLE_CAP]
-        sample = [(int(a[i]), int(b[i]), int(c[i])) for i in idx]
+    edges = pg.edges
+    n_pts = edges.shape[0]
+    check_budget("pair_plane", n_pts * n_pts, n_pts, n_pts * n_pts)
+    degrees = np.count_nonzero(edges, axis=1) - 1  # less the diagonal
+    total = int(degrees @ (degrees - 1))
     if total == 0:
-        return TransitivityReport(0.0, 0, 0, True, method, ())
-    return TransitivityReport(violations / total, total, violations, False,
-                              method, tuple(sample))
+        return TransitivityReport(0.0, 0, 0, True, ())
+    off = edges.astype(np.float32)
+    np.fill_diagonal(off, 0.0)
+    violations, sample = 0, []
+    for lo in range(0, n_pts, TRIPLE_ROW_BLOCK):
+        two_step = off[lo:lo + TRIPLE_ROW_BLOCK] @ off
+        ## the relation is reflexive, so a pair without an edge has a != c
+        bad = (two_step > 0) & ~edges[lo:lo + TRIPLE_ROW_BLOCK]
+        violations += int(two_step[bad].sum(dtype=np.float64))
+        for a, c in np.argwhere(bad)[:VIOLATION_SAMPLE_CAP - len(sample)] + (lo, 0):
+            ## with no edge ac, neither a nor c is a common neighbour
+            mid = int(np.flatnonzero(edges[a] & edges[:, c])[0])
+            sample.append((int(a), mid, int(c)))
+    return TransitivityReport(violations / total, total, violations, False, tuple(sample))

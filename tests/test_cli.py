@@ -925,7 +925,7 @@ RECORD_FIELDS = {
     topology.UniqueMinimalSetReport: "verdict graph_verdict exact_verdict backend_used "
                                      "witnesses max_period discrepancy minimal_sets",
     topology.ProximalityGraph: "points horizon eps edges",
-    topology.TransitivityReport: "defect n_two_step_triples n_violations vacuous method "
+    topology.TransitivityReport: "defect n_two_step_triples n_violations vacuous "
                                  "violating_sample",
     measures.ErgodicMeasureSet: "measures residuals converged iterations graph",
     measures.AttractionCenterReport: "support_union minimal_union only_in_support "

@@ -5,7 +5,8 @@ only where a sparse product runs in a loop. Each numpy step that stands in
 for a scipy call must give the same arrays bit for bit: the merge of each
 cell's sample images (scipy: csr_matrix then sum_duplicates), the reversed
 graph (.T.tocsr()), a class block's first product vP (block.T.dot(v)) and
-the kernel projection's residual product (matrix @ A).
+the kernel projection's residual ||M A - A||, taken without the product
+matrix @ A.
 """
 
 import numpy as np
@@ -50,13 +51,18 @@ def test_merged_rows_match_sum_duplicates(case):
 
 
 @st.composite
-def _chains(draw):
-    """Row-stochastic (n, n) chains with rows of 1 to n entries and random weights."""
+def _chains(draw, max_entries=None, absorbing=0.0):
+    """Row-stochastic (n, n) chains with rows of 1 to n entries (at most
+    max_entries) and random weights; each row is a lone loop with
+    probability absorbing."""
     n = draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dense = np.zeros((n, n))
     for i in range(n):
-        cols = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+        if absorbing and rng.random() < absorbing:
+            dense[i, i] = 1.0
+            continue
+        cols = rng.choice(n, size=rng.integers(1, min(n, max_entries or n) + 1), replace=False)
         dense[i, cols] = rng.random(cols.size) + 1e-3
         dense[i] /= dense[i].sum()
     return transfer_of_dense(dense), rng
@@ -97,9 +103,12 @@ def test_class_block_product_matches_scipy(chain):
 
 
 @PROPERTY_SETTINGS
-@given(_chains(), st.integers(1, 6))
-def test_row_sum_product_matches_scipy(chain, k):
-    tm, rng = chain
-    a = rng.standard_normal((tm.n_cells, k))
-    a[rng.random(a.shape) < 0.3] = 0.0
-    assert _same(ergodic._times(tm, a), tm.matrix @ a)
+@given(_chains(max_entries=3, absorbing=0.25))
+def test_projection_residual_matches_scipy(chain):
+    ## few entries per row and some absorbing cells give several terminal
+    ## classes and cells that reach two or more of them
+    tm, _ = chain
+    graph = topology.graph_from_transfer(tm)
+    est = ergodic.kernel_projection_estimate(measures.stationary_measures(graph))
+    a = est.absorption
+    assert est.residual_vq == ergodic._inf_norm(tm.matrix @ a - a)

@@ -40,6 +40,18 @@ def test_koopman_value_matrix_rotation_oracle():
         tame.koopman_value_matrix(spec, COS1[1], [], grid)
 
 
+def test_koopman_value_matrix_refuses_points_off_the_space():
+    ## tent 1.7 at 1.5 is not tent 1.7 at its wrapped point 0.5: refused, as
+    ## a probe point off the space is
+    spec = systems.tent_map(1.7)
+    name, fn = ulam.trig_bank(3, 1)[2]
+    for grid in ([[0.5], [1.5]], [[-0.25]], [[np.nan]], [0.5, 1.0]):
+        with pytest.raises(InputError, match=r"\[0,1\)"):
+            tame.koopman_value_matrix(spec, fn, [1], grid)
+        with pytest.raises(InputError, match=r"\[0,1\)"):
+            tame.tameness_profile(spec, (name, fn), 2, grid)
+
+
 def test_cancellation_defect_single_row():
     defect, coeffs, report = tame.cancellation_defect(np.array([[0.3, -0.7]]))
     assert defect == pytest.approx(0.7)

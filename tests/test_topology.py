@@ -252,7 +252,6 @@ def test_proximality_north_south_complete_except_repeller():
     assert pg.edges[1:, 1:].all()
     rep = topology.transitivity_defect(pg)
     assert rep.defect == 0.0 and not rep.vacuous
-    assert rep.method == "exact"
 
 
 def test_proximal_pair_doubling():
@@ -378,55 +377,92 @@ def test_sweep_matches_dense_loop_at_the_cli_horizon(spec, pts, eps):
     assert np.array_equal(pg.edges, _dense_edges(spec, pts, 1024, eps))
 
 
-def test_transitivity_exact_against_bruteforce():
-    rng = np.random.default_rng(11)
-    for trial in range(20):
-        n = int(rng.integers(4, 16))
-        edges = rng.random((n, n)) < 0.4
-        edges = np.logical_or(edges, edges.T)
-        np.fill_diagonal(edges, True)
-        pg = topology.ProximalityGraph(np.zeros((n, 1)), 1, 0.1, edges)
-        rep = topology.transitivity_defect(pg)
-        total = viol = 0
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if a == b or b == c or a == c:
-                        continue
-                    if edges[a, b] and edges[b, c]:
-                        total += 1
-                        if not edges[a, c]:
-                            viol += 1
-        assert rep.n_two_step_triples == total
-        assert rep.n_violations == viol
-        expected = viol / total if total else 0.0
-        assert rep.defect == pytest.approx(expected)
-        assert rep.vacuous == (total == 0)
-        for a, b, c in rep.violating_sample:
-            assert edges[a, b] and edges[b, c] and not edges[a, c]
+def _triples(edges):
+    """(two-step triples, violations, the first VIOLATION_SAMPLE_CAP
+    violating pairs (a, c) in row-major order with their smallest b) of a
+    relation, enumerated one first point a at a time."""
+    n = edges.shape[0]
+    off = edges & ~np.eye(n, dtype=bool)
+    total = viol = 0
+    sample = []
+    for a in range(n):
+        ## path[b, c]: edges ab and bc, with a, b and c distinct
+        path = off[a][:, None] & off
+        path[:, a] = False
+        bad = path & ~edges[a]
+        total += int(path.sum())
+        viol += int(bad.sum())
+        for c in np.flatnonzero(bad.any(axis=0)):
+            sample.append((a, int(np.flatnonzero(bad[:, c])[0]), int(c)))
+    return total, viol, tuple(sample[:topology.VIOLATION_SAMPLE_CAP])
 
 
-def test_transitivity_sampled_route():
-    rng = np.random.default_rng(3)
-    n = 250  # over the 200-point exact limit
-    edges = rng.random((n, n)) < 0.3
+def _symmetric(rng, n, density):
+    edges = rng.random((n, n)) < density
     edges = np.logical_or(edges, edges.T)
     np.fill_diagonal(edges, True)
-    pg = topology.ProximalityGraph(np.zeros((n, 1)), 1, 0.1, edges)
-    rep1 = topology.transitivity_defect(pg)
-    rep2 = topology.transitivity_defect(pg)
-    assert rep1.method == "sampled"
-    assert rep1.defect == rep2.defect  # seeded sampling is deterministic
-    ## exact defect on the same graph, via the matrix-count identity
+    return edges
+
+
+def test_transitivity_exact_against_bruteforce():
+    rng = np.random.default_rng(11)
+    graphs = [_symmetric(rng, int(rng.integers(4, 16)), 0.4) for trial in range(20)]
+    ## past the row blocks of the count product: a sparse relation, and a
+    ## path whose first block holds fewer violations than the sample takes
+    block = topology.TRIPLE_ROW_BLOCK
+    graphs.append(_symmetric(rng, 2 * block + 37, 0.01))
+    path = np.eye(block + 30, dtype=bool)
+    step = np.arange(block - 2, block + 29)
+    path[step, step + 1] = path[step + 1, step] = True
+    graphs.append(path)
+    for edges in graphs:
+        n = edges.shape[0]
+        total, viol, sample = _triples(edges)
+        ## a small block puts a boundary between the rows of every graph
+        for rows in (block, 3):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(topology, "TRIPLE_ROW_BLOCK", rows)
+                rep = topology.transitivity_defect(
+                    topology.ProximalityGraph(np.zeros((n, 1)), 1, 0.1, edges))
+            assert rep.n_two_step_triples == total
+            assert rep.n_violations == viol
+            assert rep.defect == (viol / total if total else 0.0)
+            assert rep.vacuous == (total == 0)
+            assert rep.violating_sample == sample
+    ## the path's sample holds pairs from both sides of the first boundary
+    assert any(v[0] < block for v in sample) and any(v[0] >= block for v in sample)
+
+
+def _int64_report(edges):
+    ## the dense int64 count: every two-step count of the relation at once
+    n = edges.shape[0]
     off = edges.copy()
     np.fill_diagonal(off, False)
-    a0 = off.astype(np.int64)
-    two = a0 @ a0
+    two = off.astype(np.int64) @ off.astype(np.int64)
     mask = ~np.eye(n, dtype=bool)
-    exact = two[mask & (two > 0) & ~off].sum() / two[mask].sum()
-    assert abs(rep1.defect - exact) <= 0.01  # 1e5 samples, ~3 sigma
-    for a, b, c in rep1.violating_sample:
-        assert off[a, b] and off[b, c] and not off[a, c]
+    total = int(two[mask].sum())
+    bad = (two > 0) & ~off & mask
+    viol = int(two[bad].sum())
+    sample = tuple((int(a), int(np.flatnonzero(off[a] & off[:, c])[0]), int(c))
+                   for a, c in np.argwhere(bad)[:topology.VIOLATION_SAMPLE_CAP])
+    if total == 0:
+        return topology.TransitivityReport(0.0, 0, 0, True, ())
+    return topology.TransitivityReport(viol / total, total, viol, False, sample)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 200), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_transitivity_matches_the_int64_count(n, density, seed):
+    edges = _symmetric(np.random.default_rng(seed), n, density ** 3)
+    rep = topology.transitivity_defect(topology.ProximalityGraph(np.zeros((n, 1)), 1, 0.1, edges))
+    assert rep == _int64_report(edges)
+
+
+def test_transitivity_exact_at_250_probes():
+    edges = _symmetric(np.random.default_rng(3), 250, 0.3)
+    rep = topology.transitivity_defect(topology.ProximalityGraph(np.zeros((250, 1)), 1, 0.1, edges))
+    assert rep == _int64_report(edges)
+    assert len(rep.violating_sample) == topology.VIOLATION_SAMPLE_CAP
 
 
 def test_proximality_plane_budget(monkeypatch):
@@ -436,6 +472,10 @@ def test_proximality_plane_budget(monkeypatch):
     assert topology.proximality_graph(spec, systems.equispaced_points(10, 1), 1, 0.1).edges.shape == (10, 10)
     with pytest.raises(ResourceBudgetError, match="11 probe points make 121-entry pair planes"):
         topology.proximality_graph(spec, systems.equispaced_points(11, 1), 1, 0.1)
+    ## the triple count holds a float32 plane of the same size
+    edges = np.ones((11, 11), dtype=bool)
+    with pytest.raises(ResourceBudgetError, match="11 probe points make 121-entry pair planes"):
+        topology.transitivity_defect(topology.ProximalityGraph(np.zeros((11, 1)), 1, 0.1, edges))
 
 
 def test_proximality_validation_and_budget():
@@ -486,6 +526,20 @@ def test_2025_cat_map_probes_run_to_horizon_1024():
     ## the default eps, as the CLI's proximality config gives it
     pg = topology.proximality_graph(systems.cat_map(), systems.equispaced_points(45, 2), 1024, 1e-3)
     assert pg.edges.shape == (2025, 2025)
+    rep = topology.transitivity_defect(pg)
+    assert (rep.n_two_step_triples, rep.n_violations) == (19396, 19048)
+
+
+def test_2025_cat_map_probes_count_every_triple_at_horizon_256():
+    ## a sparse relation: 828 two-step triples among 2025^3 ordered triples,
+    ## too few for a sample of 10^5 random triples to meet one
+    pg = topology.proximality_graph(systems.cat_map(), systems.equispaced_points(45, 2), 256, 1e-3)
+    rep = topology.transitivity_defect(pg)
+    assert (rep.n_two_step_triples, rep.n_violations, rep.vacuous) == (828, 762, False)
+    assert rep.defect == 762 / 828
+    assert rep.violating_sample[0] == (3, 628, 133)
+    for a, b, c in rep.violating_sample:
+        assert pg.edges[a, b] and pg.edges[b, c] and not pg.edges[a, c]
 
 
 def test_proximality_refuses_points_off_the_circle():
