@@ -39,9 +39,10 @@ BUDGETS = {
     #: counts ulam.BANK_FUNCTION_ENTRIES for the closures and array header it carries
     "bank": Budget(1 << 26, "%d test functions on %d cells make %d bank entries",
                    "banks.test_functions or partition.cells_per_axis"),
-    #: lattice points (L^p - I)x = k scanned over all p <= max_period, or a rotation's q
-    "periodic": Budget(1 << 16, "periodic-point search up to period %d scans %d lattice "
-                       "points by period %d", "options.max_period"),
+    #: periodic points listed over all p <= max_period, the sum of |det(L^p - I)|,
+    #: or a rotation's q
+    "periodic": Budget(1 << 16, "periodic-point search up to period %d lists %d "
+                       "periodic points by period %d", "options.max_period"),
     #: points of one equispaced grid: the tameness grid (which also sizes the
     #: simplex's 256 x points price buffer) and the proximality and limit probes
     "grid": Budget(1 << 16, "a grid of %d^%d points", "banks.grid_size, "

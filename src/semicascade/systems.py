@@ -18,7 +18,6 @@ min(|a-b|, 1-|a-b|). Exact points are `RationalPoint` instances.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -264,24 +263,23 @@ def exact_cycle(spec, rp, cap):
 
 
 def _rotation_periodic(spec, max_period):
-    q = spec.exact_params[0].denominator
+    p, q = spec.exact_params[0].numerator, spec.exact_params[0].denominator
     if q > max_period:
         return []
     check_budget("periodic", q, max_period, q, q)
-    ## every point is periodic with period q; report the canonical lattice
-    ## orbit through 0, of which every other orbit is a translate
-    start = RationalPoint((Fraction(0),))
-    cycle = exact_cycle(spec, start, q)
-    return [PeriodicOrbit(tuple(cycle), q)]
+    ## every point has period q; report the orbit through 0, at jp/q mod 1 after
+    ## j steps, of which every other orbit is a translate
+    return [PeriodicOrbit(tuple(RationalPoint((Fraction(j * p % q, q),)) for j in range(q)), q)]
 
 
 def _linear_periodic(spec, max_period):
-    ## the period-p points are the x = adj @ k / det in [0,1)^d with
-    ## det = det(L^p - I) and k integer; such k lie in the bounding box of
-    ## (L^p - I)[0,1]^d. Every box is sized, against the budget, first.
+    ## the period-p points form the group (L^p - I)^-1 Z^d / Z^d of exactly
+    ## D = |det(L^p - I)| points n/D (Katok & Hasselblatt 1995), whose numerators
+    ## n the columns of adj(L^p - I) span mod D. Every D is counted against the
+    ## budget first. Python ints throughout, as L^p can outgrow int64.
     d = len(spec.linear)
     a, eye = np.array(spec.linear, dtype=object), np.eye(d, dtype=object)
-    lp, plan, scanned = eye, [], 0
+    lp, plan, listed = eye, [], 0
     for p in range(1, max_period + 1):
         lp = lp @ a
         m = (lp - eye).tolist()
@@ -293,26 +291,28 @@ def _linear_periodic(spec, max_period):
         if det == 0:
             raise CapabilityError("L^%d - I is singular: a whole subtorus is periodic; "
                                   "use the transition-graph route" % p)
-        box = [(sum(min(c, 0) for c in row), sum(max(c, 0) for c in row)) for row in m]
-        scanned += math.prod(hi - lo + 1 for lo, hi in box)
-        check_budget("periodic", scanned, max_period, scanned, p)
-        plan.append((p, det, adj, [range(lo, hi + 1) for lo, hi in box]))
-    seen = set()
+        listed += abs(det)
+        check_budget("periodic", listed, max_period, listed, p)
+        plan.append((p, m, abs(det), list(zip(*adj))))
+    apply = lambda rows, n: [sum(c * x for c, x in zip(row, n)) for row in rows]
     orbits = []
-    for p, det, adj, box in plan:
-        for k in itertools.product(*box):
-            x = tuple(Fraction(sum(c * kk for c, kk in zip(row, k)), det) for row in adj)
-            if not all(0 <= c < 1 for c in x):
+    for p, m, size, cols in plan:
+        ## u1 = cols[0] has order o1, and u2 = cols[-1] spans the quotient by it
+        o1 = size // math.gcd(size, *cols[0])
+        group = [tuple((i * x + j * y) % size for x, y in zip(cols[0], cols[-1]))
+                 for i in range(o1) for j in range(size // o1)]
+        seen = set()
+        ## in the order of the k for which x = n/D solves (L^p - I)x = k
+        for n in sorted(group, key=lambda n: [c // size for c in apply(m, n)]):
+            if n in seen:
                 continue
-            pt = RationalPoint(x)
-            if pt in seen:
-                continue
-            cycle = exact_cycle(spec, pt, p)
-            if cycle is None or cycle[0] != pt:  # no period <= p
-                continue
+            cycle = [n]
+            while (nxt := tuple(c % size for c in apply(spec.linear, cycle[-1]))) != n:
+                cycle.append(nxt)
             seen.update(cycle)
             if len(cycle) == p:
-                orbits.append(PeriodicOrbit(tuple(cycle), p))
+                points = (RationalPoint(tuple(Fraction(c, size) for c in x)) for x in cycle)
+                orbits.append(PeriodicOrbit(tuple(points), p))
     return orbits
 
 
@@ -364,12 +364,12 @@ FAMILIES = tuple(FAMILY_TABLE)
 def periodic_orbits(spec, max_period):
     """All periodic orbits of least period <= max_period, exactly.
 
-    Supported: x -> Lx mod 1 while every L^p - I is invertible (doubling's
-    period-p points are k/(2^p - 1)), and rotations by an exact rational
-    p/q (for which every point has period q; the canonical lattice orbit
-    through 0 is reported, every other orbit being a translate of it).
-    Other maps raise CapabilityError naming the graph fallback, and a search
-    over errors.BUDGETS["periodic"] points ResourceBudgetError before any step.
+    Supported: x -> Lx mod 1 while every L^p - I is invertible, and rotations
+    by an exact rational p/q (every point has period q; the orbit through 0 is
+    reported, every other orbit being a translate of it). Orbits come by period,
+    each in visiting order from its point x of least k = (L^p - I)x in Z^d.
+    Other maps raise CapabilityError naming the graph fallback, and a search of
+    more than errors.BUDGETS["periodic"] points raises ResourceBudgetError first.
     """
     if max_period < 1:
         raise InputError("max_period must be >= 1")

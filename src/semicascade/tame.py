@@ -146,11 +146,13 @@ def tameness_profile(spec, fn_entry, k_max, grid, strategy="fixed",
         suboptimal = suboptimal or rep["suboptimal"]
         return defect, coeffs
 
+    ## one orbit pass over every power the strategy can reach; row p - 1 holds power p
+    top = k_max if strategy == "fixed" else 2 + (k_max - 2) * candidate_span
+    table = koopman_value_matrix(spec, fn, range(1, top + 1), grid)
     if strategy == "fixed":
         powers = list(range(1, k_max + 1))
-        values = koopman_value_matrix(spec, fn, powers, grid)
         for k in range(2, k_max + 1):
-            defects[k], coeffs = solve(k, values[:k])
+            defects[k], coeffs = solve(k, table[:k])
             if k > 2 and defects[k] > defects[k - 1] + 1e-10 and not suboptimal:
                 raise RuntimeError(
                     "defect rose from %.3g to %.3g between K=%d and K=%d on a "
@@ -159,12 +161,11 @@ def tameness_profile(spec, fn_entry, k_max, grid, strategy="fixed",
         return TamenessReport(name, strategy, grid.shape[0], tuple(powers),
                               defects, coeffs, suboptimal, work)
     powers = [1, 2]
-    defects[2], best_coeffs = solve(2, koopman_value_matrix(spec, fn, powers, grid))
+    defects[2], best_coeffs = solve(2, table[:2])
     for k in range(3, k_max + 1):
         best_defect, best_power, best_coeffs = -1.0, None, None
         for cand in range(powers[-1] + 1, powers[-1] + 1 + candidate_span):
-            cand_values = koopman_value_matrix(spec, fn, powers + [cand], grid)
-            defect, coeffs = solve(k, cand_values)
+            defect, coeffs = solve(k, table[[p - 1 for p in powers + [cand]]])
             if defect > best_defect:
                 best_defect, best_power, best_coeffs = defect, cand, coeffs
         powers.append(best_power)

@@ -523,7 +523,7 @@ def test_exact_route_only_for_hyperbolic_maps(tmp_path, capsys, matrix, verdict)
 
 
 def test_periodic_search_over_budget_exits_3_promptly(tmp_path, capsys):
-    ## 2^1 + ... + 2^40 lattice points; the search is refused before it starts
+    ## (2^1 - 1) + ... + (2^40 - 1) periodic points; the search is refused before it starts
     cfg = _base_config(tmp_path / "out")
     cfg["system"] = {"family": "doubling"}
     cfg["analyses"] = ["unique_minimal_set"]
@@ -534,6 +534,21 @@ def test_periodic_search_over_budget_exits_3_promptly(tmp_path, capsys):
     assert code == 3
     assert "over the budget of %d" % errors.BUDGETS["periodic"].cap in capsys.readouterr().err
     assert elapsed < 10.0
+
+
+def test_large_entry_matrix_lists_its_periodic_points(tmp_path, capsys):
+    ## trace 3 and det 1, so |det(L - I)| = 1 and |det(L^2 - I)| = 5: three
+    ## orbits, though the box of (L - I)[0,1]^2 alone holds 998001000 points
+    cfg = _base_config(tmp_path / "out")
+    cfg["system"] = {"family": "toral_automorphism",
+                     "params": {"m11": 1000, "m12": 997001, "m21": -1, "m22": -997}}
+    cfg["analyses"] = ["unique_minimal_set"]
+    cfg["options"]["convergence_probe"] = [0.3, 0.4]
+    assert cli.main(["run", _write_config(tmp_path, cfg)]) == 0
+    assert "unique minimal set per orbit closure: false (backend exact_periodic)" in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    witnesses = report["results"]["unique_minimal_set"]["witnesses"]
+    assert [w["period"] for w in witnesses] == [1, 2, 2]
 
 
 def test_usage_error_exits_2():

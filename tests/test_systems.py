@@ -247,6 +247,109 @@ def test_cat_map_periodic_orbits():
             assert img == pt
 
 
+#: hyperbolic toral matrices: det 1 with |trace| > 2, det -1 with trace != 0
+HYPERBOLIC_TORAL = [(2, 1, 1, 1), (-2, 1, 1, -1), (3, 1, 2, 1), (2, 1, 3, 2), (3, 2, 1, 1),
+                    (5, 2, 2, 1), (1, 1, 1, 2), (4, 3, 1, 1),
+                    (1, 1, 1, 0), (1, 2, 1, 1), (0, 1, 1, 3), (-1, 1, 1, 0)]
+LINEAR_SPECS = [systems.doubling_map()] + [systems.toral_automorphism(*m) for m in HYPERBOLIC_TORAL]
+
+
+def _box_scan_periodic(spec, max_period):
+    """Reference: scan the integer box of (L^p - I)[0,1]^d for the k of every
+    solution x = adj k / det of (L^p - I)x = k, and keep each x whose exact
+    cycle starts at x, in the box's lexicographic order."""
+    d = len(spec.linear)
+    a, eye = np.array(spec.linear, dtype=object), np.eye(d, dtype=object)
+    lp, plan, scanned = eye, [], 0
+    for p in range(1, max_period + 1):
+        lp = lp @ a
+        m = (lp - eye).tolist()
+        if d == 1:
+            det, adj = m[0][0], ((1,),)
+        else:
+            det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+            adj = ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
+        box = [(sum(min(c, 0) for c in row), sum(max(c, 0) for c in row)) for row in m]
+        scanned += int(np.prod([hi - lo + 1 for lo, hi in box], dtype=object))
+        errors.check_budget("periodic", scanned, max_period, scanned, p)
+        plan.append((p, det, adj, [range(lo, hi + 1) for lo, hi in box]))
+    seen = set()
+    orbits = []
+    for p, det, adj, box in plan:
+        for k in itertools.product(*box):
+            x = tuple(F(sum(c * kk for c, kk in zip(row, k)), det) for row in adj)
+            if not all(0 <= c < 1 for c in x):
+                continue
+            pt = systems.RationalPoint(x)
+            if pt in seen:
+                continue
+            cycle = systems.exact_cycle(spec, pt, p)
+            if cycle is None or cycle[0] != pt:  # no period <= p
+                continue
+            seen.update(cycle)
+            if len(cycle) == p:
+                orbits.append(systems.PeriodicOrbit(tuple(cycle), p))
+    return orbits
+
+
+def _largest_box_scan(spec):
+    """(max_period, orbits) of the box scan at the largest max_period its budget
+    accepts; a refused scan stops while sizing its boxes."""
+    for m in range(40, 0, -1):
+        try:
+            return m, _box_scan_periodic(spec, m)
+        except ResourceBudgetError:
+            pass
+
+
+@pytest.mark.parametrize("spec", LINEAR_SPECS, ids=lambda spec: spec.describe())
+def test_periodic_orbits_equal_the_box_scan(spec):
+    ## the scan at max_period `top` lists every smaller max_period's orbits
+    ## first, period by period, so that one scan is the reference for them all
+    top, reference = _largest_box_scan(spec)
+    assert reference
+    for m in range(1, top + 1):
+        assert systems.periodic_orbits(spec, m) == [o for o in reference if o.period <= m]
+
+
+def _mobius(n):
+    mu, f = 1, 2
+    while f * f <= n:
+        if n % f == 0:
+            n //= f
+            if n % f == 0:
+                return 0
+            mu = -mu
+        f += 1
+    return -mu if n > 1 else mu
+
+
+@pytest.mark.parametrize("spec", LINEAR_SPECS, ids=lambda spec: spec.describe())
+def test_least_period_counts_are_the_mobius_inversion_of_det(spec, monkeypatch):
+    ## Fix(L^p) has |det(L^p - I)| points, so the points of least period p
+    ## number sum over q | p of mobius(p/q) |det(L^q - I)|; checked up to the
+    ## largest max_period a 2^13 cap accepts, every orbit closing exactly
+    monkeypatch.setitem(errors.BUDGETS, "periodic", errors.BUDGETS["periodic"]._replace(cap=1 << 13))
+    a, lp, fix = np.array(spec.linear, dtype=object), np.eye(len(spec.linear), dtype=object), {}
+    while sum(fix.values()) <= 1 << 13:
+        lp = lp @ a
+        m = (lp - np.eye(len(spec.linear), dtype=object)).tolist()
+        fix[len(fix) + 1] = abs(m[0][0] if len(m) == 1 else m[0][0] * m[1][1] - m[0][1] * m[1][0])
+    top = len(fix) - 1
+    with pytest.raises(ResourceBudgetError, match="by period %d, over the budget of 8192" % (top + 1)):
+        systems.periodic_orbits(spec, top + 1)
+    orbits = systems.periodic_orbits(spec, top)
+    for p in range(1, top + 1):
+        least = sum(_mobius(p // q) * fix[q] for q in range(1, p + 1) if p % q == 0)
+        assert sum(len(o.points) for o in orbits if o.period == p) == least
+    points = [pt for o in orbits for pt in o.points]
+    assert len(set(points)) == len(points)
+    for o in orbits[:200]:
+        assert len(o.points) == o.period
+        for pt, nxt in zip(o.points, o.points[1:] + o.points[:1]):
+            assert systems.exact_step(spec, pt) == nxt
+
+
 def test_finite_order_toral_matrix_refused():
     spec = systems.toral_automorphism(0, 1, -1, 0)  # A^4 = I
     with pytest.raises(CapabilityError):
@@ -278,7 +381,7 @@ def test_periodic_search_refused_over_the_lattice_budget():
 def test_rotation_periodic_search_refused_over_the_lattice_budget(monkeypatch):
     ## the orbit of a rotation by p/q takes q exact steps; q is counted first
     start = time.perf_counter()
-    with pytest.raises(ResourceBudgetError, match="scans 65537 lattice points by period 65537, "
+    with pytest.raises(ResourceBudgetError, match="lists 65537 periodic points by period 65537, "
                                                   "over the budget of 65536; lower options.max_period"):
         systems.periodic_orbits(systems.circle_rotation("1/65537"), 1 << 20)
     assert time.perf_counter() - start < 0.5

@@ -206,6 +206,35 @@ def test_adversarial_at_least_fixed():
     assert len(adv.subsequence) == 3
 
 
+def test_adversarial_profile_walks_the_orbit_once(monkeypatch):
+    ## one pass to power 2 + (K - 2) * candidate_span feeds every candidate
+    spec, fn_entry = systems.cat_map(), ulam.trig_bank(2, 2)[1]
+    grid = systems.equispaced_points(64, 2)
+    walks, orbit_batch = [], systems.orbit_batch
+    monkeypatch.setattr(systems, "orbit_batch", lambda *args: walks.append(args[2]) or orbit_batch(*args))
+    tame.tameness_profile(spec, fn_entry, 8, grid, strategy="adversarial")
+    assert walks == [2 + 6 * 8]
+
+
+def test_adversarial_profile_equals_a_pass_per_candidate():
+    ## reference: the greedy search with a fresh value matrix per candidate
+    spec, (_, fn), span = systems.doubling_map(), COS1, 3
+    rep = tame.tameness_profile(spec, COS1, 5, GRID, strategy="adversarial", candidate_span=span)
+    powers, defects = [1, 2], {}
+    defects[2], coeffs, _ = tame.cancellation_defect(tame.koopman_value_matrix(spec, fn, powers, GRID))
+    for k in range(3, 6):
+        best = None
+        for cand in range(powers[-1] + 1, powers[-1] + 1 + span):
+            values = tame.koopman_value_matrix(spec, fn, powers + [cand], GRID)
+            defect, cand_coeffs, _ = tame.cancellation_defect(values)
+            if best is None or defect > best[0]:
+                best = (defect, cand, cand_coeffs)
+        defects[k], cand, coeffs = best
+        powers.append(cand)
+    assert rep.subsequence == tuple(powers) and rep.defect_per_k == defects
+    assert rep.coefficients.tobytes() == coeffs.tobytes()
+
+
 def test_tameness_validation_and_budget():
     with pytest.raises(InputError):
         tame.tameness_profile(systems.doubling_map(), COS1, 1, GRID)
