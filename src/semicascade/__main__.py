@@ -5,32 +5,33 @@ and the modules every run reads (systems and ulam), and then freezes the
 heap with `gc.freeze`. The CLI imports each analysis module where it first
 runs, so a run loads only the analyses it was given. The transfer matrix is
 numpy CSR arrays, and scipy.sparse is imported only where a sparse product
-runs in a loop or a sparse solve runs: an operator walk, a stationary loop
-that must iterate, the LU of cells that reach two classes, or a graph too
-large for the Python search. A run that needs none of these loads no scipy.
+runs in a loop or a sparse solve runs: a walk over
+ulam.SMALL_WALK_ENTRY_STEPS, a stationary loop that must iterate, the LU of
+cells that reach two classes, or a graph too large for the Python search. A
+run that needs none of these loads no scipy.
 
 Deferral: `import scipy.sparse` reaches scipy's vendored array-api-compat,
 whose `clone_module("numpy")` calls `hasattr` on every name in
 `dir(numpy)`. numpy loads its submodules lazily through a PEP 562
 `__getattr__`, so each `hasattr` imports one: `numpy.f2py` (with
 `charset_normalizer`), `numpy.testing` (with `unittest`, `email` and
-`socket`), `numpy.ma` and a few more, 186 modules that no run uses.
+`socket`), `numpy.ma` and a few more, 101 modules that no run uses.
 `defer_numpy_submodules` binds each of DEFERRED_NUMPY_SUBMODULES on numpy
 as an `importlib.util.LazyLoader` module first, so the `hasattr` finds an
 attribute and executes nothing; the first real attribute access loads the
 whole module as before. With numpy 2.4.6 and scipy 1.17.1 on a 2-core
-x86-64 host, an all-analyses run, whose walk imports scipy.sparse, loads
-363 modules instead of 549 (447 instead of 633 for the cat map at
-256 x 256 cells, minimal sets only, whose graph is large enough for
-topology to import scipy.sparse.csgraph). Without scipy,
-northsouth-projection's three analyses load 244 modules and peak at
-32.1 MB, against 361 modules and 42.5 MB with scipy.sparse imported.
+x86-64 host, a doubling-map convergence run at 4096 cells whose walk
+imports scipy.sparse loads 357 modules instead of 458 (446 instead of 547
+for the cat map at 256 x 256 cells, minimal sets only, whose graph is
+large enough for topology to import scipy.sparse.csgraph). Without scipy,
+rotation-walk's all-analyses run loads 243 modules and peaks at 32.4 MB,
+against 359 modules and 42.9 MB with scipy.sparse imported.
 
 Freeze: the tens of thousands of objects the import leaves behind move to
 the permanent generation, so neither a full collection during the run nor
-interpreter shutdown walks them again. A run that walks imports
-scipy.sparse after the freeze; its objects stay collectable, and a second
-freeze after `main` did not make rotation-walk faster.
+interpreter shutdown walks them again. A run that imports scipy.sparse
+does so after the freeze; its objects stay collectable, and a second
+freeze after `main` did not make a walk that imported it faster.
 
 Outputs do not change. `cli.main` called in-process (tests, library
 callers) defers nothing and touches neither the collector nor fd 1.

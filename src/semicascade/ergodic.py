@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import measures, systems, topology, ulam
-from .errors import CapabilityError, InputError, check_budget
+from .errors import CapabilityError, InputError
 
 DEFAULT_TOL = 1e-2
 ## schedules whose telescoping bound exceeds this are too far from ergodic
@@ -160,13 +160,8 @@ def _run_sums(rows, terms):
 
 
 def _walk_sums(tm, rows, start):
-    """_run_sums of rows over the powers start V^p of one ulam.walk.
-
-    A walk over errors.BUDGETS["walk"] (steps x stored entries) raises before its first step.
-    """
+    """_run_sums of rows over the powers start V^p of one ulam.walk."""
     steps = max(b for runs in rows for _, b, _ in runs) - 1
-    cost = steps * tm.indices.size
-    check_budget("walk", cost, steps, tm.indices.size, cost)
     return _run_sums(rows, ulam.walk(tm, start, steps))
 
 

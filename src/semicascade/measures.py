@@ -5,9 +5,9 @@ measure of the chain (the finite stand-in for an ergodic measure: every
 invariant cell set gets mass 0 or 1 from it). The damped power iteration
 v <- (v + vP)/2 kills the oscillation that plain iteration suffers on
 periodic classes (pure cycle blocks) while keeping the same fixed points.
-The first product vP of each class is a numpy bincount over the class's
-rows of the transfer matrix; scipy.sparse is imported only for a class
-that must iterate, whose loop runs scipy's sparse product.
+The first product vP of each class is ulam.left_product over the class's
+rows; scipy.sparse is imported only for a class that must iterate, whose
+loop runs scipy's sparse product.
 
 Supports use a strict threshold. On an irreducible closed class the
 stationary vector is strictly positive, so at sane thresholds the support
@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import systems, topology
+from . import systems, topology, ulam
 from .errors import InputError, check_budget
 
 DEFAULT_SUPPORT_THRESHOLD = 1e-12
@@ -66,7 +66,7 @@ def stationary_measures(graph):
         v = np.full(len(cells), 1.0 / len(cells))
         it = 0
         # w = vP serves the residual of v and then the step from v
-        w = _left_product(ptr, cols, weights, v)
+        w = ulam.left_product(ptr, cols, weights, v.shape)(v)
         res = float(np.abs(w - v).sum())
         if res > STATIONARY_RESIDUAL:
             import scipy.sparse as sp
@@ -102,15 +102,6 @@ def _class_block(tm, cells):
     place = np.empty(tm.n_cells, dtype=tm.indices.dtype)
     place[cells] = np.arange(len(cells))
     return ptr, place[tm.indices[entries]], tm.data[entries]
-
-
-def _left_product(ptr, cols, weights, v):
-    """vP for the CSR block (ptr, cols, weights).
-
-    bincount adds the terms in entry order, as scipy's product with P^T does.
-    """
-    rows = np.repeat(np.arange(v.size), np.diff(ptr))
-    return np.bincount(cols, weights=weights * v[rows], minlength=v.size)
 
 
 def birkhoff_measure(spec, point, n, partition):

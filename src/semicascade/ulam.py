@@ -23,12 +23,11 @@ the build is one block, not a few copies of n_cells * s.
 
 Measures on cells and cell functions are plain numpy vectors of length
 n_cells. A measure moves forward as mu -> mu M, a cell function is pulled
-back as x -> M x (the Koopman action). The forward operator M^T and the
-scipy view TransferMatrix.matrix are built once per matrix, on first use,
-and only they import scipy.sparse here. apply_transfer pushes a measure
-one step through M^T, and walk yields every power mu, mu M, mu M^2, ... in
-turn, for one measure or an (n_cells, k) block of measures at once; the
-averaging code goes through these two and never transposes M itself.
+back as x -> M x (the Koopman action). walk yields every power mu, mu M,
+mu M^2, ... in turn, for one measure or an (n_cells, k) block of them, a
+short walk by left_product's numpy bincounts. A long walk, apply_transfer
+and apply_koopman read M^T or the scipy view TransferMatrix.matrix, each
+built on first use, and only these import scipy.sparse here.
 """
 
 from __future__ import annotations
@@ -49,6 +48,10 @@ BANK_FUNCTION_ENTRIES = 128
 #: cells whose samples build_transfer_matrix maps at once; its orbit buffer holds
 #: samples and images (cat map, 128 x 128 cells, s = 3: peak 0.88 MB over the CSR)
 BUILD_BLOCK_CELLS = 1 << 12
+#: entry-steps (operator steps x stored entries x block columns) up to which
+#: walk steps with left_product. scipy's product saves 1.4-3.3 ns per entry-step
+#: from 1024 cells up, at most 55 ms at 2^24, about its import's 47-72 ms (2-core x86-64)
+SMALL_WALK_ENTRY_STEPS = 1 << 24
 
 
 class Partition(NamedTuple):
@@ -224,21 +227,46 @@ def apply_transfer(tm, mu):
     return tm.forward @ mu
 
 
+def left_product(indptr, indices, data, shape):
+    """The step v -> vP of the CSR arrays of P on arrays of shape (n,) or (n, k).
+
+    One bincount adds each output's terms in entry order from 0.0, as
+    scipy's product with P^T does: the same bits.
+    """
+    n = indptr.size - 1
+    ## intp indices: the gather and bincount cast int32 ones at every step
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    if len(shape) == 1:
+        cols = indices.astype(np.intp)
+        return lambda v: np.bincount(cols, weights=data * v[rows], minlength=n)
+    k = shape[1]
+    out = (indices.astype(np.intp)[:, None] * k + np.arange(k)).ravel()
+    return lambda v: np.bincount(out, weights=(data[:, None] * v[rows]).ravel(),
+                                 minlength=n * k).reshape(shape)
+
+
 def walk(tm, start, n):
     """Yield start M^p for p = 0..n, one operator step per power.
 
     start is a measure vector of length n_cells or an (n_cells, k) block
-    whose columns are measures; a block moves all k columns in one sparse
-    product per step. The walk never writes into an array it has yielded.
+    of measures. Over errors.BUDGETS["walk"] (steps x stored entries) the
+    walk raises before its first step; at most SMALL_WALK_ENTRY_STEPS
+    (that count x k) steps with left_product, more with scipy's product.
+    The walk never writes into an array it has yielded.
     """
     cur = np.asarray(start, dtype=np.float64)
     if cur.ndim not in (1, 2) or cur.shape[0] != tm.n_cells:
         raise InputError("start must be a measure vector or an (n_cells, k) "
                          "block with n_cells = %d" % tm.n_cells)
-    forward = tm.forward
+    cost = n * tm.indices.size
+    check_budget("walk", cost, n, tm.indices.size, cost)
+    if cost * (cur.size // tm.n_cells) <= SMALL_WALK_ENTRY_STEPS:
+        step = left_product(tm.indptr, tm.indices, tm.data, cur.shape)
+    else:
+        step = tm.forward.dot
     yield cur
     for _ in range(n):
-        cur = forward @ cur
+        cur = step(cur)
         yield cur
 
 

@@ -801,13 +801,23 @@ print(json.dumps({"code": code, "executed": seen, "walked": walked,
 """
 
 
+def _long_walk_config(out_dir):
+    ## doubling at 4096 cells with 3 samples stores 12288 entries, and the
+    ## convergence analysis of a Cesaro ladder to 2048 walks 2048 steps:
+    ## 25.2M entry-steps, above ulam.SMALL_WALK_ENTRY_STEPS, so the walk
+    ## runs scipy's sparse product
+    return dict(_base_config(out_dir), system={"family": "doubling", "params": {}},
+                partition={"cells_per_axis": 4096, "samples_per_cell": 3},
+                analyses=["convergence"],
+                horizons={"schedule_lengths": [64, 2048]})
+
+
 def test_process_entry_defers_unused_numpy_submodules(tmp_path):
     ## scipy's array-API shim touches every name in dir(numpy) when
-    ## scipy.sparse loads, as a convergence run's walk loads it; through the
-    ## entry that runs none of numpy's unused submodules, and a later use of
-    ## one in the same process loads it in full
-    cfg = dict(_base_config(tmp_path / "out"), analyses=["convergence"],
-               partition={"cells_per_axis": 16, "samples_per_cell": 1})
+    ## scipy.sparse loads, as a long walk loads it; through the entry that
+    ## runs none of numpy's unused submodules, and a later use of one in the
+    ## same process loads it in full
+    cfg = _long_walk_config(tmp_path / "out")
     proc = _child("-c", _ENTRY_PROBE, _write_config(tmp_path, cfg))
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
@@ -882,9 +892,10 @@ def test_process_entry_loads_scipy_only_where_a_sparse_product_runs(tmp_path):
     ## the transfer matrix is numpy CSR arrays: north_south at 1024 cells with
     ## northsouth-projection's analyses and a 32 x 32 cat map with
     ## torus-wildness's neither walk, iterate a stationary loop nor solve an
-    ## LU, and load no scipy module (any one would load the scipy package);
-    ## a convergence run walks and a cell that reaches two classes is solved
-    ## by an LU, and both load scipy.sparse
+    ## LU, and a 64-cell convergence run walks with numpy bincounts: none
+    ## loads a scipy module (any one would load the scipy package). A walk
+    ## above ulam.SMALL_WALK_ENTRY_STEPS runs scipy's product and a cell that
+    ## reaches two classes is solved by an LU, and both load scipy.sparse
     def config(name, system, cells, analyses, probe=0.3):
         cfg = dict(_base_config(tmp_path / name), system=system, analyses=analyses,
                    partition={"cells_per_axis": cells, "samples_per_cell": 3})
@@ -899,11 +910,12 @@ def test_process_entry_loads_scipy_only_where_a_sparse_product_runs(tmp_path):
             "wildness": config("wildness", cat, 32, ["unique_minimal_set", "measures",
                                                      "proximality", "tameness", "covering"],
                                probe=[0.3, 0.7]),
-            "convergence": config("convergence", north_south, 64, ["convergence"])}
+            "convergence": config("convergence", north_south, 64, ["convergence"]),
+            "long_walk": _long_walk_config(tmp_path / "long_walk")}
     loaded = {name: _loaded_by_entry(tmp_path, cfg, name, ["scipy", "scipy.sparse"])
               for name, cfg in runs.items()}
-    assert loaded == {"projection": [], "wildness": [],
-                      "convergence": ["scipy", "scipy.sparse"]}
+    assert loaded == {"projection": [], "wildness": [], "convergence": [],
+                      "long_walk": ["scipy", "scipy.sparse"]}
     proc = _child("-c", _LU_PROBE)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [False, True]

@@ -4,17 +4,19 @@ The transfer matrix is held as numpy arrays, and scipy.sparse is imported
 only where a sparse product runs in a loop. Each numpy step that stands in
 for a scipy call must give the same arrays bit for bit: the merge of each
 cell's sample images (scipy: csr_matrix then sum_duplicates), the reversed
-graph (.T.tocsr()), a class block's first product vP (block.T.dot(v)) and
-the kernel projection's residual ||M A - A||, taken without the product
-matrix @ A.
+graph (.T.tocsr()), a class block's first product vP (block.T.dot(v)), an
+operator walk below ulam.SMALL_WALK_ENTRY_STEPS (forward @ cur at every
+step) and the kernel projection's residual ||M A - A||, taken without the
+product matrix @ A.
 """
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from conftest import transfer_of_dense
-from semicascade import ergodic, measures, topology, ulam
+from semicascade import ergodic, measures, systems, topology, ulam
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -99,7 +101,44 @@ def test_class_block_product_matches_scipy(chain):
     assert np.array_equal(cols, block.indices)
     assert _same(weights, block.data)
     for v in (np.full(cells.size, 1.0 / cells.size), rng.random(cells.size)):
-        assert _same(measures._left_product(ptr, cols, weights, v), block.T.dot(v))
+        assert _same(ulam.left_product(ptr, cols, weights, v.shape)(v), block.T.dot(v))
+
+
+def _walk_against_forward(tm, start, steps):
+    """Assert that ulam.walk gives forward @ cur at every step, bit for bit,
+    and return whether the walk built the forward operator M^T."""
+    forward = tm.matrix.T.tocsr()  # what tm.forward builds, left uncached
+    cur = start
+    for p, got in enumerate(ulam.walk(tm, start, steps)):
+        if p:
+            cur = forward @ cur
+        assert _same(got, cur), p
+    return "forward" in tm.__dict__
+
+
+@PROPERTY_SETTINGS
+@given(_chains(), st.integers(0, 3), st.integers(0, 20))
+def test_short_walk_matches_scipy_forward_steps(chain, k, steps):
+    ## k == 0 walks a vector, k >= 1 an (n, k) block; a walk this short
+    ## steps with numpy bincounts and never builds M^T
+    tm, rng = chain
+    start = rng.random(tm.n_cells) if k == 0 else rng.random((tm.n_cells, k))
+    assert not _walk_against_forward(tm, start, steps)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("steps", [200, 2047])
+def test_walk_matches_scipy_forward_steps_on_both_sides_of_the_kernel_switch(k, steps):
+    ## doubling at 4096 cells with 3 samples stores 12288 entries: 200 steps
+    ## (at most 4.9M entry-steps) run the numpy bincount, 2047 steps (25.2M
+    ## entry-steps per column) run scipy's product
+    spec = systems.doubling_map()
+    tm = ulam.build_transfer_matrix(ulam.build_partition(spec, 4096, 3), spec)
+    entry_steps = steps * tm.indices.size * max(k, 1)
+    assert (entry_steps > ulam.SMALL_WALK_ENTRY_STEPS) == (steps == 2047)
+    rng = np.random.default_rng(steps + k)
+    start = rng.random(tm.n_cells) if k == 0 else rng.random((tm.n_cells, k))
+    assert _walk_against_forward(tm, start, steps) == (steps == 2047)
 
 
 @PROPERTY_SETTINGS

@@ -146,6 +146,23 @@ def test_walk_budget_refused_before_the_first_step(monkeypatch):
     assert len(steps) == 9
 
 
+def test_defect_curve_walk_budget_refused_before_the_first_step(monkeypatch):
+    ## the Cesaro defect curve walks under the same budget as the schedules;
+    ## a walk that yields even its start fails at once, not after 2^40 steps
+    tm = _tm_random(6, seed=5)  # 36 stored entries
+    bank = ulam.sample_test_bank(tm.partition, 4)
+    walk = ulam.walk
+
+    def spy(tm, start, n):
+        next(walk(tm, start, n))
+        raise AssertionError("the walk yielded its start")
+
+    monkeypatch.setattr(ulam, "walk", spy)
+    with pytest.raises(ResourceBudgetError, match="1099511627776 operator steps over 36 stored "
+                                                  "matrix entries"):
+        ergodic.cesaro_defect_curve(tm, np.full(6, 1.0 / 6), bank, 1 << 40)
+
+
 def test_schedule_labels():
     assert ergodic.cesaro_schedule(8).label() == "cesaro_8"
     assert ergodic.window_schedule(3, 4).label() == "window_3_4"
